@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import hashlib
 import json
 import os
@@ -25,9 +26,14 @@ from .errors import (
     ValidationError,
 )
 from .games import BaseGame
-from .model import MetaProfile, Population, average_utility, llm_utility
+from .model import MetaProfile, Population, llm_utility
 from .oneshot import check_equilibrium
-from .feasibility import decompose_target, minmax, payoff_vertices
+from .feasibility import (
+    certificate_from_punishment,
+    decompose_target,
+    minmax,
+    payoff_vertices,
+)
 from .protocol import derive_params, validate_params
 from .scenarios import (
     bounded10_equilibrium_profile,
@@ -232,9 +238,7 @@ def cmd_eval(args) -> int:
     budget = args.budget or cfg["budget"]
     totals = llm_utility(game, pop, profile, budget=budget)
     averages = [
-        average_utility(game, pop, profile, j, budget=budget)
-        if pop.governed_mass(j) > 0
-        else None
+        totals[j] / pop.governed_mass(j) if pop.governed_mass(j) > 0 else None
         for j in range(pop.llm_count)
     ]
     results = {"profile": args.profile, "totals": list(totals), "averages": averages}
@@ -539,11 +543,9 @@ def cmd_sweep(args) -> int:
                 )
         else:
             raise ConfigError("sweep.run", f"unknown sweep target {args.run!r}")
-    import csv as _csv
-
     sweep_path = out_dir / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
     results = {"axis": args.axis, "values": values, "rows": rows}
@@ -567,8 +569,6 @@ def cmd_report(args) -> int:
     }
     heist = make_scenario("heist")
     hpop = scenario_population("heist")
-    from .feasibility import certificate_from_punishment
-
     cert = certificate_from_punishment(heist, hpop, 0, heist_punishment(0))
     vertices = payoff_vertices(heist, hpop)
     cycle = decompose_target(vertices, (0.0, 0.0, 0.0))

@@ -12,6 +12,13 @@ independent punisher mixtures is nonconvex, so the certificate brackets it:
 a lower bound from the correlated-punishers LP (a relaxation) and an upper
 bound from the best punisher profile found by alternating minimization,
 re-scored with an exact inner best response.
+
+One payoff tensor ``U[a_1, ..., a_k, j]`` per (game, population), advisor j's
+utility when each advisor q instructs pure profile ``a_q``, backs the
+vertices, the punishment matrices, the correlated bound and (in
+:mod:`metagame.protocol`) the best pure punishments.  Every command built on
+it raises :class:`BudgetExceededError` when n^k (n pure profiles, k
+advisors) exceeds the term budget, before enumerating anything.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import (
-    BudgetExceededError,
     InfeasibleTargetError,
     MetagameError,
     ValidationError,
@@ -36,7 +42,7 @@ from .model import (
     MetaAction,
     MetaProfile,
     Population,
-    _realization_utilities,
+    _payoff_tensor,
 )
 from .oneshot import best_response
 
@@ -122,27 +128,19 @@ def payoff_vertices(
     game: BaseGame, pop: Population, budget: float = DEFAULT_TERM_BUDGET
 ) -> PayoffVertexSet:
     """One payoff vertex per tuple of pure role-homogeneous profiles."""
-    k = pop.llm_count
-    n = game.num_profiles
-    if n**k > budget:
-        raise BudgetExceededError(n**k, budget)
-    pure = [InstructionProfile.pure(p) for p in game.profiles()]
-    labels = list(game.profiles())
-    paycache: dict = {}
-    counter = [0]
-    vertices = []
-    for combo in itertools.product(range(n), repeat=k):
-        realization = tuple(pure[i] for i in combo)
-        u = _realization_utilities(
-            game, pop, realization, paycache, counter, budget
+    return _vertex_set(game, _payoff_tensor(game, pop, budget))
+
+
+def _vertex_set(game: BaseGame, U: np.ndarray) -> PayoffVertexSet:
+    """The vertices read off the payoff tensor ``U``, in C (product) order."""
+    k = U.shape[-1]
+    tuples = itertools.product(list(game.profiles()), repeat=k)
+    return PayoffVertexSet(
+        tuple(
+            Vertex(profiles=combo, payoff=tuple(row))
+            for combo, row in zip(tuples, U.reshape(-1, k).tolist())
         )
-        vertices.append(
-            Vertex(
-                profiles=tuple(labels[i] for i in combo),
-                payoff=tuple(u),
-            )
-        )
-    return PayoffVertexSet(tuple(vertices))
+    )
 
 
 def _separating_direction(V: np.ndarray, target: np.ndarray):
@@ -293,37 +291,22 @@ def _mixture_meta_action(profiles: list[tuple[str, ...]], weights) -> MetaAction
     return MetaAction(tuple((p, w / total) for p, w in outcomes))
 
 
-def _uj_matrix(game, pop, j, row_llm, fixed_actions, budget):
+def _uj_matrix(U, j, row_llm, fixed_actions, index):
     """C[b, a]: utility of advisor j playing pure profile a while ``row_llm``
-    plays pure profile b and everyone else follows ``fixed_actions``."""
-    profiles = list(game.profiles())
-    n = len(profiles)
-    pure = [InstructionProfile.pure(p) for p in profiles]
-    others = [
-        (q, list(fixed_actions[q].outcomes))
-        for q in range(pop.llm_count)
-        if q not in (j, row_llm)
-    ]
-    paycache: dict = {}
-    counter = [0]
-    C = np.empty((n, n))
-    for bi in range(n):
-        for ai in range(n):
-            total = 0.0
-            for combo in itertools.product(*(o for _, o in others)):
-                w = 1.0
-                for _, prob in combo:
-                    w *= prob
-                realization = [None] * pop.llm_count
-                realization[j] = pure[ai]
-                realization[row_llm] = pure[bi]
-                for (q, _), (prof, _) in zip(others, combo):
-                    realization[q] = prof
-                total += w * _realization_utilities(
-                    game, pop, tuple(realization), paycache, counter, budget
-                )[j]
-            C[bi, ai] = total
-    return C, profiles
+    plays pure profile b and every other advisor q follows the mixture over
+    pure profiles ``fixed_actions[q]``; ``index`` maps a profile to its axis
+    position in the payoff tensor ``U``."""
+    k = U.ndim - 1
+    others = [fixed_actions[q].outcomes for q in range(k) if q not in (j, row_llm)]
+    # Axes: row_llm, j, then the remaining advisors in index order.
+    Uj = np.moveaxis(U[..., j], (row_llm, j), (0, 1))
+    C = np.zeros(Uj.shape[:2])
+    for combo in itertools.product(*others):
+        w = 1.0
+        for _, prob in combo:
+            w *= prob
+        C += w * Uj[(Ellipsis, *(index[prof.pure_profile] for prof, _ in combo))]
+    return C
 
 
 def certificate_from_punishment(
@@ -348,7 +331,7 @@ def certificate_from_punishment(
     )
     br = best_response(game, pop, profile, j, budget=budget)
     if lower_bound is None:
-        lower_bound = _correlated_lower_bound(game, pop, j, budget)
+        lower_bound = _correlated_lower_bound(_payoff_tensor(game, pop, budget), j)
     return MinmaxCertificate(
         llm=j,
         lower_bound=min(lower_bound, br.value),
@@ -358,34 +341,17 @@ def certificate_from_punishment(
     )
 
 
-def _correlated_lower_bound(game, pop, j, budget) -> float:
+def _punishment_matrix(U: np.ndarray, j: int) -> np.ndarray:
+    """M[b, a]: advisor j's utility playing pure profile a against the pure
+    punisher combination b, combinations flattened in product order."""
+    return np.moveaxis(U[..., j], j, -1).reshape(-1, U.shape[j])
+
+
+def _correlated_lower_bound(U: np.ndarray, j: int) -> float:
     """Value when punishers may correlate: a relaxation, hence a lower bound."""
-    profiles = list(game.profiles())
-    n = len(profiles)
-    k = pop.llm_count
-    if k == 1:
+    if U.ndim == 2:
         raise ValidationError("no punishers to correlate")
-    if n**k > budget:
-        raise BudgetExceededError(n**k, budget)
-    pure = [InstructionProfile.pure(p) for p in profiles]
-    punishers = [q for q in range(k) if q != j]
-    paycache: dict = {}
-    counter = [0]
-    rows = []
-    for combo in itertools.product(range(n), repeat=len(punishers)):
-        row = []
-        for ai in range(n):
-            realization = [None] * k
-            realization[j] = pure[ai]
-            for q, bi in zip(punishers, combo):
-                realization[q] = pure[bi]
-            row.append(
-                _realization_utilities(
-                    game, pop, tuple(realization), paycache, counter, budget
-                )[j]
-            )
-        rows.append(row)
-    value, _ = _matrix_game_min_value(np.array(rows))
+    value, _ = _matrix_game_min_value(_punishment_matrix(U, j))
     return value
 
 
@@ -402,9 +368,6 @@ def minmax(
 ) -> MinmaxCertificate:
     """Certified bracket on advisor ``j``'s guaranteed (minmax) payoff."""
     k = pop.llm_count
-    profiles = list(game.profiles())
-    n = len(profiles)
-
     if k == 1:
         dummy = MetaProfile.from_pure([tuple(a[0] for a in game.actions)])
         br = best_response(game, pop, dummy, j, budget=budget)
@@ -416,18 +379,21 @@ def minmax(
             best_response=br.profile,
         )
 
+    U = _payoff_tensor(game, pop, budget)
+    profiles = list(game.profiles())
+    n = len(profiles)
+    index = {p: i for i, p in enumerate(profiles)}
+
     if k == 2:
         opp = 1 - j
-        fixed = {q: MetaAction.from_pure(profiles[0]) for q in range(k)}
-        C, _ = _uj_matrix(game, pop, j, opp, fixed, budget)
-        value, y = _matrix_game_min_value(C)
+        value, y = _matrix_game_min_value(_uj_matrix(U, j, opp, {}, index))
         punishment: list[MetaAction | None] = [None, None]
         punishment[opp] = _mixture_meta_action(profiles, y)
         return certificate_from_punishment(
             game, pop, j, tuple(punishment), budget=budget, lower_bound=value
         )
 
-    lower = _correlated_lower_bound(game, pop, j, budget)
+    lower = _correlated_lower_bound(U, j)
     punishers = [q for q in range(k) if q != j]
     rng = np.random.default_rng(seed)
 
@@ -442,7 +408,7 @@ def minmax(
                     if pp is None:
                         w = None
                         break
-                    w[profiles.index(pp)] += prob
+                    w[index[pp]] += prob
                 if w is None:
                     mixtures = {}
                     break
@@ -459,8 +425,7 @@ def minmax(
                     for p in punishers
                     if p != q
                 }
-                C, _ = _uj_matrix(game, pop, j, q, fixed, budget)
-                value, y = _matrix_game_min_value(C)
+                value, y = _matrix_game_min_value(_uj_matrix(U, j, q, fixed, index))
                 mixtures[q] = y
             if abs(value_prev - value) < tol:
                 break

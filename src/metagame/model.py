@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     BudgetExceededError,
     InvalidProfileError,
@@ -488,6 +490,28 @@ def _realization_utilities(
                 )
         out[j] = uj
     return out
+
+
+def _payoff_tensor(game: BaseGame, pop: Population, budget: float) -> np.ndarray:
+    """``U[a_0, ..., a_{k-1}, j]``: advisor j's utility when each advisor q
+    instructs the pure profile with index ``a_q`` in ``game.profiles()`` order.
+
+    Raises :class:`BudgetExceededError` before enumerating anything when the
+    n^k realizations exceed ``budget``.
+    """
+    n = game.num_profiles
+    k = pop.llm_count
+    if n**k > budget:
+        raise BudgetExceededError(n**k, budget)
+    pure = [InstructionProfile.pure(p) for p in game.profiles()]
+    U = np.empty((n,) * k + (k,))
+    paycache: dict = {}
+    counter = [0]
+    for idx in itertools.product(range(n), repeat=k):
+        U[idx] = _realization_utilities(
+            game, pop, tuple(pure[a] for a in idx), paycache, counter, budget
+        )
+    return U
 
 
 def llm_utility(

@@ -34,6 +34,7 @@ from .model import (
     MetaAction,
     MetaProfile,
     Population,
+    _payoff_tensor,
     _realization_utilities,
     llm_utility,
 )
@@ -305,23 +306,8 @@ def meta_bimatrix(
     """Two-advisor meta-game as a bimatrix over pure role-homogeneous profiles."""
     if pop.llm_count != 2:
         raise ValidationError("bimatrix form needs exactly two advisors")
-    profiles = list(game.profiles())
-    n = len(profiles)
-    if n * n > budget:
-        raise BudgetExceededError(n * n, budget)
-    A = np.empty((n, n))
-    B = np.empty((n, n))
-    paycache: dict = {}
-    counter = [0]
-    instr = [InstructionProfile.pure(p) for p in profiles]
-    for r in range(n):
-        for c in range(n):
-            u = _realization_utilities(
-                game, pop, (instr[r], instr[c]), paycache, counter, budget
-            )
-            A[r, c] = u[0]
-            B[r, c] = u[1]
-    return A, B, profiles
+    U = _payoff_tensor(game, pop, budget)
+    return U[..., 0], U[..., 1], list(game.profiles())
 
 
 def support_enumeration_bimatrix(

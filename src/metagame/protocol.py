@@ -24,7 +24,6 @@ rounding, concentration, and per-period-impact inequalities all hold.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -33,7 +32,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import (
-    BudgetExceededError,
     MetagameError,
     NotIndividuallyRationalError,
     ValidationError,
@@ -46,7 +44,7 @@ from .model import (
     MetaAction,
     Population,
     aggregate_mass,
-    _realization_utilities,
+    _payoff_tensor,
 )
 from .feasibility import (
     CycleDecomposition,
@@ -54,7 +52,10 @@ from .feasibility import (
     certificate_from_punishment,
     check_strict_ir,
     decompose_target,
-    payoff_vertices,
+    minmax,
+    _correlated_lower_bound,
+    _punishment_matrix,
+    _vertex_set,
 )
 
 MAX_BLOCK_LENGTH = 2**34
@@ -330,6 +331,13 @@ def best_pure_punishment(
     minimizes j's exact best-response value, so punishment blocks stay
     deterministic.  A pure ``hint`` profile short-circuits the search.
     """
+    U = _payoff_tensor(game, pop, budget)
+    return _best_pure_punishment(game, pop, j, U, budget, hint)
+
+
+def _best_pure_punishment(game, pop, j, U, budget, hint) -> MinmaxCertificate:
+    """:func:`best_pure_punishment` on the payoff tensor ``U`` of (game, pop)."""
+    k = pop.llm_count
     if hint is not None:
         for q, action in enumerate(hint):
             if q == j:
@@ -337,39 +345,23 @@ def best_pure_punishment(
                     raise ValidationError("hint must leave the punished slot empty")
             elif len(action.outcomes) != 1 or action.outcomes[0][0].pure_profile is None:
                 raise ValidationError("punishment hints must be deterministic")
-        return certificate_from_punishment(game, pop, j, hint, budget=budget)
-    k = pop.llm_count
-    profiles = list(game.profiles())
-    n = len(profiles)
-    if k > 1 and n ** (k - 1) * n > budget:
-        raise BudgetExceededError(n**k, budget)
-    if k == 1:
-        from .feasibility import minmax as _minmax
-
-        return _minmax(game, pop, j, budget=budget)
-    pure = [InstructionProfile.pure(p) for p in profiles]
-    punishers = [q for q in range(k) if q != j]
-    paycache: dict = {}
-    counter = [0]
-    best = None
-    for combo in itertools.product(range(n), repeat=len(punishers)):
-        worst_reply = -math.inf
-        for ai in range(n):
-            realization = [None] * k
-            realization[j] = pure[ai]
-            for q, bi in zip(punishers, combo):
-                realization[q] = pure[bi]
-            u = _realization_utilities(
-                game, pop, tuple(realization), paycache, counter, budget
-            )[j]
-            if u > worst_reply:
-                worst_reply = u
-        if best is None or worst_reply < best[0]:
-            best = (worst_reply, combo)
-    punishment: list[MetaAction | None] = [None] * k
-    for q, bi in zip(punishers, best[1]):
-        punishment[q] = MetaAction.from_pure(profiles[bi])
-    return certificate_from_punishment(game, pop, j, tuple(punishment), budget=budget)
+        punishment = tuple(hint)
+    elif k == 1:
+        return minmax(game, pop, j, budget=budget)
+    else:
+        # First minimizer in product order of the punished advisor's best reply.
+        worst_reply = _punishment_matrix(U, j).max(axis=1)
+        combo = np.unravel_index(int(np.argmin(worst_reply)), U.shape[: k - 1])
+        profiles = list(game.profiles())
+        punishers = [q for q in range(k) if q != j]
+        punishment = [None] * k
+        for q, bi in zip(punishers, combo):
+            punishment[q] = MetaAction.from_pure(profiles[bi])
+        punishment = tuple(punishment)
+    return certificate_from_punishment(
+        game, pop, j, punishment, budget=budget,
+        lower_bound=_correlated_lower_bound(U, j),
+    )
 
 
 def _segment_lengths(weights, T: int) -> tuple[int, ...]:
@@ -423,13 +415,14 @@ def derive_params(
         raise ValidationError("epsilon and gamma must be positive")
     target = tuple(float(v) for v in target)
     k = pop.llm_count
-    vertices = payoff_vertices(game, pop, budget)
+    U = _payoff_tensor(game, pop, budget)
+    vertices = _vertex_set(game, U)
     V = vertices.matrix
 
     certs = []
     for j in range(k):
         hint = punishment_hints.get(j) if punishment_hints else None
-        certs.append(best_pure_punishment(game, pop, j, budget=budget, hint=hint))
+        certs.append(_best_pure_punishment(game, pop, j, U, budget, hint))
     ir_upper = [c.upper_bound for c in certs]
 
     decompose_target(vertices, target)  # raises InfeasibleTargetError
