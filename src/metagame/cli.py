@@ -83,26 +83,53 @@ def load_config(path) -> dict:
     return normalize_config(doc)
 
 
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("not an object")
+    return dict(value)
+
+
+def _numbers(value) -> list[float]:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return [float(v) for v in value]
+
+
+def _field(node: dict, path: str, kind, default=None):
+    """``node[key]`` converted by ``kind``, where ``key`` is the last part of
+    the dotted ``path``, or ``default`` when absent (``None``: required).
+    Raises ``ConfigError`` naming the path."""
+    key = path.rsplit(".", 1)[-1]
+    if key not in node:
+        _require(default is not None, path, "is required")
+        return default
+    try:
+        return kind(node[key])
+    except (TypeError, ValueError):
+        raise ConfigError(
+            path, f"must be {kind.__name__.lstrip('_')}, got {node[key]!r}"
+        ) from None
+
+
 def normalize_config(doc: dict) -> dict:
     _require(isinstance(doc, dict), "$", "must be an object")
     out = {"schema": doc.get("schema", SCHEMA)}
     _require(out["schema"] == SCHEMA, "schema", f"unsupported schema {out['schema']}")
-    _require("game" in doc, "game", "is required")
-    game = doc["game"]
+    game = _field(doc, "game", _object)
     if "name" in game:
-        out["game"] = {"name": game["name"], "params": dict(game.get("params", {}))}
+        out["game"] = {"name": game["name"], "params": _field(game, "game.params", _object, {})}
     elif "inline" in game:
         out["game"] = {"inline": game["inline"]}
     else:
         raise ConfigError("game", "needs 'name' or 'inline'")
 
-    pop = doc.get("population", {})
+    pop = _field(doc, "population", _object, {})
     if "shares" in pop:
         out["population"] = {"shares": [list(r) for r in pop["shares"]]}
     elif "scenario" in pop:
         out["population"] = {
             "scenario": pop["scenario"],
-            "params": dict(pop.get("params", {})),
+            "params": _field(pop, "population.params", _object, {}),
         }
     elif "name" in out["game"]:
         out["population"] = {"scenario": out["game"]["name"], "params": {}}
@@ -110,7 +137,7 @@ def normalize_config(doc: dict) -> dict:
         raise ConfigError("population", "is required for inline games")
 
     out["meta_profiles"] = {}
-    for name, entry in doc.get("meta_profiles", {}).items():
+    for name, entry in _field(doc, "meta_profiles", _object, {}).items():
         path = f"meta_profiles.{name}"
         _require(isinstance(entry, dict), path, "must be an object")
         if "pure" in entry:
@@ -122,49 +149,52 @@ def normalize_config(doc: dict) -> dict:
         else:
             raise ConfigError(path, "needs 'pure', 'named', or 'llms'")
 
-    folk = doc.get("folk")
-    if folk is not None:
+    if doc.get("folk") is not None:
+        folk = _field(doc, "folk", _object)
         norm = {
-            "r": [float(v) for v in folk["r"]],
-            "epsilon": float(folk.get("epsilon", 1.2)),
-            "gamma": float(folk.get("gamma", 0.5)),
-            "delta": float(folk.get("delta", 0.995)),
-            "tail_tol": float(folk.get("tail_tol", 1e-6)),
+            "r": _field(folk, "folk.r", _numbers),
+            "epsilon": _field(folk, "folk.epsilon", float, 1.2),
+            "gamma": _field(folk, "folk.gamma", float, 0.5),
+            "delta": _field(folk, "folk.delta", float, 0.995),
+            "tail_tol": _field(folk, "folk.tail_tol", float, 1e-6),
         }
         _require(norm["epsilon"] > 0, "folk.epsilon", "must be positive")
         _require(norm["gamma"] > 0, "folk.gamma", "must be positive")
         _require(0 < norm["delta"] < 1, "folk.delta", "must lie in (0, 1)")
         if folk.get("overrides"):
-            norm["overrides"] = dict(folk["overrides"])
+            norm["overrides"] = _field(folk, "folk.overrides", _object)
         out["folk"] = norm
 
-    adversary = doc.get("adversary")
-    if adversary is not None:
+    if doc.get("adversary") is not None:
+        adversary = _field(doc, "adversary", _object)
         out["adversary"] = {
-            "llm": int(adversary["llm"]),
+            "llm": _field(adversary, "adversary.llm", int),
             "kind": adversary.get("kind", "greedy_myopic"),
         }
         if adversary.get("budget") is not None:
-            out["adversary"]["budget"] = int(adversary["budget"])
+            out["adversary"]["budget"] = _field(adversary, "adversary.budget", int)
 
-    finite = doc.get("finite")
-    if finite is not None:
+    if doc.get("finite") is not None:
+        finite = _field(doc, "finite", _object)
         out["finite"] = {
-            "clients_per_role": int(finite["clients_per_role"]),
-            "periods": int(finite.get("periods", 100)),
+            "clients_per_role": _field(finite, "finite.clients_per_role", int),
+            "periods": _field(finite, "finite.periods", int, 100),
         }
 
-    out["trials"] = int(doc.get("trials", 30))
-    out["seed"] = int(doc.get("seed", 0))
-    out["budget"] = float(doc.get("budget", 10**7))
+    out["trials"] = _field(doc, "trials", int, 30)
+    out["seed"] = _field(doc, "seed", int, 0)
+    out["budget"] = _field(doc, "budget", float, 1e7)
     return out
 
 
 def build_game(cfg) -> BaseGame:
     game = cfg["game"]
-    if "name" in game:
-        return make_scenario(game["name"], **game["params"])
-    return BaseGame.from_dict(game["inline"])
+    try:
+        if "name" in game:
+            return make_scenario(game["name"], **game["params"])
+        return BaseGame.from_dict(game["inline"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("game", f"cannot build the game: {exc!r}") from None
 
 
 def build_population(cfg) -> Population:
@@ -390,6 +420,10 @@ def cmd_folk_run(args) -> int:
     game = build_game(cfg)
     pop = build_population(cfg)
     _require("folk" in cfg, "folk", "is required")
+    adversary = cfg.get("adversary")
+    if adversary is not None:
+        k = pop.llm_count
+        _require(0 <= adversary["llm"] < k, "adversary.llm", f"must lie in [0, {k})")
     out_dir = _out_dir(args)
     budget = args.budget or cfg["budget"]
     try:
@@ -431,7 +465,6 @@ def cmd_folk_run(args) -> int:
         "gamma": folk["gamma"],
         "honest_within_gamma": all(g <= folk["gamma"] for g in honest_worst),
     }
-    adversary = cfg.get("adversary")
     if adversary is not None:
         mean, hw = estimate_deviation_gain(
             game,

@@ -138,17 +138,7 @@ def _first_active_segment(lengths, start=0):
 
 
 def initial_state(params: ProtocolParams) -> ProtocolState:
-    return ProtocolState(
-        phase=0,
-        segment=_first_active_segment(params.segment_lengths),
-        step=0,
-        block_step=0,
-        discrepancies=0,
-        excess_seen=False,
-        mode="review",
-        punishment_remaining=0,
-        punished=None,
-    )
+    return _fresh_block(params, 0)
 
 
 def _fresh_block(params: ProtocolParams, phase: int) -> ProtocolState:

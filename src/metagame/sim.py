@@ -3,8 +3,10 @@ accounting, and a finite-population mode.
 
 Each advisor owns an independent random stream; the public protocol state is
 a deterministic function of the observed aggregate stream, so every
-participant tracking it stays synchronized.  Runs are reproducible
-byte-for-byte from (seed, inputs).
+participant tracking it stays synchronized.  Continuum and finite mode share
+one per-period stepper and differ only in how instructions are realized, so
+deviation flags and block statistics are kept whenever protocol parameters
+are given.  Runs are reproducible byte-for-byte from (seed, inputs).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .model import (
     AggregateTable,
     InstructionProfile,
     MetaAction,
+    MetaProfile,
     Population,
     aggregate_mass,
     _realization_utilities,
@@ -43,16 +46,15 @@ from .protocol import (
 
 @dataclass
 class StepContext:
-    """What a strategy sees each period: public state and history, plus its
-    own stream and past realizations."""
+    """What a strategy sees each period: the public protocol parameters and
+    state (``None`` in a finite run without a protocol), the period, its own
+    advisor index and its own random stream."""
 
     params: ProtocolParams | None
     state: ProtocolState | None
     period: int
     llm: int
     rng: np.random.Generator
-    aggregates: list
-    own_history: list
 
 
 class Strategy:
@@ -117,8 +119,6 @@ class MyopicBestResponse(Strategy):
                 placeholder if q == j else MetaAction.deterministic(others[q])
                 for q in range(self.pop.llm_count)
             )
-            from .model import MetaProfile
-
             br = best_response(
                 self.game, self.pop, MetaProfile(profile_actions), j, budget=self.budget
             )
@@ -371,6 +371,111 @@ def horizon_for(delta: float, tail_tol: float, payoff_cap: float) -> int:
     return max(1, math.ceil(math.log(tail_tol / bound) / math.log(delta)))
 
 
+class _Periods:
+    """Per-period bookkeeping shared by both simulators: ``act`` asks every
+    strategy for its instruction; after the caller realizes them,
+    ``observe`` advances the public state (when ``params`` are given), flags
+    deviations, keeps the block and punishment statistics and records the
+    period."""
+
+    def __init__(self, game, params, strategies, streams):
+        self.game = game
+        self.params = params
+        self.strategies = strategies
+        self.streams = streams
+        self.state = None if params is None else initial_state(params)
+        self.records: list[PeriodRecord] = []
+        self.block_stats: list[BlockStat] = []
+        self.punishment_stats: list[PunishmentStat] = []
+        self._probes: tuple[bool, ...] = ()
+        self._start = 0  # first period of the current block or punishment
+
+    def act(self, t: int) -> tuple[InstructionProfile, ...]:
+        realized = []
+        probes = []
+        for j, strategy in enumerate(self.strategies):
+            instr = strategy.act(
+                StepContext(self.params, self.state, t, j, self.streams[j])
+            )
+            if instr.role_count != self.game.role_count:
+                raise MetagameError(
+                    f"strategy for advisor {j} emitted an invalid instruction "
+                    f"at period {t}"
+                )
+            realized.append(instr)
+            probes.append(bool(strategy.last_probe))
+        self._probes = tuple(probes)
+        return tuple(realized)
+
+    def observe(self, t, realized, table: AggregateTable, utilities) -> None:
+        k = len(realized)
+        prev = self.state
+        event = None
+        deviated = (False,) * k
+        if prev is not None:
+            self.state, event = observe_and_update(self.params, prev, table)
+            deviated = tuple(
+                realized[j] != prescribed_instruction(self.params, prev, j)
+                for j in range(k)
+            )
+        self.records.append(
+            PeriodRecord(
+                period=t,
+                phase=-1 if prev is None else prev.phase,
+                mode="none" if prev is None else prev.mode,
+                segment=-1 if prev is None else prev.segment,
+                instructions=realized,
+                aggregate=table,
+                utilities=utilities,
+                probes=self._probes,
+                deviated=deviated,
+                event=event.kind if event else None,
+                event_llm=event.llm if event else None,
+            )
+        )
+        if prev is None:
+            return
+        if prev.mode == "review":
+            if prev.block_step == self.params.block_length - 1:
+                self._close_block(t, event)
+                self._start = t + 1
+        elif self.state.mode == "review":
+            self.punishment_stats.append(
+                PunishmentStat(punished=prev.punished, start=self._start, end=t)
+            )
+            self._start = t + 1
+
+    def _close_block(self, t, event) -> None:
+        """Record the review block that ends at period ``t``."""
+        block = self.records[self._start :]
+        intended, tol = self.params.intended_aggregates, self.params.discrepancy_tol
+        self.block_stats.append(
+            BlockStat(
+                phase=block[0].phase,
+                start=self._start,
+                end=t,
+                discrepancies=sum(
+                    rec.aggregate.max_diff(intended[rec.segment]) > tol
+                    for rec in block
+                ),
+                deviation_counts=tuple(map(sum, zip(*(r.deviated for r in block)))),
+                probe_counts=tuple(map(sum, zip(*(r.probes for r in block)))),
+                event=event.kind if event else None,
+            )
+        )
+
+    def log(self, seed_key, delta, tail_tol, horizon) -> RunLog:
+        return RunLog(
+            seed_key=seed_key,
+            delta=delta,
+            tail_tol=tail_tol,
+            horizon=horizon,
+            records=self.records,
+            block_stats=self.block_stats,
+            punishment_stats=self.punishment_stats,
+        )
+
+
 def run_repeated(
     game: BaseGame,
     pop: Population,
@@ -395,108 +500,17 @@ def run_repeated(
         np.random.Generator(np.random.PCG64(child))
         for child in np.random.SeedSequence(list(key)).spawn(k)
     ]
-    state = initial_state(params)
-    records: list[PeriodRecord] = []
-    block_stats: list[BlockStat] = []
-    punishment_stats: list[PunishmentStat] = []
-    aggregates: list[AggregateTable] = []
-    own_history: list[list[InstructionProfile]] = [[] for _ in range(k)]
+    steps = _Periods(game, params, strategies, streams)
     paycache: dict = {}
     counter = [0]
-
-    blk_start = 0
-    blk_disc = 0
-    blk_dev = [0] * k
-    blk_probe = [0] * k
-    pun_start = None
-
     for t in range(horizon):
-        realized = []
-        probes = []
-        for j in range(k):
-            ctx = StepContext(
-                params, state, t, j, streams[j], aggregates, own_history[j]
-            )
-            instr = strategies[j].act(ctx)
-            if instr.role_count != game.role_count:
-                raise MetagameError(
-                    f"strategy for advisor {j} emitted an invalid instruction "
-                    f"at period {t}"
-                )
-            realized.append(instr)
-            probes.append(bool(strategies[j].last_probe))
-        realized = tuple(realized)
+        realized = steps.act(t)
         table = aggregate_mass(game, pop, realized)
         utilities = tuple(
             _realization_utilities(game, pop, realized, paycache, counter, math.inf)
         )
-        prev = state
-        state, event = observe_and_update(params, state, table)
-
-        deviated = tuple(
-            realized[j] != prescribed_instruction(params, prev, j) for j in range(k)
-        )
-        if prev.mode == "review":
-            if table.max_diff(params.intended_aggregates[prev.segment]) > params.discrepancy_tol:
-                blk_disc += 1
-            for j in range(k):
-                blk_dev[j] += deviated[j]
-                blk_probe[j] += probes[j]
-            block_over = prev.block_step == params.block_length - 1
-            if block_over:
-                block_stats.append(
-                    BlockStat(
-                        phase=prev.phase,
-                        start=blk_start,
-                        end=t,
-                        discrepancies=blk_disc,
-                        deviation_counts=tuple(blk_dev),
-                        probe_counts=tuple(blk_probe),
-                        event=event.kind if event else None,
-                    )
-                )
-                blk_start = t + 1
-                blk_disc = 0
-                blk_dev = [0] * k
-                blk_probe = [0] * k
-                if state.mode == "punishment":
-                    pun_start = t + 1
-        else:
-            if state.mode == "review":
-                punishment_stats.append(
-                    PunishmentStat(punished=prev.punished, start=pun_start, end=t)
-                )
-                pun_start = None
-                blk_start = t + 1
-
-        records.append(
-            PeriodRecord(
-                period=t,
-                phase=prev.phase,
-                mode=prev.mode,
-                segment=prev.segment,
-                instructions=realized,
-                aggregate=table,
-                utilities=utilities,
-                probes=tuple(probes),
-                deviated=deviated,
-                event=event.kind if event else None,
-                event_llm=event.llm if event else None,
-            )
-        )
-        aggregates.append(table)
-        for j in range(k):
-            own_history[j].append(realized[j])
-
-    log = RunLog(
-        seed_key=key,
-        delta=delta,
-        tail_tol=tail_tol,
-        horizon=horizon,
-        records=records,
-        block_stats=block_stats,
-        punishment_stats=punishment_stats,
-    )
+        steps.observe(t, realized, table, utilities)
+    log = steps.log(key, delta, tail_tol, horizon)
     log.discounted = log.recompute_discounted()
     return log
 
@@ -599,8 +613,10 @@ def finite_population_run(
     Governance counts come from largest-remainder rounding of the shares.
     When protocol ``params`` are given, the public machine runs on the
     empirical aggregates with its discrepancy tolerance widened to the
-    sampling band 3*sqrt(log(N)/N); the protocol's guarantees are only
-    asserted in continuum mode.
+    sampling band 3*sqrt(log(N)/N), and the log carries the ``deviated``
+    flags and the block and punishment statistics as in continuum mode; the
+    protocol's guarantees are only asserted in continuum mode.  Without
+    ``params`` strategies see no protocol state and no deviation is flagged.
     """
     N = clients_per_role
     k = pop.llm_count
@@ -611,10 +627,8 @@ def finite_population_run(
         raise ValidationError("one strategy per advisor is required")
     band = 3.0 * math.sqrt(math.log(max(N, 2)) / N)
     run_params = params
-    state = None
     if params is not None:
         run_params = replace(params, discrepancy_tol=band)
-        state = initial_state(run_params)
 
     warnings = []
     counts = []
@@ -639,23 +653,12 @@ def finite_population_run(
         {a: idx for idx, a in enumerate(acts)} for acts in game.actions
     ]
 
-    records: list[PeriodRecord] = []
+    steps = _Periods(game, run_params, strategies, streams)
     gaps: list[float] = []
-    aggregates: list[AggregateTable] = []
-    own_history: list[list[InstructionProfile]] = [[] for _ in range(k)]
     paycache: dict = {}
 
     for t in range(periods):
-        realized = []
-        probes = []
-        for j in range(k):
-            ctx = StepContext(
-                run_params, state, t, j, streams[j], aggregates, own_history[j]
-            )
-            instr = strategies[j].act(ctx)
-            realized.append(instr)
-            probes.append(bool(strategies[j].last_probe))
-        realized = tuple(realized)
+        realized = steps.act(t)
 
         actions_by_role = []
         owners_by_role = []
@@ -716,41 +719,11 @@ def finite_population_run(
 
         continuum = aggregate_mass(game, pop, realized)
         gaps.append(table.max_diff(continuum))
+        steps.observe(t, realized, table, utilities)
 
-        event = None
-        prev = state
-        if state is not None:
-            state, event = observe_and_update(run_params, state, table)
-        records.append(
-            PeriodRecord(
-                period=t,
-                phase=prev.phase if prev else -1,
-                mode=prev.mode if prev else "none",
-                segment=prev.segment if prev else -1,
-                instructions=realized,
-                aggregate=table,
-                utilities=utilities,
-                probes=tuple(probes),
-                deviated=(False,) * k,
-                event=event.kind if event else None,
-                event_llm=event.llm if event else None,
-            )
-        )
-        aggregates.append(table)
-        for j in range(k):
-            own_history[j].append(realized[j])
-
-    log = RunLog(
-        seed_key=key,
-        delta=0.0,
-        tail_tol=0.0,
-        horizon=periods,
-        records=records,
-        block_stats=[],
-        punishment_stats=[],
-    )
+    log = steps.log(key, 0.0, 0.0, periods)
     log.discounted = tuple(
-        sum(rec.utilities[j] for rec in records) / periods
+        sum(rec.utilities[j] for rec in log.records) / periods
         for j in range(k)
     )
     report = FiniteRunReport(

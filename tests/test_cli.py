@@ -297,3 +297,54 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     code = run_command(["eval", "--config", str(cfg), "--quiet"])
     assert code == EXIT_OK
     assert (root / "report.json").exists()
+
+
+def _inline_game(**doc):
+    return {"game": {"inline": doc}, "population": {"shares": [[1.0], [1.0]]}}
+
+
+# (config field the error must name, change to the valid PD config)
+MALFORMED_CONFIGS = {
+    "folk.r missing": ("folk.r", lambda d: d["folk"].pop("r")),
+    "adversary.llm missing": ("adversary.llm", lambda d: d["adversary"].pop("llm")),
+    "finite.clients_per_role missing": (
+        "finite.clients_per_role",
+        lambda d: d.update(finite={"periods": 3}),
+    ),
+    "trials not a number": ("trials", lambda d: d.update(trials="x")),
+    "budget null": ("budget", lambda d: d.update(budget=None)),
+    "folk.r not numbers": ("folk.r", lambda d: d["folk"].update(r="ab")),
+    "folk.delta not a number": ("folk.delta", lambda d: d["folk"].update(delta="x")),
+    "meta_profiles a list": ("meta_profiles", lambda d: d.update(meta_profiles=[])),
+    "game parameter not numeric": (
+        "game",
+        lambda d: d["game"]["params"].update(X="a"),
+    ),
+    "inline game without payoffs": (
+        "game",
+        lambda d: d.update(_inline_game(actions=[["C", "D"], ["C", "D"]])),
+    ),
+    "inline game without actions": (
+        "game",
+        lambda d: d.update(_inline_game(payoffs=[])),
+    ),
+    "adversary.llm past the last advisor": (
+        "adversary.llm",
+        lambda d: d["adversary"].update(llm=2),
+    ),
+    "adversary.llm negative": ("adversary.llm", lambda d: d["adversary"].update(llm=-1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_exits_2(tmp_path, capsys, case):
+    field, change = MALFORMED_CONFIGS[case]
+    path = _pd_config(tmp_path)
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    code = run_command(
+        ["folk", "run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == EXIT_CONFIG
+    assert f"config field {field!r}" in capsys.readouterr().err

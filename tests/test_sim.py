@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -304,3 +305,81 @@ def test_finite_rounding_warning():
     _, report = finite_population_run(5, pd, pop, strategies, periods=2, seed=0)
     assert report.warnings
     assert report.governance_counts[0] == (5, 0)
+
+
+def test_finite_run_with_params_flags_deviations_and_blocks(pd_small_params):
+    pd, pop, params = pd_small_params
+    T = params.block_length
+    periods = 3 * T
+    heavy = [HonestStrategy(), make_adversary(pd, pop, params, "heavy")]
+    log, _ = finite_population_run(
+        2000, pd, pop, heavy, periods=periods, seed=5, params=params
+    )
+    assert len(log.block_stats) == periods // T
+    for blk in log.block_stats:
+        assert blk.deviation_counts[1] == blk.length
+    for rec in log.records:
+        if rec.mode == "review":
+            assert rec.deviated[1]
+
+    honest = [HonestStrategy(), HonestStrategy()]
+    log, _ = finite_population_run(
+        2000, pd, pop, honest, periods=periods, seed=5, params=params
+    )
+    assert any(any(rec.deviated) for rec in log.records)
+    for rec in log.records:
+        # A probe is a deviation unless its uniform draw hit the prescription.
+        prescribed = params.prescriptions[rec.segment]
+        assert rec.deviated == tuple(
+            rec.probes[j] and rec.instructions[j] != prescribed[j] for j in range(2)
+        )
+    assert [b.probe_counts for b in log.block_stats] == [
+        tuple(
+            sum(rec.probes[j] for rec in log.records[b.start : b.end + 1])
+            for j in range(2)
+        )
+        for b in log.block_stats
+    ]
+
+
+# sha256 of to_jsonl(); any change to the per-period stepper, the seeding or
+# the record format must keep these bytes.
+RUNLOG_SHA256 = {
+    "honest": "1ecc1ef5f5f3ee7f08df56f0cce324ed73e275b2ee69ec5674cff4d4b2d68067",
+    "light": "1773f1dd842a9a3c1168ff82af756c02e0cafa7a16fd9af7c28ab95a9ff04745",
+    # In punishment the punished advisor's prescription is its best reply,
+    # so heavy and greedy_myopic play the same 156 periods here.
+    "heavy": "8ee489003939a7ecc3e35be3ab3b3e4f934c73d995cc2d02dd1172c31603db03",
+    "greedy_myopic": "8ee489003939a7ecc3e35be3ab3b3e4f934c73d995cc2d02dd1172c31603db03",
+    "finite": "2aa9f88db579de22d133edcaa0c030925dd672319b3600ba4789b26047f44bdb",
+}
+
+
+@pytest.mark.parametrize("kind", ["honest", "light", "heavy", "greedy_myopic"])
+def test_run_repeated_log_bytes_pinned(heist, heist_pop, small_params, kind):
+    strategies = [make_adversary(heist, heist_pop, small_params, kind),
+                  HonestStrategy(), HonestStrategy()]
+    log = run_repeated(
+        heist, heist_pop, small_params, strategies, delta=0.95, tail_tol=1e-3,
+        seed=17,
+    )
+    digest = hashlib.sha256(log.to_jsonl().encode()).hexdigest()
+    assert digest == RUNLOG_SHA256[kind]
+
+
+def test_finite_log_bytes_pinned():
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    pop = scenario_population("pd")
+    mixed = InstructionProfile.homogeneous(
+        (
+            MixedStrategy.from_weights(0, {"C": 0.5, "D": 0.5}),
+            MixedStrategy.from_weights(1, {"C": 0.3, "D": 0.7}),
+        )
+    )
+    strategies = [
+        FixedProfileStrategy(MetaAction.deterministic(mixed)),
+        FixedProfileStrategy(pd_profile("CC", "DD").actions[1]),
+    ]
+    log, _ = finite_population_run(500, pd, pop, strategies, periods=20, seed=(4, 2))
+    digest = hashlib.sha256(log.to_jsonl().encode()).hexdigest()
+    assert digest == RUNLOG_SHA256["finite"]
