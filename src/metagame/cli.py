@@ -26,9 +26,17 @@ from .errors import (
     ValidationError,
 )
 from .games import BaseGame
-from .model import MetaProfile, Population, llm_utility
+from .model import (
+    DEFAULT_TERM_BUDGET,
+    MetaProfile,
+    Population,
+    _payoff_tensor,
+    llm_utility,
+)
 from .oneshot import check_equilibrium
 from .feasibility import (
+    _correlated_lower_bound,
+    _vertex_set,
     certificate_from_punishment,
     decompose_target,
     minmax,
@@ -95,6 +103,12 @@ def _numbers(value) -> list[float]:
     return [float(v) for v in value]
 
 
+def _rows(value) -> list[list]:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return [list(row) for row in value]
+
+
 def _field(node: dict, path: str, kind, default=None):
     """``node[key]`` converted by ``kind``, where ``key`` is the last part of
     the dotted ``path``, or ``default`` when absent (``None``: required).
@@ -125,7 +139,7 @@ def normalize_config(doc: dict) -> dict:
 
     pop = _field(doc, "population", _object, {})
     if "shares" in pop:
-        out["population"] = {"shares": [list(r) for r in pop["shares"]]}
+        out["population"] = {"shares": _field(pop, "population.shares", _rows)}
     elif "scenario" in pop:
         out["population"] = {
             "scenario": pop["scenario"],
@@ -141,7 +155,7 @@ def normalize_config(doc: dict) -> dict:
         path = f"meta_profiles.{name}"
         _require(isinstance(entry, dict), path, "must be an object")
         if "pure" in entry:
-            out["meta_profiles"][name] = {"pure": [list(p) for p in entry["pure"]]}
+            out["meta_profiles"][name] = {"pure": _field(entry, f"{path}.pure", _rows)}
         elif "named" in entry:
             out["meta_profiles"][name] = {"named": entry["named"]}
         elif "llms" in entry:
@@ -199,17 +213,20 @@ def build_game(cfg) -> BaseGame:
 
 def build_population(cfg) -> Population:
     pop = cfg["population"]
-    if "shares" in pop:
-        return Population(tuple(tuple(r) for r in pop["shares"]))
-    return scenario_population(pop["scenario"], **pop.get("params", {}))
+    try:
+        if "shares" in pop:
+            return Population(tuple(tuple(r) for r in pop["shares"]))
+        return scenario_population(pop["scenario"], **pop.get("params", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            "population", f"cannot build the population: {exc!r}"
+        ) from None
 
 
 def build_profile(cfg, game, name) -> MetaProfile:
     profiles = cfg.get("meta_profiles", {})
     _require(name in profiles, f"meta_profiles.{name}", "is not defined")
     entry = profiles[name]
-    if "pure" in entry:
-        return MetaProfile.from_pure([tuple(p) for p in entry["pure"]])
     if "named" in entry:
         named = entry["named"]
         if named == "heist_blame":
@@ -217,7 +234,14 @@ def build_profile(cfg, game, name) -> MetaProfile:
         if named == "bounded10_equilibrium":
             return bounded10_equilibrium_profile(game)
         raise ConfigError(f"meta_profiles.{name}.named", f"unknown profile {named!r}")
-    return MetaProfile.from_dict(entry["llms"])
+    try:
+        if "pure" in entry:
+            return MetaProfile.from_pure([tuple(p) for p in entry["pure"]])
+        return MetaProfile.from_dict(entry["llms"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"meta_profiles.{name}", f"cannot build the profile: {exc!r}"
+        ) from None
 
 
 def _config_digest(cfg) -> str:
@@ -477,6 +501,7 @@ def cmd_folk_run(args) -> int:
             delta=folk["delta"],
             tail_tol=folk["tail_tol"],
             budget=adversary.get("budget"),
+            honest_logs=logs,
         )
         results["adversary"] = {
             **adversary,
@@ -602,8 +627,11 @@ def cmd_report(args) -> int:
     }
     heist = make_scenario("heist")
     hpop = scenario_population("heist")
-    cert = certificate_from_punishment(heist, hpop, 0, heist_punishment(0))
-    vertices = payoff_vertices(heist, hpop)
+    U = _payoff_tensor(heist, hpop, DEFAULT_TERM_BUDGET)
+    cert = certificate_from_punishment(
+        heist, hpop, 0, heist_punishment(0), lower_bound=_correlated_lower_bound(U, 0)
+    )
+    vertices = _vertex_set(heist, U)
     cycle = decompose_target(vertices, (0.0, 0.0, 0.0))
     results["heist"] = {
         "punished_upper_bound": cert.upper_bound,

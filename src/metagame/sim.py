@@ -6,7 +6,11 @@ a deterministic function of the observed aggregate stream, so every
 participant tracking it stays synchronized.  Continuum and finite mode share
 one per-period stepper and differ only in how instructions are realized, so
 deviation flags and block statistics are kept whenever protocol parameters
-are given.  Runs are reproducible byte-for-byte from (seed, inputs).
+are given.  A run realizes each distinct joint instruction once: its
+continuum aggregate (and, in continuum mode, its utilities) is memoized per
+run, keyed by the realized tuple.  Deviation-gain estimates can reuse
+honest runs already made as their paired baselines.  Runs are reproducible
+byte-for-byte from (seed, inputs).
 """
 
 from __future__ import annotations
@@ -489,7 +493,9 @@ def run_repeated(
 
     The horizon truncates the discounted sum once the remaining tail is
     provably below ``tail_tol``; identical (seed, inputs) reproduce the log
-    byte-for-byte.
+    byte-for-byte.  Strategies emit a few shared instruction profiles, so
+    the aggregate and the utilities are computed once per distinct realized
+    tuple and reused (the records keep every one of them anyway).
     """
     k = pop.llm_count
     if len(strategies) != k:
@@ -503,13 +509,20 @@ def run_repeated(
     steps = _Periods(game, params, strategies, streams)
     paycache: dict = {}
     counter = [0]
+    realizations: dict = {}  # realized tuple -> (aggregate, utilities)
     for t in range(horizon):
         realized = steps.act(t)
-        table = aggregate_mass(game, pop, realized)
-        utilities = tuple(
-            _realization_utilities(game, pop, realized, paycache, counter, math.inf)
-        )
-        steps.observe(t, realized, table, utilities)
+        hit = realizations.get(realized)
+        if hit is None:
+            hit = realizations[realized] = (
+                aggregate_mass(game, pop, realized),
+                tuple(
+                    _realization_utilities(
+                        game, pop, realized, paycache, counter, math.inf
+                    )
+                ),
+            )
+        steps.observe(t, realized, *hit)
     log = steps.log(key, delta, tail_tol, horizon)
     log.discounted = log.recompute_discounted()
     return log
@@ -526,18 +539,44 @@ def estimate_deviation_gain(
     delta: float = 0.995,
     tail_tol: float = 1e-6,
     budget: int | None = None,
+    honest_logs: Sequence[RunLog] | None = None,
 ) -> tuple[float, float]:
     """Mean discounted gain of one deviating advisor over paired-seed honest
-    runs, with a 99% normal-approximation half-width."""
+    runs, with a 99% normal-approximation half-width.
+
+    Trial ``t`` pairs the deviating run at seed ``(seed, t)`` with the honest
+    run at the same seed.  ``honest_logs``, when given, are those honest runs
+    already computed (``run_repeated`` with all-honest strategies at seeds
+    ``(seed, 0..trials-1)``); they are used as the baselines instead of being
+    run again, after checking each log's seed, ``delta``, ``tail_tol`` and
+    horizon.
+    """
     if trials < 2:
         raise ValidationError("need at least two trials")
+    if honest_logs is not None:
+        if len(honest_logs) != trials:
+            raise ValidationError(
+                f"{len(honest_logs)} honest logs given for {trials} trials"
+            )
+        horizon = horizon_for(delta, tail_tol, params.payoff_cap)
+        for trial, log in enumerate(honest_logs):
+            expected = (_seed_key((seed, trial)), delta, tail_tol, horizon)
+            got = (log.seed_key, log.delta, log.tail_tol, log.horizon)
+            if got != expected:
+                raise ValidationError(
+                    f"honest log {trial} has (seed, delta, tail_tol, horizon) "
+                    f"{got}, expected {expected}"
+                )
     gains = []
     for trial in range(trials):
         trial_seed = (seed, trial)
-        honest = [HonestStrategy() for _ in range(pop.llm_count)]
-        base = run_repeated(
-            game, pop, params, honest, delta, tail_tol, seed=trial_seed
-        )
+        if honest_logs is not None:
+            base = honest_logs[trial]
+        else:
+            honest = [HonestStrategy() for _ in range(pop.llm_count)]
+            base = run_repeated(
+                game, pop, params, honest, delta, tail_tol, seed=trial_seed
+            )
         deviant = [HonestStrategy() for _ in range(pop.llm_count)]
         deviant[llm] = make_adversary(game, pop, params, kind, budget=budget)
         dev = run_repeated(
@@ -617,6 +656,10 @@ def finite_population_run(
     flags and the block and punishment statistics as in continuum mode; the
     protocol's guarantees are only asserted in continuum mode.  Without
     ``params`` strategies see no protocol state and no deviation is flagged.
+    With ``params``, a warning names each advisor whose largest role share is
+    within the band, since its deviations cannot exceed the tolerance.  The
+    per-period gap to the continuum aggregate computes that aggregate once
+    per distinct realized tuple.
     """
     N = clients_per_role
     k = pop.llm_count
@@ -642,6 +685,15 @@ def finite_population_run(
                 )
         counts.append(tuple(row))
     counts = tuple(counts)
+    if params is not None:
+        for j in range(k):
+            top = max(pop.shares[i][j] for i in range(m))
+            if 0.0 < top <= band:
+                warnings.append(
+                    f"advisor {j}'s deviations cannot exceed the tolerance: they "
+                    f"move an aggregate mass by at most its largest share "
+                    f"{top:.4g}, within the sampling band {band:.4g} at N={N}"
+                )
 
     key = _seed_key(seed)
     children = np.random.SeedSequence(list(key)).spawn(k + 1)
@@ -656,6 +708,7 @@ def finite_population_run(
     steps = _Periods(game, run_params, strategies, streams)
     gaps: list[float] = []
     paycache: dict = {}
+    aggregates: dict = {}  # realized tuple -> continuum aggregate
 
     for t in range(periods):
         realized = steps.act(t)
@@ -717,7 +770,9 @@ def finite_population_run(
             utilities.append(total / N)
         utilities = tuple(utilities)
 
-        continuum = aggregate_mass(game, pop, realized)
+        continuum = aggregates.get(realized)
+        if continuum is None:
+            continuum = aggregates[realized] = aggregate_mass(game, pop, realized)
         gaps.append(table.max_diff(continuum))
         steps.observe(t, realized, table, utilities)
 

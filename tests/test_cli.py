@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import metagame.cli
+import metagame.sim
 from metagame.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -333,6 +335,22 @@ MALFORMED_CONFIGS = {
         lambda d: d["adversary"].update(llm=2),
     ),
     "adversary.llm negative": ("adversary.llm", lambda d: d["adversary"].update(llm=-1)),
+    "population.shares a number": (
+        "population.shares",
+        lambda d: d.update(population={"shares": 5}),
+    ),
+    "meta_profiles pure a number": (
+        "meta_profiles.main.pure",
+        lambda d: d["meta_profiles"]["main"].update(pure=5),
+    ),
+    "population.shares not numbers": (
+        "population",
+        lambda d: d.update(population={"shares": [["x"], ["y"]]}),
+    ),
+    "population.params.p not a number": (
+        "population",
+        lambda d: d["population"]["params"].update(p="x"),
+    ),
 }
 
 
@@ -348,3 +366,35 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
     )
     assert code == EXIT_CONFIG
     assert f"config field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("llms", [5, [5, 5], [[{}], [{}]]])
+def test_bad_profile_contents_exit_2(tmp_path, capsys, llms):
+    path = _pd_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["meta_profiles"]["main"] = {"llms": llms}
+    path.write_text(json.dumps(doc))
+    code = run_command(["eval", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert "config field 'meta_profiles.main'" in capsys.readouterr().err
+
+
+def test_folk_run_runs_each_honest_trial_once(tmp_path, monkeypatch):
+    calls = []
+    original = metagame.sim.run_repeated
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metagame.cli, "run_repeated", counting)
+    monkeypatch.setattr(metagame.sim, "run_repeated", counting)
+    trials = 3
+    code = run_command(
+        ["folk", "run", "--config", str(_pd_config(tmp_path, delta=0.9)),
+         "--out", str(tmp_path / "out"), "--quiet", "--trials", str(trials)]
+    )
+    assert code == EXIT_OK
+    # One honest and one deviating run per trial, each seed used twice.
+    assert len(calls) == 2 * trials
+    assert sorted(calls) == sorted([(7, t) for t in range(trials)] * 2)

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import math
 
 import pytest
 
+import metagame.sim
 from metagame.errors import MetagameError, ValidationError
 from metagame.games import MixedStrategy
 from metagame.model import (
@@ -383,3 +385,96 @@ def test_finite_log_bytes_pinned():
     log, _ = finite_population_run(500, pd, pop, strategies, periods=20, seed=(4, 2))
     digest = hashlib.sha256(log.to_jsonl().encode()).hexdigest()
     assert digest == RUNLOG_SHA256["finite"]
+
+
+def _count_calls(monkeypatch, name):
+    """Record the third argument of every call to ``metagame.sim.<name>``
+    (the realization, or the protocol parameters of ``run_repeated``)."""
+    calls = []
+    original = getattr(metagame.sim, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metagame.sim, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["honest", "heavy", "greedy_myopic"])
+def test_run_repeated_realizes_each_distinct_tuple_once(
+    heist, heist_pop, small_params, monkeypatch, kind
+):
+    aggregates = _count_calls(monkeypatch, "aggregate_mass")
+    utilities = _count_calls(monkeypatch, "_realization_utilities")
+    strategies = [make_adversary(heist, heist_pop, small_params, kind),
+                  HonestStrategy(), HonestStrategy()]
+    log = run_repeated(
+        heist, heist_pop, small_params, strategies, delta=0.95, tail_tol=1e-3,
+        seed=17,
+    )
+    distinct = {rec.instructions for rec in log.records}
+    assert len(log.records) > len(distinct)
+    assert aggregates == utilities
+    assert len(aggregates) == len(distinct) and set(aggregates) == distinct
+
+
+def test_finite_run_realizes_each_distinct_tuple_once(pd_small_params, monkeypatch):
+    pd, pop, params = pd_small_params
+    aggregates = _count_calls(monkeypatch, "aggregate_mass")
+    utilities = _count_calls(monkeypatch, "_realization_utilities")
+    strategies = [HonestStrategy(), make_adversary(pd, pop, params, "heavy")]
+    log, _ = finite_population_run(
+        200, pd, pop, strategies, periods=2 * params.block_length, seed=3,
+        params=params,
+    )
+    distinct = {rec.instructions for rec in log.records}
+    assert len(aggregates) == len(distinct) and set(aggregates) == distinct
+    assert utilities == []
+
+
+def test_deviation_gain_reuses_honest_logs(pd_small_params, monkeypatch):
+    pd, pop, params = pd_small_params
+    kw = dict(trials=3, seed=4, delta=0.95, tail_tol=1e-3)
+    expected = estimate_deviation_gain(pd, pop, params, 1, "heavy", **kw)
+    logs = [
+        run_repeated(pd, pop, params, [HonestStrategy(), HonestStrategy()],
+                     kw["delta"], kw["tail_tol"], seed=(kw["seed"], t))
+        for t in range(kw["trials"])
+    ]
+    runs = _count_calls(monkeypatch, "run_repeated")
+    got = estimate_deviation_gain(
+        pd, pop, params, 1, "heavy", honest_logs=logs, **kw
+    )
+    assert got == expected
+    assert len(runs) == kw["trials"]
+
+    bad = {
+        "too few": logs[:2],
+        "seed": logs[1:] + logs[:1],
+        "delta": [dataclasses.replace(logs[0], delta=0.9)] + logs[1:],
+        "tail_tol": [dataclasses.replace(logs[0], tail_tol=1e-4)] + logs[1:],
+        "horizon": [dataclasses.replace(logs[0], horizon=logs[0].horizon - 1)]
+        + logs[1:],
+    }
+    for honest_logs in bad.values():
+        with pytest.raises(ValidationError):
+            estimate_deviation_gain(
+                pd, pop, params, 1, "heavy", honest_logs=honest_logs, **kw
+            )
+
+
+def test_finite_warns_when_an_advisor_is_within_the_band(pd_small_params):
+    pd, pop, params = pd_small_params
+    honest = [HonestStrategy(), HonestStrategy()]
+    _, report = finite_population_run(
+        2000, pd, pop, honest, periods=2, seed=0, params=params
+    )
+    assert report.continuum_band > max(row[1] for row in pop.shares)
+    assert len(report.warnings) == 1
+    assert "advisor 1's deviations cannot exceed the tolerance" in report.warnings[0]
+
+    _, report = finite_population_run(
+        100_000, pd, pop, honest, periods=2, seed=0, params=params
+    )
+    assert report.warnings == []
