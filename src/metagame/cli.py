@@ -278,50 +278,52 @@ def _emit(out_dir: Path, cfg, bundle, quiet: bool) -> None:
         print(json.dumps(bundle["results"], indent=2, sort_keys=True))
 
 
-def _punishment_hints(cfg, game, pop):
+def _punishment_hints(cfg, pop):
     if cfg["game"].get("name") == "heist":
         return {j: heist_punishment(j) for j in range(pop.llm_count)}
     return None
 
 
-def cmd_eval(args) -> int:
+def _load(args) -> tuple[dict, BaseGame, Population]:
     cfg = load_config(args.config)
-    game = build_game(cfg)
-    pop = build_population(cfg)
+    return cfg, build_game(cfg), build_population(cfg)
+
+
+def _averages(pop, totals) -> list:
+    """Each advisor's total divided by the mass it governs (``None`` for zero
+    mass)."""
+    return [
+        u / pop.governed_mass(j) if pop.governed_mass(j) > 0 else None
+        for j, u in enumerate(totals)
+    ]
+
+
+def cmd_eval(args) -> int:
+    cfg, game, pop = _load(args)
     profile = build_profile(cfg, game, args.profile)
     budget = args.budget or cfg["budget"]
     totals = llm_utility(game, pop, profile, budget=budget)
-    averages = [
-        totals[j] / pop.governed_mass(j) if pop.governed_mass(j) > 0 else None
-        for j in range(pop.llm_count)
-    ]
+    averages = _averages(pop, totals)
     results = {"profile": args.profile, "totals": list(totals), "averages": averages}
     _emit(_out_dir(args), cfg, _bundle(cfg, "eval", results), args.quiet)
     return EXIT_OK
 
 
 def cmd_equilibrium(args) -> int:
-    cfg = load_config(args.config)
-    game = build_game(cfg)
-    pop = build_population(cfg)
+    cfg, game, pop = _load(args)
     profile = build_profile(cfg, game, args.profile)
     budget = args.budget or cfg["budget"]
     report = check_equilibrium(
         game, pop, profile, epsilon=args.epsilon, budget=budget, symmetry=args.symmetry
     )
-    averages = [
-        u / pop.governed_mass(j) if pop.governed_mass(j) > 0 else None
-        for j, u in enumerate(report.utilities)
-    ]
+    averages = _averages(pop, report.utilities)
     results = {"profile": args.profile, "averages": averages, **report.to_dict()}
     _emit(_out_dir(args), cfg, _bundle(cfg, "equilibrium", results), args.quiet)
     return EXIT_OK if report.is_epsilon_equilibrium else EXIT_CERTIFICATE
 
 
 def cmd_minmax(args) -> int:
-    cfg = load_config(args.config)
-    game = build_game(cfg)
-    pop = build_population(cfg)
+    cfg, game, pop = _load(args)
     cert = minmax(
         game, pop, args.llm, seed=cfg["seed"], budget=args.budget or cfg["budget"]
     )
@@ -337,9 +339,7 @@ def cmd_minmax(args) -> int:
 
 
 def cmd_feasible(args) -> int:
-    cfg = load_config(args.config)
-    game = build_game(cfg)
-    pop = build_population(cfg)
+    cfg, game, pop = _load(args)
     _require("folk" in cfg, "folk", "is required for feasibility checks")
     budget = args.budget or cfg["budget"]
     vertices = payoff_vertices(game, pop, budget=budget)
@@ -410,15 +410,13 @@ def _derive_from_config(cfg, game, pop, budget):
         folk["epsilon"],
         folk["gamma"],
         overrides=folk.get("overrides"),
-        punishment_hints=_punishment_hints(cfg, game, pop),
+        punishment_hints=_punishment_hints(cfg, pop),
         budget=budget,
     )
 
 
 def cmd_folk_plan(args) -> int:
-    cfg = load_config(args.config)
-    game = build_game(cfg)
-    pop = build_population(cfg)
+    cfg, game, pop = _load(args)
     _require("folk" in cfg, "folk", "is required")
     out_dir = _out_dir(args)
     try:
@@ -440,9 +438,7 @@ def cmd_folk_plan(args) -> int:
 
 
 def cmd_folk_run(args) -> int:
-    cfg = load_config(args.config)
-    game = build_game(cfg)
-    pop = build_population(cfg)
+    cfg, game, pop = _load(args)
     _require("folk" in cfg, "folk", "is required")
     adversary = cfg.get("adversary")
     if adversary is not None:
@@ -496,12 +492,8 @@ def cmd_folk_run(args) -> int:
             params,
             adversary["llm"],
             adversary["kind"],
-            trials=trials,
-            seed=seed,
-            delta=folk["delta"],
-            tail_tol=folk["tail_tol"],
+            logs,
             budget=adversary.get("budget"),
-            honest_logs=logs,
         )
         results["adversary"] = {
             **adversary,
@@ -559,8 +551,8 @@ def cmd_sweep(args) -> int:
                     "value": value,
                     "seed": point["seed"],
                     **{
-                        f"average_{j}": u / pop.governed_mass(j)
-                        for j, u in enumerate(rep.utilities)
+                        f"average_{j}": a
+                        for j, a in enumerate(_averages(pop, rep.utilities))
                     },
                     "max_regret": rep.max_regret,
                     "is_equilibrium": rep.is_epsilon_equilibrium,
@@ -619,9 +611,7 @@ def cmd_report(args) -> int:
     profile = MetaProfile.from_pure([("C", "C"), ("D", "D")])
     rep = check_equilibrium(pd, ppop, profile, epsilon=1e-9)
     results["pd"] = {
-        "averages": [
-            u / ppop.governed_mass(j) for j, u in enumerate(rep.utilities)
-        ],
+        "averages": _averages(ppop, rep.utilities),
         "max_regret": rep.max_regret,
         "is_equilibrium": rep.is_epsilon_equilibrium,
     }
@@ -647,9 +637,7 @@ def cmd_report(args) -> int:
     results["bounded10"] = {
         "n_actions": n_actions,
         "totals": list(totals),
-        "averages": [
-            totals[j] / bpop.governed_mass(j) for j in range(3)
-        ],
+        "averages": _averages(bpop, totals),
     }
     cfg = {"schema": SCHEMA, "report": "builtin-scenarios", "seed": 0}
     bundle = _bundle(cfg, "report", results)

@@ -47,6 +47,8 @@ from .model import (
 from .oneshot import best_response
 
 RECOMBINE_TOL = 1e-9
+MINMAX_ROUNDS = 500  # alternating-minimization rounds per start
+MINMAX_TOL = 1e-9  # value change that ends a start early
 
 
 @dataclass(frozen=True)
@@ -191,35 +193,10 @@ def _caratheodory_reduce(V: np.ndarray, weights: np.ndarray, target: np.ndarray)
     return w, support
 
 
-def decompose_target(
-    vertices: PayoffVertexSet,
-    target,
-    tol: float = RECOMBINE_TOL,
-) -> CycleDecomposition:
-    """Express a feasible target as a short convex combination of vertices.
-
-    Raises :class:`InfeasibleTargetError` with a separating direction when the
-    target lies outside the hull (beyond ``tol``).
-    """
-    target = np.asarray(target, dtype=float)
-    V = vertices.matrix
-    if target.shape != (V.shape[1],):
-        raise ValidationError(
-            f"target has shape {target.shape}, vertices are {V.shape[1]}-dimensional"
-        )
-    # A target that is itself a vertex payoff decomposes as that single
-    # profile; scan in enumeration order for determinism.
-    for vtx in vertices.vertices:
-        if max(abs(a - b) for a, b in zip(vtx.payoff, target)) <= tol:
-            return CycleDecomposition(
-                profiles=(vtx.meta_profile(),),
-                weights=(1.0,),
-                payoffs=(vtx.payoff,),
-                target=tuple(target),
-            )
-
+def _closest_mixture(V: np.ndarray, target: np.ndarray, options=None):
+    """LP over weights w (the first N variables) and t (the last): minimize
+    the sup-norm miss t of sum_h w_h V_h = target, w a distribution."""
     N, k = V.shape
-    # Feasibility LP: minimize the sup-norm miss t of sum_h w_h V_h = target.
     c = np.zeros(N + 1)
     c[N] = 1.0
     A_ub = np.vstack(
@@ -231,7 +208,7 @@ def decompose_target(
     b_ub = np.concatenate([target, -target])
     A_eq = np.zeros((1, N + 1))
     A_eq[0, :N] = 1.0
-    res = linprog(
+    return linprog(
         c,
         A_ub=A_ub,
         b_ub=b_ub,
@@ -239,21 +216,55 @@ def decompose_target(
         b_eq=[1.0],
         bounds=[(0.0, None)] * N + [(0.0, None)],
         method="highs",
+        options=options,
     )
-    if not res.success or res.x[N] > tol:
-        d, gap = _separating_direction(V, target)
-        raise InfeasibleTargetError(target, d, gap)
-    w = res.x[:N]
-    w = np.clip(w, 0.0, None)
-    w /= w.sum()
-    w, support = _caratheodory_reduce(V, w, target)
-    chosen = [(i, w[i]) for i in support]
-    return CycleDecomposition(
-        profiles=tuple(vertices.vertices[i].meta_profile() for i, _ in chosen),
-        weights=tuple(wi for _, wi in chosen),
-        payoffs=tuple(vertices.vertices[i].payoff for i, _ in chosen),
-        target=tuple(target),
-    )
+
+
+def decompose_target(vertices: PayoffVertexSet, target) -> CycleDecomposition:
+    """Express a feasible target as a short convex combination of vertices.
+
+    Raises :class:`InfeasibleTargetError` with a separating direction when the
+    target lies outside the hull, or when no weights recombine to it within
+    ``RECOMBINE_TOL``.
+    """
+    target = np.asarray(target, dtype=float)
+    V = vertices.matrix
+    if target.shape != (V.shape[1],):
+        raise ValidationError(
+            f"target has shape {target.shape}, vertices are {V.shape[1]}-dimensional"
+        )
+    # A target that is itself a vertex payoff decomposes as that single
+    # profile; scan in enumeration order for determinism.
+    for vtx in vertices.vertices:
+        if max(abs(a - b) for a, b in zip(vtx.payoff, target)) <= RECOMBINE_TOL:
+            return CycleDecomposition(
+                profiles=(vtx.meta_profile(),),
+                weights=(1.0,),
+                payoffs=(vtx.payoff,),
+                target=tuple(target),
+            )
+
+    res = _closest_mixture(V, target)
+    if res.success and res.x[-1] <= RECOMBINE_TOL:
+        w = np.clip(res.x[:-1], 0.0, None)
+        w, support = _caratheodory_reduce(V, w / w.sum(), target)
+        S, w = V[support], w[support]
+        if np.max(np.abs(S.T @ w - target)) > RECOMBINE_TOL:
+            # Near the hull boundary the LP meets HiGHS's feasibility
+            # tolerance while its clipped weights miss ours: solve again on
+            # the support at a tighter tolerance.
+            res = _closest_mixture(S, target, {"primal_feasibility_tolerance": 1e-10})
+            w = np.clip(res.x[:-1], 0.0, None)
+            w /= w.sum()
+        if np.max(np.abs(S.T @ w - target)) <= RECOMBINE_TOL:
+            return CycleDecomposition(
+                profiles=tuple(vertices.vertices[i].meta_profile() for i in support),
+                weights=tuple(w),
+                payoffs=tuple(vertices.vertices[i].payoff for i in support),
+                target=tuple(target),
+            )
+    d, gap = _separating_direction(V, target)
+    raise InfeasibleTargetError(target, d, gap)
 
 
 def _matrix_game_min_value(C: np.ndarray):
@@ -360,13 +371,17 @@ def minmax(
     pop: Population,
     j: int,
     starts: int = 32,
-    max_rounds: int = 500,
-    tol: float = 1e-9,
     seed: int = 0,
     budget: float = DEFAULT_TERM_BUDGET,
-    hint: tuple[MetaAction | None, ...] | None = None,
 ) -> MinmaxCertificate:
-    """Certified bracket on advisor ``j``'s guaranteed (minmax) payoff."""
+    """Certified bracket on advisor ``j``'s guaranteed (minmax) payoff.
+
+    With three or more advisors, each of ``starts`` alternating
+    minimizations begins at flat-Dirichlet punisher mixtures drawn from
+    ``seed`` and stops once the value moves by less than ``MINMAX_TOL``, or
+    after ``MINMAX_ROUNDS`` rounds; the best start's punishers are re-scored
+    by an exact best reply.
+    """
     k = pop.llm_count
     if k == 1:
         dummy = MetaProfile.from_pure([tuple(a[0] for a in game.actions)])
@@ -399,26 +414,9 @@ def minmax(
 
     candidates: list[tuple[float, int, dict]] = []
     for s_idx in range(starts):
-        mixtures: dict[int, np.ndarray] = {}
-        if s_idx == 0 and hint is not None:
-            for q in punishers:
-                w = np.zeros(n)
-                for prof, prob in hint[q].outcomes:
-                    pp = prof.pure_profile
-                    if pp is None:
-                        w = None
-                        break
-                    w[index[pp]] += prob
-                if w is None:
-                    mixtures = {}
-                    break
-                mixtures[q] = w
-        if not mixtures:
-            for q in punishers:
-                mixtures[q] = rng.dirichlet(np.ones(n))
+        mixtures = {q: rng.dirichlet(np.ones(n)) for q in punishers}
         value_prev = math.inf
-        value = math.inf
-        for _ in range(max_rounds):
+        for _ in range(MINMAX_ROUNDS):
             for q in punishers:
                 fixed = {
                     p: _mixture_meta_action(profiles, mixtures[p])
@@ -427,7 +425,7 @@ def minmax(
                 }
                 value, y = _matrix_game_min_value(_uj_matrix(U, j, q, fixed, index))
                 mixtures[q] = y
-            if abs(value_prev - value) < tol:
+            if abs(value_prev - value) < MINMAX_TOL:
                 break
             value_prev = value
         candidates.append((value, s_idx, dict(mixtures)))

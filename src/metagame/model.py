@@ -557,13 +557,12 @@ def average_utility(
     pop: Population,
     profile: MetaProfile | Sequence[InstructionProfile],
     llm: int,
-    budget: float = DEFAULT_TERM_BUDGET,
 ) -> float:
     """Per-client average utility of advisor ``llm``."""
     mass = pop.governed_mass(llm)
     if mass <= 0.0:
         raise UndefinedAverageError(f"advisor {llm} governs zero client mass")
-    return llm_utility(game, pop, profile, budget)[llm] / mass
+    return llm_utility(game, pop, profile)[llm] / mass
 
 
 def reduce_role_homogeneous(action: MetaAction) -> MetaAction:

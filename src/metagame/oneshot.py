@@ -40,6 +40,9 @@ from .model import (
 )
 
 REGRET_TOL = 1e-9
+SUPPORT_TOL = 1e-9  # sign and best-reply slack of support enumeration
+ROTATION_SAMPLES = 100  # sampled profiles when checking a rule game's symmetry
+BR_ITERATION_ROUNDS = 50
 
 
 @dataclass(frozen=True)
@@ -116,11 +119,11 @@ def permute_meta_action(action: MetaAction, mapping: dict[str, str]) -> MetaActi
     )
 
 
-def meta_actions_close(a: MetaAction, b: MetaAction, tol: float = 1e-12) -> bool:
+def meta_actions_close(a: MetaAction, b: MetaAction) -> bool:
     if len(a.outcomes) != len(b.outcomes):
         return False
     for (pa, wa), (pb, wb) in zip(a.outcomes, b.outcomes):
-        if pa != pb or abs(wa - wb) > tol:
+        if pa != pb or abs(wa - wb) > 1e-12:
             return False
     return True
 
@@ -140,17 +143,12 @@ def rotation_mapping(game: BaseGame) -> dict[str, str]:
     return {labels[i]: labels[(i + 1) % len(labels)] for i in range(len(labels))}
 
 
-def verify_rotation_symmetry(
-    game: BaseGame,
-    profile: MetaProfile,
-    j: int,
-    samples: int = 100,
-    seed: int = 0,
-) -> None:
+def verify_rotation_symmetry(game: BaseGame, profile: MetaProfile, j: int) -> None:
     """Check that the game and every opponent of j are rotation-invariant.
 
-    Tabular games are checked exhaustively; rule-backed games on a seeded
-    sample of profiles.  Raises ``ValidationError`` on any violation.
+    Tabular games are checked exhaustively; rule-backed games on
+    ``ROTATION_SAMPLES`` profiles drawn from a fixed seed.  Raises
+    ``ValidationError`` on any violation.
     """
     mapping = rotation_mapping(game)
     if game.table is not None:
@@ -159,9 +157,9 @@ def verify_rotation_symmetry(
             if game.payoff(permuted) != game.payoff(prof):
                 raise ValidationError("game payoffs are not rotation-invariant")
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         labels = game.actions[0]
-        for _ in range(samples):
+        for _ in range(ROTATION_SAMPLES):
             prof = tuple(
                 labels[rng.integers(len(labels))] for _ in range(game.role_count)
             )
@@ -192,13 +190,10 @@ def _deviation_candidates(
         yield tuple(acts[0] for acts in game.actions)
         return
     free = list(governed)
-    pinned_first = None
     if reduce_rotations:
-        pinned_first = free.pop(0)
+        free.pop(0)
     for combo in itertools.product(*(game.actions[i] for i in free)):
         full = [acts[0] for acts in game.actions]
-        if pinned_first is not None:
-            full[pinned_first] = game.actions[pinned_first][0]
         for role, a in zip(free, combo):
             full[role] = a
         yield tuple(full)
@@ -301,17 +296,17 @@ def single_role_aggregate(
 
 
 def meta_bimatrix(
-    game: BaseGame, pop: Population, budget: float = DEFAULT_TERM_BUDGET
+    game: BaseGame, pop: Population
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[str, ...]]]:
     """Two-advisor meta-game as a bimatrix over pure role-homogeneous profiles."""
     if pop.llm_count != 2:
         raise ValidationError("bimatrix form needs exactly two advisors")
-    U = _payoff_tensor(game, pop, budget)
+    U = _payoff_tensor(game, pop, DEFAULT_TERM_BUDGET)
     return U[..., 0], U[..., 1], list(game.profiles())
 
 
 def support_enumeration_bimatrix(
-    A: np.ndarray, B: np.ndarray, tol: float = 1e-9
+    A: np.ndarray, B: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """All equal-support-size mixed equilibria of a bimatrix game.
 
@@ -324,7 +319,7 @@ def support_enumeration_bimatrix(
     for size in range(1, min(m, n) + 1):
         for rows in itertools.combinations(range(m), size):
             for cols in itertools.combinations(range(n), size):
-                xy = _solve_support(A, B, rows, cols, tol)
+                xy = _solve_support(A, B, rows, cols)
                 if xy is None:
                     continue
                 x, y = xy
@@ -335,7 +330,7 @@ def support_enumeration_bimatrix(
     return found
 
 
-def _solve_support(A, B, rows, cols, tol):
+def _solve_support(A, B, rows, cols):
     m, n = A.shape
     size = len(rows)
     # y makes the row player indifferent across `rows`; x the column player
@@ -357,7 +352,7 @@ def _solve_support(A, B, rows, cols, tol):
         return None
     y_s, v = sol_y[:size], sol_y[size]
     x_s, w = sol_x[:size], sol_x[size]
-    if (y_s < -tol).any() or (x_s < -tol).any():
+    if (y_s < -SUPPORT_TOL).any() or (x_s < -SUPPORT_TOL).any():
         return None
     x = np.zeros(m)
     y = np.zeros(n)
@@ -365,12 +360,12 @@ def _solve_support(A, B, rows, cols, tol):
     y[list(cols)] = np.clip(y_s, 0.0, None)
     x /= x.sum()
     y /= y.sum()
-    if (A @ y).max() > v + tol or (x @ B).max() > w + tol:
+    if (A @ y).max() > v + SUPPORT_TOL or (x @ B).max() > w + SUPPORT_TOL:
         return None
     return x, y
 
 
-def base_nash_2p(game: BaseGame, tol: float = 1e-9) -> list[StrategyProfile]:
+def base_nash_2p(game: BaseGame) -> list[StrategyProfile]:
     """Mixed Nash equilibria of a two-role base game by support enumeration."""
     if game.role_count != 2:
         raise ValidationError("support enumeration covers two-role games")
@@ -378,7 +373,7 @@ def base_nash_2p(game: BaseGame, tol: float = 1e-9) -> list[StrategyProfile]:
     A = np.array([[game.payoff((r, c))[0] for c in cols] for r in rows])
     B = np.array([[game.payoff((r, c))[1] for c in cols] for r in rows])
     out = []
-    for x, y in support_enumeration_bimatrix(A, B, tol):
+    for x, y in support_enumeration_bimatrix(A, B):
         out.append(
             StrategyProfile(
                 (
@@ -394,17 +389,16 @@ def best_response_iteration(
     game: BaseGame,
     pop: Population,
     start: Sequence[Sequence[str]],
-    max_rounds: int = 50,
-    budget: float = DEFAULT_TERM_BUDGET,
 ) -> MetaProfile | None:
-    """Iterate pure best responses; return the fixed point if one is reached."""
+    """Iterate pure best responses for up to ``BR_ITERATION_ROUNDS`` rounds;
+    return the fixed point if one is reached."""
     current = [tuple(p) for p in start]
-    for _ in range(max_rounds):
+    for _ in range(BR_ITERATION_ROUNDS):
         changed = False
         for j in range(pop.llm_count):
             profile = MetaProfile.from_pure(current)
-            br = best_response(game, pop, profile, j, budget=budget)
-            base = llm_utility(game, pop, profile, budget)[j]
+            br = best_response(game, pop, profile, j)
+            base = llm_utility(game, pop, profile)[j]
             if br.value > base + REGRET_TOL:
                 current[j] = br.profile
                 changed = True

@@ -313,20 +313,20 @@ def best_pure_punishment(
     pop: Population,
     j: int,
     budget: float = DEFAULT_TERM_BUDGET,
-    hint: tuple[MetaAction | None, ...] | None = None,
 ) -> MinmaxCertificate:
     """Best deterministic punishment of advisor j.
 
     Enumerates every pure punisher combination exactly and keeps the one that
     minimizes j's exact best-response value, so punishment blocks stay
-    deterministic.  A pure ``hint`` profile short-circuits the search.
+    deterministic.
     """
     U = _payoff_tensor(game, pop, budget)
-    return _best_pure_punishment(game, pop, j, U, budget, hint)
+    return _best_pure_punishment(game, pop, j, U, budget, None)
 
 
 def _best_pure_punishment(game, pop, j, U, budget, hint) -> MinmaxCertificate:
-    """:func:`best_pure_punishment` on the payoff tensor ``U`` of (game, pop)."""
+    """:func:`best_pure_punishment` on the payoff tensor ``U`` of (game, pop);
+    a pure ``hint`` punisher profile replaces the search."""
     k = pop.llm_count
     if hint is not None:
         for q, action in enumerate(hint):
@@ -355,7 +355,6 @@ def _best_pure_punishment(game, pop, j, U, budget, hint) -> MinmaxCertificate:
 
 
 def _segment_lengths(weights, T: int) -> tuple[int, ...]:
-    n = len(weights)
     lengths = [int(math.floor(T * w)) for w in weights[:-1]]
     lengths.append(T - sum(lengths))
     return tuple(lengths)
@@ -415,6 +414,10 @@ def derive_params(
         certs.append(_best_pure_punishment(game, pop, j, U, budget, hint))
     ir_upper = [c.upper_bound for c in certs]
 
+    # Not a duplicate of the decomposition below: that one decomposes the
+    # adjusted target, which can be feasible when the target is not (PD at
+    # (-3.8575, -0.5175)), and an infeasible target could otherwise be
+    # reported as not individually rational (PD at (-4.3948, -0.1333)).
     decompose_target(vertices, target)  # raises InfeasibleTargetError
 
     slack = min(epsilon / 12.0, gamma / 5.0) / 2.0

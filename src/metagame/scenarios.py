@@ -103,47 +103,54 @@ def _heist_game() -> BaseGame:
     return BaseGame(actions=actions, table=table)
 
 
+def _pd_population(p: float = 0.9) -> Population:
+    return Population(((p, 1.0 - p), (p, 1.0 - p)))
+
+
+def _majority3_population(p: float = 0.9) -> Population:
+    return Population(((p, 1.0 - p),) * 3)
+
+
+def _bounded10_population() -> Population:
+    # Advisor 0 governs roles 1..5, advisor 1 roles 6..9, advisor 2 role 10.
+    owners = (0,) * 5 + (1,) * 4 + (2,)
+    return Population(tuple(tuple(float(j == o) for j in range(3)) for o in owners))
+
+
+def _heist_population() -> Population:
+    # Each advisor has a primary role (80%) plus 10% of each other role.
+    return Population(
+        tuple(tuple(0.8 if j == i else 0.1 for j in range(3)) for i in range(3))
+    )
+
+
+# name -> (game builder, canonical population builder)
 _SCENARIOS = {
-    "pd": _pd_game,
-    "majority3": _majority3_game,
-    "bounded10": _bounded10_game,
-    "heist": _heist_game,
+    "pd": (_pd_game, _pd_population),
+    "majority3": (_majority3_game, _majority3_population),
+    "bounded10": (_bounded10_game, _bounded10_population),
+    "heist": (_heist_game, _heist_population),
 }
 
 
-def make_scenario(name: str, **params) -> BaseGame:
-    """Build a library game by name (``pd``, ``majority3``, ``bounded10``, ``heist``)."""
+def _builders(name: str):
     try:
-        builder = _SCENARIOS[name]
+        return _SCENARIOS[name]
     except KeyError:
         raise ValidationError(
             f"unknown scenario {name!r}; choose from {sorted(_SCENARIOS)}"
         ) from None
-    return builder(**params)
+
+
+def make_scenario(name: str, **params) -> BaseGame:
+    """Build a library game by name (``pd``, ``majority3``, ``bounded10``, ``heist``)."""
+    return _builders(name)[0](**params)
 
 
 def scenario_population(name: str, **params) -> Population:
-    """Canonical population for a library game."""
-    if name == "pd":
-        p = params.get("p", 0.9)
-        return Population(((p, 1.0 - p), (p, 1.0 - p)))
-    if name == "majority3":
-        p = params.get("p", 0.9)
-        return Population(((p, 1.0 - p),) * 3)
-    if name == "bounded10":
-        # Advisor 0 governs roles 1..5, advisor 1 roles 6..9, advisor 2 role 10.
-        rows = []
-        for i in range(10):
-            owner = 0 if i < 5 else (1 if i < 9 else 2)
-            rows.append(tuple(1.0 if j == owner else 0.0 for j in range(3)))
-        return Population(tuple(rows))
-    if name == "heist":
-        # Each advisor has a primary role (80%) plus 10% of each other role.
-        rows = []
-        for i in range(3):
-            rows.append(tuple(0.8 if j == i else 0.1 for j in range(3)))
-        return Population(tuple(rows))
-    raise ValidationError(f"no canonical population for scenario {name!r}")
+    """Canonical population for a library game; an unknown parameter raises
+    ``TypeError``."""
+    return _builders(name)[1](**params)
 
 
 def blame_cycle() -> tuple[str, ...]:

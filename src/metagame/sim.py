@@ -8,9 +8,9 @@ one per-period stepper and differ only in how instructions are realized, so
 deviation flags and block statistics are kept whenever protocol parameters
 are given.  A run realizes each distinct joint instruction once: its
 continuum aggregate (and, in continuum mode, its utilities) is memoized per
-run, keyed by the realized tuple.  Deviation-gain estimates can reuse
-honest runs already made as their paired baselines.  Runs are reproducible
-byte-for-byte from (seed, inputs).
+run, keyed by the realized tuple.  A deviation-gain estimate pairs each
+honest run its caller made with one deviating run at the same seed.  Runs
+are reproducible byte-for-byte from (seed, inputs).
 """
 
 from __future__ import annotations
@@ -101,10 +101,9 @@ class FixedProfileStrategy(Strategy):
 class MyopicBestResponse(Strategy):
     """Best-respond each period to what the others are prescribed to play."""
 
-    def __init__(self, game: BaseGame, pop: Population, budget: float = 10**7):
+    def __init__(self, game: BaseGame, pop: Population):
         self.game = game
         self.pop = pop
-        self.budget = budget
         self._cache: dict = {}
 
     def _reply(self, ctx: StepContext) -> InstructionProfile:
@@ -113,8 +112,7 @@ class MyopicBestResponse(Strategy):
             prescribed_instruction(params, state, q) if q != j else None
             for q in range(self.pop.llm_count)
         )
-        key = others
-        hit = self._cache.get(key)
+        hit = self._cache.get(others)
         if hit is None:
             placeholder = MetaAction.from_pure(
                 tuple(a[0] for a in self.game.actions)
@@ -123,11 +121,9 @@ class MyopicBestResponse(Strategy):
                 placeholder if q == j else MetaAction.deterministic(others[q])
                 for q in range(self.pop.llm_count)
             )
-            br = best_response(
-                self.game, self.pop, MetaProfile(profile_actions), j, budget=self.budget
-            )
+            br = best_response(self.game, self.pop, MetaProfile(profile_actions), j)
             hit = InstructionProfile.pure(br.profile)
-            self._cache[key] = hit
+            self._cache[others] = hit
         return hit
 
     def act(self, ctx: StepContext) -> InstructionProfile:
@@ -142,9 +138,8 @@ class BudgetedDeviator(Strategy):
     the protocol, without probing.
     """
 
-    def __init__(self, game, pop, periods_per_block: int, deviation=None):
+    def __init__(self, game, pop, periods_per_block: int):
         self.periods_per_block = periods_per_block
-        self.deviation = deviation
         self._myopic = MyopicBestResponse(game, pop)
 
     def act(self, ctx: StepContext) -> InstructionProfile:
@@ -152,8 +147,6 @@ class BudgetedDeviator(Strategy):
         if ctx.state.mode == "punishment":
             return punishment_action(ctx.params, ctx.state, ctx.llm)
         if ctx.state.block_step < self.periods_per_block:
-            if self.deviation is not None:
-                return self.deviation
             return self._myopic._reply(ctx)
         return ctx.params.prescriptions[ctx.state.segment][ctx.llm]
 
@@ -164,7 +157,6 @@ def make_adversary(
     params: ProtocolParams,
     kind: str,
     budget: int | None = None,
-    deviation: InstructionProfile | None = None,
 ) -> Strategy:
     """Adversary factory: ``honest``, ``light``, ``heavy``, ``greedy_myopic``.
 
@@ -180,11 +172,11 @@ def make_adversary(
     if kind == "light":
         cap = int(math.floor(p * T))
         periods = cap if budget is None else min(int(budget), cap)
-        return BudgetedDeviator(game, pop, periods, deviation)
+        return BudgetedDeviator(game, pop, periods)
     if kind == "heavy":
         floor_periods = int(math.ceil(p * T)) if p > 0 else 1
         periods = T if budget is None else max(int(budget), floor_periods)
-        return BudgetedDeviator(game, pop, min(periods, T), deviation)
+        return BudgetedDeviator(game, pop, min(periods, T))
     raise ValidationError(f"unknown adversary kind {kind!r}")
 
 
@@ -534,54 +526,32 @@ def estimate_deviation_gain(
     params: ProtocolParams,
     llm: int,
     kind: str,
-    trials: int = 30,
-    seed: int = 0,
-    delta: float = 0.995,
-    tail_tol: float = 1e-6,
+    honest_logs: Sequence[RunLog],
     budget: int | None = None,
-    honest_logs: Sequence[RunLog] | None = None,
 ) -> tuple[float, float]:
-    """Mean discounted gain of one deviating advisor over paired-seed honest
-    runs, with a 99% normal-approximation half-width.
+    """Mean discounted gain of one deviating advisor over paired honest runs,
+    with a 99% normal-approximation half-width.
 
-    Trial ``t`` pairs the deviating run at seed ``(seed, t)`` with the honest
-    run at the same seed.  ``honest_logs``, when given, are those honest runs
-    already computed (``run_repeated`` with all-honest strategies at seeds
-    ``(seed, 0..trials-1)``); they are used as the baselines instead of being
-    run again, after checking each log's seed, ``delta``, ``tail_tol`` and
-    horizon.
+    ``honest_logs`` are all-honest ``run_repeated`` runs under ``params``.
+    Each is paired with one deviating run at the log's own seed, ``delta``
+    and ``tail_tol``, so the two runs draw from the same streams.  A log whose
+    horizon differs from its deviating run's was made under other
+    parameters and raises ``ValidationError``.
     """
-    if trials < 2:
-        raise ValidationError("need at least two trials")
-    if honest_logs is not None:
-        if len(honest_logs) != trials:
-            raise ValidationError(
-                f"{len(honest_logs)} honest logs given for {trials} trials"
-            )
-        horizon = horizon_for(delta, tail_tol, params.payoff_cap)
-        for trial, log in enumerate(honest_logs):
-            expected = (_seed_key((seed, trial)), delta, tail_tol, horizon)
-            got = (log.seed_key, log.delta, log.tail_tol, log.horizon)
-            if got != expected:
-                raise ValidationError(
-                    f"honest log {trial} has (seed, delta, tail_tol, horizon) "
-                    f"{got}, expected {expected}"
-                )
+    if len(honest_logs) < 2:
+        raise ValidationError("need at least two honest logs")
     gains = []
-    for trial in range(trials):
-        trial_seed = (seed, trial)
-        if honest_logs is not None:
-            base = honest_logs[trial]
-        else:
-            honest = [HonestStrategy() for _ in range(pop.llm_count)]
-            base = run_repeated(
-                game, pop, params, honest, delta, tail_tol, seed=trial_seed
-            )
+    for base in honest_logs:
         deviant = [HonestStrategy() for _ in range(pop.llm_count)]
         deviant[llm] = make_adversary(game, pop, params, kind, budget=budget)
         dev = run_repeated(
-            game, pop, params, deviant, delta, tail_tol, seed=trial_seed
+            game, pop, params, deviant, base.delta, base.tail_tol, seed=base.seed_key
         )
+        if dev.horizon != base.horizon:
+            raise ValidationError(
+                f"honest log {base.seed_key} has horizon {base.horizon}, but "
+                f"its deviating run has {dev.horizon}: other parameters"
+            )
         gains.append(dev.discounted[llm] - base.discounted[llm])
     mean = sum(gains) / len(gains)
     var = sum((g - mean) ** 2 for g in gains) / (len(gains) - 1)

@@ -406,18 +406,22 @@ def _protocol_end_to_end(game, pop, target, hints, adversary_llm, seeds=30):
         )
     assert worst_gap <= params.gamma
 
-    gains = {}
-    for kind in ("honest", "light", "heavy", "greedy_myopic"):
-        mean, hw = estimate_deviation_gain(
+    baselines = [
+        run_repeated(
             game,
             pop,
             params,
-            adversary_llm,
-            kind,
-            trials=30,
-            seed=8100,
+            [HonestStrategy() for _ in range(pop.llm_count)],
             delta=0.995,
             tail_tol=1e-6,
+            seed=(8100, t),
+        )
+        for t in range(seeds)
+    ]
+    gains = {}
+    for kind in ("honest", "light", "heavy", "greedy_myopic"):
+        mean, hw = estimate_deviation_gain(
+            game, pop, params, adversary_llm, kind, baselines
         )
         assert mean <= params.epsilon + hw
         gains[kind] = (mean, hw)

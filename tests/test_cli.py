@@ -206,6 +206,27 @@ def test_sweep_share_axis(tmp_path):
     assert float(only["average_0"]) == pytest.approx(-2.3, abs=1e-12)
 
 
+def test_zero_mass_advisor_averages_are_null(tmp_path):
+    doc = json.loads(_pd_config(tmp_path).read_text())
+    doc["population"] = {"shares": [[1.0, 0.0], [1.0, 0.0]]}
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(doc))
+    for command in (["eval"], ["equilibrium"]):
+        out = tmp_path / command[0]
+        code = run_command(command + ["--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == EXIT_OK
+        assert _results(out)["averages"][1] is None
+    out = tmp_path / "sweep"
+    code = run_command(
+        ["sweep", "--config", str(cfg), "--axis", "seed", "--values", "0,1",
+         "--run", "equilibrium", "--out", str(out), "--quiet"]
+    )
+    assert code == EXIT_OK
+    rows = _results(out)["rows"]
+    assert [row["average_1"] for row in rows] == [None, None]
+    assert all(row["average_0"] == pytest.approx(-2.0) for row in rows)
+
+
 def test_sweep_finite_population(tmp_path):
     doc = json.loads(_pd_config(tmp_path).read_text())
     doc["meta_profiles"]["mixed"] = {
@@ -350,6 +371,10 @@ MALFORMED_CONFIGS = {
     "population.params.p not a number": (
         "population",
         lambda d: d["population"]["params"].update(p="x"),
+    ),
+    "population.params unknown key": (
+        "population",
+        lambda d: d["population"]["params"].update(bogus=1),
     ),
 }
 

@@ -7,6 +7,7 @@ import pytest
 from metagame.errors import InfeasibleTargetError, ValidationError
 from metagame.model import MetaAction, MetaProfile, Population, llm_utility
 from metagame.feasibility import (
+    RECOMBINE_TOL,
     certificate_from_punishment,
     check_strict_ir,
     decompose_target,
@@ -114,6 +115,18 @@ def test_decompose_random_hull_points_support_bound():
         assert dec.support_size <= 4
         combo = np.array(dec.payoffs).T @ np.array(dec.weights)
         assert combo == pytest.approx(tuple(target), abs=1e-9)
+
+
+def test_decompose_near_the_hull_boundary(pd_vertices):
+    # Within 1e-9 of the PD edge from (-3.6, -0.4) to (-3.87, -0.23): the LP
+    # meets HiGHS's tolerance while its clipped weights miss by 3.4e-8.
+    target = (-3.68590909, -0.34590909)
+    try:
+        dec = decompose_target(pd_vertices, target)
+    except InfeasibleTargetError:
+        return
+    combo = np.array(dec.payoffs).T @ np.array(dec.weights)
+    assert np.max(np.abs(combo - np.array(target))) <= RECOMBINE_TOL
 
 
 def test_infeasible_target_gets_separating_direction(pd_vertices):

@@ -107,6 +107,17 @@ def test_infeasible_and_non_ir_targets_error(heist, heist_pop):
     assert exc.value.margins[0] <= 0
 
 
+@pytest.mark.parametrize("target", [(-3.8575, -0.5175), (-4.3948, -0.1333)])
+def test_targets_outside_the_hull_are_infeasible(target):
+    # Both lie just outside the PD hull. Checked on the adjusted target alone,
+    # the first would be derived and the second reported not individually
+    # rational.
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    pop = scenario_population("pd")
+    with pytest.raises(InfeasibleTargetError):
+        derive_params(pd, pop, target, epsilon=1.2, gamma=0.5)
+
+
 def test_degenerate_constant_game():
     game = BaseGame.from_table(
         (("x", "y"),), {("x",): (2.5,), ("y",): (2.5,)}

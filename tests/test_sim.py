@@ -128,10 +128,20 @@ def test_discounted_identity(heist, heist_pop, small_params):
     assert log.discounted == pytest.approx(log.recompute_discounted(), abs=0.0)
 
 
+def _honest_logs(game, pop, params, seed, trials, delta, tail_tol):
+    return [
+        run_repeated(
+            game, pop, params, [HonestStrategy() for _ in range(pop.llm_count)],
+            delta, tail_tol, seed=(seed, t),
+        )
+        for t in range(trials)
+    ]
+
+
 def test_honest_adversary_gains_nothing(heist, heist_pop, small_params):
+    logs = _honest_logs(heist, heist_pop, small_params, 9, 3, 0.98, 1e-5)
     mean, hw = estimate_deviation_gain(
-        heist, heist_pop, small_params, 0, "honest", trials=3, seed=9,
-        delta=0.98, tail_tol=1e-5,
+        heist, heist_pop, small_params, 0, "honest", logs
     )
     assert mean == 0.0
     assert hw == 0.0
@@ -433,35 +443,34 @@ def test_finite_run_realizes_each_distinct_tuple_once(pd_small_params, monkeypat
     assert utilities == []
 
 
-def test_deviation_gain_reuses_honest_logs(pd_small_params, monkeypatch):
-    pd, pop, params = pd_small_params
-    kw = dict(trials=3, seed=4, delta=0.95, tail_tol=1e-3)
-    expected = estimate_deviation_gain(pd, pop, params, 1, "heavy", **kw)
-    logs = [
-        run_repeated(pd, pop, params, [HonestStrategy(), HonestStrategy()],
-                     kw["delta"], kw["tail_tol"], seed=(kw["seed"], t))
-        for t in range(kw["trials"])
-    ]
+# (mean, half_width) on PD at target (-3.6, -0.4), T = 40, p = 0.1, K = 20,
+# advisor 1, honest runs at seeds (3, 0..3), delta 0.95, tail_tol 1e-4, as
+# computed when the estimator still made its own honest runs.
+PINNED_GAINS = {
+    "light": (0.06750793721575662, 0.002614080888202886),
+    "heavy": (0.29797720076114553, 0.012441054370747473),
+}
+
+
+def test_deviation_gain_reuses_honest_logs(monkeypatch):
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    pop = scenario_population("pd")
+    overrides = {"block_length": 40, "probe_rate": 0.1, "punish_length": 20}
+    params = derive_params(pd, pop, (-3.6, -0.4), 1.2, 0.5, overrides=overrides)
+    logs = _honest_logs(pd, pop, params, 3, 4, 0.95, 1e-4)
     runs = _count_calls(monkeypatch, "run_repeated")
-    got = estimate_deviation_gain(
-        pd, pop, params, 1, "heavy", honest_logs=logs, **kw
-    )
-    assert got == expected
-    assert len(runs) == kw["trials"]
+    for kind, pinned in PINNED_GAINS.items():
+        assert estimate_deviation_gain(pd, pop, params, 1, kind, logs) == pinned
+    assert len(runs) == len(PINNED_GAINS) * len(logs)
 
     bad = {
-        "too few": logs[:2],
-        "seed": logs[1:] + logs[:1],
-        "delta": [dataclasses.replace(logs[0], delta=0.9)] + logs[1:],
-        "tail_tol": [dataclasses.replace(logs[0], tail_tol=1e-4)] + logs[1:],
+        "one log": logs[:1],
         "horizon": [dataclasses.replace(logs[0], horizon=logs[0].horizon - 1)]
         + logs[1:],
     }
     for honest_logs in bad.values():
         with pytest.raises(ValidationError):
-            estimate_deviation_gain(
-                pd, pop, params, 1, "heavy", honest_logs=honest_logs, **kw
-            )
+            estimate_deviation_gain(pd, pop, params, 1, "heavy", honest_logs)
 
 
 def test_finite_warns_when_an_advisor_is_within_the_band(pd_small_params):
