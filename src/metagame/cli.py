@@ -533,7 +533,7 @@ def _set_path(cfg, dotted, value):
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    values = [float(v) for v in args.values.split(",")]
+    values = _field({"--values": args.values.split(",")}, "--values", _numbers)
     out_dir = _out_dir(args)
     rows = []
     for value in values:

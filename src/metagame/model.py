@@ -94,6 +94,10 @@ class InstructionProfile:
     ``assignments[i]`` lists ``(strategy, fraction)`` pairs; fractions are the
     shares of the advisor's role-i clients receiving each strategy and sum
     to 1.
+
+    The hash is computed on the first ``hash()`` call and then kept on the
+    object; like every ``str`` hash it is per-process, so the cached value
+    must not travel to another process.  Equality tests identity first.
     """
 
     assignments: tuple[tuple[tuple[MixedStrategy, float], ...], ...]
@@ -119,7 +123,23 @@ class InstructionProfile:
                 )
             canon.append(tuple(sorted(merged.items(), key=lambda kv: kv[0].weights)))
         object.__setattr__(self, "assignments", tuple(canon))
-        object.__setattr__(self, "_mass_cache", {})
+        # Derived values, filled on first use: action masses by role, the
+        # pure profile and the hash.
+        object.__setattr__(self, "_cache", {})
+
+    def __hash__(self) -> int:
+        cache = self._cache  # type: ignore[attr-defined]
+        h = cache.get("hash")
+        if h is None:
+            h = cache["hash"] = hash((self.assignments,))
+        return h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.assignments == other.assignments
 
     @property
     def role_count(self) -> int:
@@ -142,7 +162,7 @@ class InstructionProfile:
 
     def action_mass(self, role: int) -> dict[str, float]:
         """Induced action distribution of a random role-``role`` client."""
-        cache = self._mass_cache  # type: ignore[attr-defined]
+        cache = self._cache  # type: ignore[attr-defined]
         row = cache.get(role)
         if row is None:
             row = {}
@@ -155,7 +175,7 @@ class InstructionProfile:
     @property
     def pure_profile(self) -> tuple[str, ...] | None:
         """The pure action profile, if every role is a point mass on one action."""
-        cache = self._mass_cache  # type: ignore[attr-defined]
+        cache = self._cache  # type: ignore[attr-defined]
         if "pure" not in cache:
             out = []
             for entries in self.assignments:

@@ -25,7 +25,7 @@ rounding, concentration, and per-period-impact inequalities all hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -216,25 +216,56 @@ def observe_and_update(
     matter who runs the machine.
     """
     if state.mode == "punishment":
-        remaining = state.punishment_remaining - 1
-        if remaining > 0:
-            return replace(state, punishment_remaining=remaining), None
-        return _fresh_block(params, state.punished), None
+        return _advance(params, state, False, False)
+    return _advance(
+        params, state, *_table_flags(params, table, state.segment, state.phase)
+    )
 
-    h = state.segment
+
+def _table_flags(
+    params: ProtocolParams, table: AggregateTable, segment: int, phase: int
+) -> tuple[bool, bool]:
+    """``(discrepant, excess)`` of one aggregate observed in review of advisor
+    ``phase`` during ``segment``: it differs from the intended aggregate, or
+    some mass exceeds what the reviewed advisor could have caused alone."""
     tol = params.discrepancy_tol
-    discrepant = table.max_diff(params.intended_aggregates[h]) > tol
-    ceilings = params.mass_ceilings[h][state.phase]
-    excess = False
+    discrepant = table.max_diff(params.intended_aggregates[segment]) > tol
+    ceilings = params.mass_ceilings[segment][phase]
     for i, row in enumerate(table.masses):
         limits = ceilings[i]
         for a, mass in enumerate(row):
             if mass > limits[a] + tol:
-                excess = True
-                break
-        if excess:
-            break
+                return discrepant, True
+    return discrepant, False
 
+
+def _advance(
+    params: ProtocolParams, state, discrepant: bool, excess: bool
+) -> tuple[ProtocolState, ProtocolEvent | None]:
+    """:func:`observe_and_update` on a period's :func:`_table_flags` (ignored
+    in punishment).  ``state`` may be any object with the attributes of
+    :class:`ProtocolState`; the stepper in ``sim`` passes its own counters at
+    a boundary.  Builds exactly one new state."""
+    if state.mode == "punishment":
+        remaining = state.punishment_remaining - 1
+        if remaining > 0:
+            return (
+                ProtocolState(
+                    phase=state.phase,
+                    segment=state.segment,
+                    step=state.step,
+                    block_step=state.block_step,
+                    discrepancies=state.discrepancies,
+                    excess_seen=state.excess_seen,
+                    mode=state.mode,
+                    punishment_remaining=remaining,
+                    punished=state.punished,
+                ),
+                None,
+            )
+        return _fresh_block(params, state.punished), None
+
+    h = state.segment
     discrepancies = state.discrepancies + (1 if discrepant else 0)
     excess_seen = state.excess_seen or excess
     block_step = state.block_step + 1
@@ -246,13 +277,16 @@ def observe_and_update(
             segment = _first_active_segment(params.segment_lengths, segment + 1)
             step = 0
         return (
-            replace(
-                state,
+            ProtocolState(
+                phase=state.phase,
                 segment=segment,
                 step=step,
                 block_step=block_step,
                 discrepancies=discrepancies,
                 excess_seen=excess_seen,
+                mode=state.mode,
+                punishment_remaining=state.punishment_remaining,
+                punished=state.punished,
             ),
             None,
         )

@@ -6,11 +6,15 @@ a deterministic function of the observed aggregate stream, so every
 participant tracking it stays synchronized.  Continuum and finite mode share
 one per-period stepper and differ only in how instructions are realized, so
 deviation flags and block statistics are kept whenever protocol parameters
-are given.  A run realizes each distinct joint instruction once: its
-continuum aggregate (and, in continuum mode, its utilities) is memoized per
-run, keyed by the realized tuple.  A deviation-gain estimate pairs each
-honest run its caller made with one deviating run at the same seed.  Runs
-are reproducible byte-for-byte from (seed, inputs).
+are given.  The stepper interns each distinct instruction and joint
+instruction of a run to a small integer, keeps the public state in plain
+counters between boundaries (block ends, segment changes, punishment ends),
+and stores the log by column.  A run realizes each distinct joint
+instruction once: its continuum aggregate (and, in continuum mode, its
+utilities) is memoized per run, and so are the review checks of each
+aggregate per (segment, phase).  A deviation-gain estimate pairs each honest
+run its caller made with one deviating run at the same seed.  Runs are
+reproducible byte-for-byte from (seed, inputs).
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,27 +43,92 @@ from .oneshot import best_response
 from .protocol import (
     EXCESS,
     FREQUENCY,
+    ProtocolEvent,
     ProtocolParams,
     ProtocolState,
     honest_step,
     initial_state,
-    observe_and_update,
     prescribed_instruction,
     punishment_action,
+    _advance,
+    _table_flags,
 )
 
 
-@dataclass
-class StepContext:
-    """What a strategy sees each period: the public protocol parameters and
-    state (``None`` in a finite run without a protocol), the period, its own
-    advisor index and its own random stream."""
+class _Counters:
+    """The public protocol state of a run as plain counters, with the same
+    attributes as :class:`ProtocolState`.  ``stretch`` is the state loaded
+    at the start of the current stretch; ``state`` is built from the
+    counters on first access after they change."""
 
-    params: ProtocolParams | None
-    state: ProtocolState | None
-    period: int
-    llm: int
-    rng: np.random.Generator
+    def __init__(self, state: ProtocolState):
+        self.load(state)
+
+    def load(self, state: ProtocolState) -> None:
+        self.stretch = self._state = state
+        self.phase = state.phase
+        self.segment = state.segment
+        self.step = state.step
+        self.block_step = state.block_step
+        self.discrepancies = state.discrepancies
+        self.excess_seen = state.excess_seen
+        self.mode = state.mode
+        self.punishment_remaining = state.punishment_remaining
+        self.punished = state.punished
+
+    @property
+    def state(self) -> ProtocolState:
+        if self._state is None:
+            self._state = ProtocolState(
+                phase=self.phase,
+                segment=self.segment,
+                step=self.step,
+                block_step=self.block_step,
+                discrepancies=self.discrepancies,
+                excess_seen=self.excess_seen,
+                mode=self.mode,
+                punishment_remaining=self.punishment_remaining,
+                punished=self.punished,
+            )
+        return self._state
+
+
+class StepContext:
+    """What a strategy sees each period: the public protocol parameters, the
+    period, its own advisor index and its own random stream, and the public
+    protocol state (``None`` in a finite run without a protocol).
+
+    ``state`` is built on first access in a period.  ``stretch`` is the state
+    at the first period of the current stretch, a run of periods with one
+    phase, segment and mode: it agrees with ``state`` in everything
+    :func:`honest_step`, :func:`punishment_action` and
+    :func:`prescribed_instruction` read.  ``block_step`` is the position in
+    the current block.  Neither costs anything per period.  A run reuses one
+    context per advisor, so a strategy reads it during ``act`` only.
+    """
+
+    __slots__ = ("params", "period", "llm", "rng", "_public")
+
+    def __init__(
+        self, params, llm: int, rng: np.random.Generator, public: _Counters | None
+    ):
+        self.params: ProtocolParams | None = params
+        self.period = 0
+        self.llm = llm
+        self.rng = rng
+        self._public = public
+
+    @property
+    def state(self) -> ProtocolState | None:
+        return None if self._public is None else self._public.state
+
+    @property
+    def stretch(self) -> ProtocolState | None:
+        return None if self._public is None else self._public.stretch
+
+    @property
+    def block_step(self) -> int:
+        return 0 if self._public is None else self._public.block_step
 
 
 class Strategy:
@@ -74,10 +144,11 @@ class HonestStrategy(Strategy):
     """Follow the protocol exactly: prescriptions, probes, punishments."""
 
     def act(self, ctx: StepContext) -> InstructionProfile:
-        if ctx.state.mode == "punishment":
+        stretch = ctx.stretch
+        if stretch.mode == "punishment":
             self.last_probe = False
-            return punishment_action(ctx.params, ctx.state, ctx.llm)
-        instruction, probed = honest_step(ctx.params, ctx.state, ctx.llm, ctx.rng)
+            return punishment_action(ctx.params, stretch, ctx.llm)
+        instruction, probed = honest_step(ctx.params, stretch, ctx.llm, ctx.rng)
         self.last_probe = probed
         return instruction
 
@@ -99,15 +170,22 @@ class FixedProfileStrategy(Strategy):
 
 
 class MyopicBestResponse(Strategy):
-    """Best-respond each period to what the others are prescribed to play."""
+    """Best-respond each period to what the others are prescribed to play.
+
+    The prescriptions change only between stretches, so the reply is kept
+    for the stretch it was computed in."""
 
     def __init__(self, game: BaseGame, pop: Population):
         self.game = game
         self.pop = pop
         self._cache: dict = {}
+        self._last = (None, None, None)  # (stretch, advisor, reply)
 
     def _reply(self, ctx: StepContext) -> InstructionProfile:
-        params, state, j = ctx.params, ctx.state, ctx.llm
+        params, state, j = ctx.params, ctx.stretch, ctx.llm
+        last_state, last_j, last_reply = self._last
+        if state is last_state and j == last_j:
+            return last_reply
         others = tuple(
             prescribed_instruction(params, state, q) if q != j else None
             for q in range(self.pop.llm_count)
@@ -124,6 +202,7 @@ class MyopicBestResponse(Strategy):
             br = best_response(self.game, self.pop, MetaProfile(profile_actions), j)
             hit = InstructionProfile.pure(br.profile)
             self._cache[others] = hit
+        self._last = (state, j, hit)
         return hit
 
     def act(self, ctx: StepContext) -> InstructionProfile:
@@ -144,11 +223,12 @@ class BudgetedDeviator(Strategy):
 
     def act(self, ctx: StepContext) -> InstructionProfile:
         self.last_probe = False
-        if ctx.state.mode == "punishment":
-            return punishment_action(ctx.params, ctx.state, ctx.llm)
-        if ctx.state.block_step < self.periods_per_block:
+        stretch = ctx.stretch
+        if stretch.mode == "punishment":
+            return punishment_action(ctx.params, stretch, ctx.llm)
+        if ctx.block_step < self.periods_per_block:
             return self._myopic._reply(ctx)
-        return ctx.params.prescriptions[ctx.state.segment][ctx.llm]
+        return ctx.params.prescriptions[stretch.segment][ctx.llm]
 
 
 def make_adversary(
@@ -180,8 +260,10 @@ def make_adversary(
     raise ValidationError(f"unknown adversary kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class PeriodRecord:
+class PeriodRecord(NamedTuple):
+    """One period of a run, as :meth:`RunLog.iter_records` builds it from the
+    log's columns."""
+
     period: int
     phase: int
     mode: str
@@ -236,55 +318,83 @@ class PunishmentStat:
     end: int  # inclusive
 
 
+def _bit_counts(masks: Sequence[int], k: int) -> tuple[int, ...]:
+    return tuple(sum(m >> j & 1 for m in masks) for j in range(k))
+
+
 @dataclass
 class RunLog:
-    """Per-period record of one repeated run plus derived statistics."""
+    """One repeated run, stored by column, plus derived statistics.
+
+    Per period: the realized instructions, the aggregate and the utilities
+    (shared objects, one per distinct value in continuum mode), and the
+    probe and deviation flags as bit masks (bit j for advisor j).  ``events``
+    maps a period to the event fired at its end, and ``stretches`` lists
+    ``(first period, phase, mode, segment)`` for each run of periods that
+    starts at a boundary of the public state.  ``records`` builds the
+    per-period :class:`PeriodRecord` view on first use.
+    """
 
     seed_key: tuple
     delta: float
     tail_tol: float
     horizon: int
-    records: list[PeriodRecord]
     block_stats: list[BlockStat]
     punishment_stats: list[PunishmentStat]
+    instructions: list[tuple[InstructionProfile, ...]]
+    aggregates: list[AggregateTable]
+    utilities: list[tuple[float, ...]]
+    probes: list[int]
+    deviated: list[int]
+    events: dict[int, ProtocolEvent]
+    stretches: list[tuple[int, int, str, int]]
     discounted: tuple[float, ...] = field(default=())
 
+    def iter_records(self) -> Iterator[PeriodRecord]:
+        k = len(self.utilities[0]) if self.utilities else 0
+        flags = {  # bit mask -> one flag per advisor
+            m: tuple(bool(m >> j & 1) for j in range(k))
+            for m in set(self.probes) | set(self.deviated)
+        }
+        ends = [s[0] for s in self.stretches[1:]] + [len(self.utilities)]
+        for (start, phase, mode, segment), end in zip(self.stretches, ends):
+            for t in range(start, end):
+                event = self.events.get(t)
+                yield PeriodRecord(
+                    t,
+                    phase,
+                    mode,
+                    segment,
+                    self.instructions[t],
+                    self.aggregates[t],
+                    self.utilities[t],
+                    flags[self.probes[t]],
+                    flags[self.deviated[t]],
+                    event.kind if event else None,
+                    event.llm if event else None,
+                )
+
+    @cached_property
+    def records(self) -> list[PeriodRecord]:
+        return list(self.iter_records())
+
     def recompute_discounted(self) -> tuple[float, ...]:
-        k = len(self.records[0].utilities)
+        k = len(self.utilities[0])
         out = []
         for j in range(k):
             total = 0.0
             w = 1.0
-            for rec in self.records:
-                total += w * rec.utilities[j]
+            for u in self.utilities:
+                total += w * u[j]
                 w *= self.delta
             out.append((1.0 - self.delta) * total)
         return tuple(out)
 
-    def cycles(self):
-        """Review blocks with any immediately following punishment stretch:
-        (phase, start, end, per-advisor plain average utility)."""
-        pstarts = {p.start: p for p in self.punishment_stats}
-        out = []
-        k = len(self.records[0].utilities)
-        for blk in self.block_stats:
-            end = blk.end
-            pun = pstarts.get(blk.end + 1)
-            if pun is not None:
-                end = pun.end
-            sums = [0.0] * k
-            for rec in self.records[blk.start : end + 1]:
-                for j in range(k):
-                    sums[j] += rec.utilities[j]
-            length = end - blk.start + 1
-            out.append((blk.phase, blk.start, end, tuple(s / length for s in sums)))
-        return out
-
     def event_counts(self, llm: int) -> dict[str, int]:
         counts = {EXCESS: 0, FREQUENCY: 0}
-        for rec in self.records:
-            if rec.event is not None and rec.event_llm == llm:
-                counts[rec.event] += 1
+        for event in self.events.values():
+            if event.llm == llm:
+                counts[event.kind] += 1
         return counts
 
     def mean_block_discrepancy(self) -> float:
@@ -307,7 +417,7 @@ class RunLog:
                 sort_keys=True,
             )
         ]
-        for rec in self.records:
+        for rec in self.iter_records():
             lines.append(json.dumps(rec.to_dict(), sort_keys=True))
         return "\n".join(lines) + "\n"
 
@@ -317,7 +427,7 @@ class RunLog:
 
     def summary_rows(self) -> list[dict]:
         rows = []
-        for j in range(len(self.records[0].utilities)):
+        for j in range(len(self.utilities[0])):
             counts = self.event_counts(j)
             rows.append(
                 {
@@ -368,94 +478,187 @@ def horizon_for(delta: float, tail_tol: float, payoff_cap: float) -> int:
 
 
 class _Periods:
-    """Per-period bookkeeping shared by both simulators: ``act`` asks every
-    strategy for its instruction; after the caller realizes them,
-    ``observe`` advances the public state (when ``params`` are given), flags
-    deviations, keeps the block and punishment statistics and records the
-    period."""
+    """Per-period bookkeeping shared by both simulators.
+
+    ``act`` asks every strategy for its instruction and returns the run's id
+    of the realized tuple, ``realized[id]``.  Instructions are interned per
+    run: by identity, and by value on first sight, which is when their role
+    count is checked.  After the caller realizes the tuple, ``observe``
+    appends the period to the log's columns and advances the public state
+    (when ``params`` are given).
+
+    The state lives in plain counters (``public``).  A period between
+    boundaries adds its review flags to them; its deviation flags are
+    memoized per realized tuple within a stretch, and its review flags per
+    (segment, phase, table id) when the caller passes a table id (continuum
+    mode) or computed directly otherwise (finite mode draws a fresh table
+    every period).  At a boundary (block end, segment change, punishment
+    end) the counters go through :func:`protocol._advance`, the body of
+    :func:`observe_and_update`, which builds the next stretch's
+    ``ProtocolState``; otherwise a state is built only when a strategy reads
+    ``ctx.state``.
+    """
 
     def __init__(self, game, params, strategies, streams):
         self.game = game
         self.params = params
         self.strategies = strategies
-        self.streams = streams
-        self.state = None if params is None else initial_state(params)
-        self.records: list[PeriodRecord] = []
+        self.public = None if params is None else _Counters(initial_state(params))
+        self._agents = [
+            (s, StepContext(params, j, streams[j], self.public))
+            for j, s in enumerate(strategies)
+        ]
+        self._ids: dict[int, int] = {}  # id(instruction) -> instruction id
+        self._alive: list[InstructionProfile] = []  # keeps those ids unique
+        self._by_value: dict[InstructionProfile, int] = {}
+        self._instructions: list[InstructionProfile] = []
+        self._tuple_ids: dict[tuple[int, ...], int] = {}
+        self._keys: list[tuple[int, ...]] = []  # realized id -> instruction ids
+        self.realized: list[tuple[InstructionProfile, ...]] = []
+        self._probe_mask = 0
+
+        self.instructions: list[tuple[InstructionProfile, ...]] = []
+        self.aggregates: list[AggregateTable] = []
+        self.utilities: list[tuple[float, ...]] = []
+        self.probes: list[int] = []
+        self.deviated: list[int] = []
+        self.events: dict[int, ProtocolEvent] = {}
+        self.stretches: list[tuple[int, int, str, int]] = []
         self.block_stats: list[BlockStat] = []
         self.punishment_stats: list[PunishmentStat] = []
-        self._probes: tuple[bool, ...] = ()
         self._start = 0  # first period of the current block or punishment
-
-    def act(self, t: int) -> tuple[InstructionProfile, ...]:
-        realized = []
-        probes = []
-        for j, strategy in enumerate(self.strategies):
-            instr = strategy.act(
-                StepContext(self.params, self.state, t, j, self.streams[j])
-            )
-            if instr.role_count != self.game.role_count:
-                raise MetagameError(
-                    f"strategy for advisor {j} emitted an invalid instruction "
-                    f"at period {t}"
-                )
-            realized.append(instr)
-            probes.append(bool(strategy.last_probe))
-        self._probes = tuple(probes)
-        return tuple(realized)
-
-    def observe(self, t, realized, table: AggregateTable, utilities) -> None:
-        k = len(realized)
-        prev = self.state
-        event = None
-        deviated = (False,) * k
-        if prev is not None:
-            self.state, event = observe_and_update(self.params, prev, table)
-            deviated = tuple(
-                realized[j] != prescribed_instruction(self.params, prev, j)
-                for j in range(k)
-            )
-        self.records.append(
-            PeriodRecord(
-                period=t,
-                phase=-1 if prev is None else prev.phase,
-                mode="none" if prev is None else prev.mode,
-                segment=-1 if prev is None else prev.segment,
-                instructions=realized,
-                aggregate=table,
-                utilities=utilities,
-                probes=self._probes,
-                deviated=deviated,
-                event=event.kind if event else None,
-                event_llm=event.llm if event else None,
-            )
-        )
-        if prev is None:
+        if params is None:
+            self.stretches.append((0, -1, "none", -1))
             return
-        if prev.mode == "review":
-            if prev.block_step == self.params.block_length - 1:
-                self._close_block(t, event)
+        self._block_length = params.block_length
+        self._checks: dict[tuple[int, int], dict[int, tuple[bool, bool]]] = {}
+        self._enter(self.public.stretch, 0)
+
+    def _enter(self, state: ProtocolState, t: int) -> None:
+        """Set up the stretch that ``state`` starts at period ``t``."""
+        self.public.load(state)
+        self._review = state.mode == "review"
+        self._segment_length = self.params.segment_lengths[state.segment]
+        self._checked = self._checks.setdefault((state.segment, state.phase), {})
+        self._prescribed = tuple(
+            self._intern(prescribed_instruction(self.params, state, j), j, t)
+            for j in range(len(self.strategies))
+        )
+        self._deviations: dict[int, int] = {}  # realized id -> deviation mask
+        self.stretches.append((t, state.phase, state.mode, state.segment))
+
+    def _intern(self, instr: InstructionProfile, j: int, t: int) -> int:
+        """The run's id of advisor ``j``'s instruction at period ``t``."""
+        iid = self._ids.get(id(instr))
+        if iid is not None:
+            return iid
+        if instr.role_count != self.game.role_count:
+            raise MetagameError(
+                f"strategy for advisor {j} emitted an invalid instruction "
+                f"at period {t}"
+            )
+        iid = self._by_value.setdefault(instr, len(self._instructions))
+        if iid == len(self._instructions):
+            self._instructions.append(instr)
+        self._ids[id(instr)] = iid
+        self._alive.append(instr)
+        return iid
+
+    def act(self, t: int) -> int:
+        ids = []
+        mask = 0
+        for j, (strategy, ctx) in enumerate(self._agents):
+            ctx.period = t
+            instr = strategy.act(ctx)
+            iid = self._ids.get(id(instr))
+            if iid is None:
+                iid = self._intern(instr, j, t)
+            ids.append(iid)
+            if strategy.last_probe:
+                mask |= 1 << j
+        self._probe_mask = mask
+        key = tuple(ids)
+        rid = self._tuple_ids.get(key)
+        if rid is None:
+            rid = self._tuple_ids[key] = len(self.realized)
+            self._keys.append(key)
+            self.realized.append(tuple(self._instructions[i] for i in key))
+        return rid
+
+    def observe(
+        self, t: int, rid: int, table: AggregateTable, utilities, table_id=None
+    ) -> None:
+        """Record period ``t`` and advance the state; ``table_id`` names
+        ``table`` among the run's distinct aggregates, when it has one."""
+        self.instructions.append(self.realized[rid])
+        self.aggregates.append(table)
+        self.utilities.append(utilities)
+        self.probes.append(self._probe_mask)
+        if self.params is None:
+            self.deviated.append(0)
+            return
+        deviated = self._deviations.get(rid)
+        if deviated is None:
+            deviated = self._deviations[rid] = sum(
+                1 << j
+                for j, (a, b) in enumerate(zip(self._keys[rid], self._prescribed))
+                if a != b
+            )
+        self.deviated.append(deviated)
+        public = self.public
+        public._state = None
+        if self._review:
+            flags = None if table_id is None else self._checked.get(table_id)
+            if flags is None:
+                flags = _table_flags(self.params, table, public.segment, public.phase)
+                if table_id is not None:
+                    self._checked[table_id] = flags
+            discrepant, excess = flags
+            if (
+                public.block_step + 1 < self._block_length
+                and public.step + 1 < self._segment_length
+            ):
+                public.block_step += 1
+                public.step += 1
+                if discrepant:
+                    public.discrepancies += 1
+                if excess:
+                    public.excess_seen = True
+                return
+        elif public.punishment_remaining > 1:
+            public.punishment_remaining -= 1
+            return
+        else:
+            discrepant = excess = False
+        self._boundary(t, discrepant, excess)
+
+    def _boundary(self, t: int, discrepant: bool, excess: bool) -> None:
+        public = self.public
+        state, event = _advance(self.params, public, discrepant, excess)
+        if event is not None:
+            self.events[t] = event
+        if self._review:
+            if public.block_step == self._block_length - 1:
+                self._close_block(t, public.discrepancies + discrepant, event)
                 self._start = t + 1
-        elif self.state.mode == "review":
+        elif state.mode == "review":
             self.punishment_stats.append(
-                PunishmentStat(punished=prev.punished, start=self._start, end=t)
+                PunishmentStat(punished=public.punished, start=self._start, end=t)
             )
             self._start = t + 1
+        self._enter(state, t + 1)
 
-    def _close_block(self, t, event) -> None:
+    def _close_block(self, t, discrepancies: int, event) -> None:
         """Record the review block that ends at period ``t``."""
-        block = self.records[self._start :]
-        intended, tol = self.params.intended_aggregates, self.params.discrepancy_tol
+        k = len(self.strategies)
         self.block_stats.append(
             BlockStat(
-                phase=block[0].phase,
+                phase=self.public.phase,
                 start=self._start,
                 end=t,
-                discrepancies=sum(
-                    rec.aggregate.max_diff(intended[rec.segment]) > tol
-                    for rec in block
-                ),
-                deviation_counts=tuple(map(sum, zip(*(r.deviated for r in block)))),
-                probe_counts=tuple(map(sum, zip(*(r.probes for r in block)))),
+                discrepancies=discrepancies,
+                deviation_counts=_bit_counts(self.deviated[self._start :], k),
+                probe_counts=_bit_counts(self.probes[self._start :], k),
                 event=event.kind if event else None,
             )
         )
@@ -466,9 +669,15 @@ class _Periods:
             delta=delta,
             tail_tol=tail_tol,
             horizon=horizon,
-            records=self.records,
             block_stats=self.block_stats,
             punishment_stats=self.punishment_stats,
+            instructions=self.instructions,
+            aggregates=self.aggregates,
+            utilities=self.utilities,
+            probes=self.probes,
+            deviated=self.deviated,
+            events=self.events,
+            stretches=self.stretches,
         )
 
 
@@ -487,7 +696,8 @@ def run_repeated(
     provably below ``tail_tol``; identical (seed, inputs) reproduce the log
     byte-for-byte.  Strategies emit a few shared instruction profiles, so
     the aggregate and the utilities are computed once per distinct realized
-    tuple and reused (the records keep every one of them anyway).
+    tuple and reused, and each distinct aggregate gets a table id for the
+    stepper's review-check memo.
     """
     k = pop.llm_count
     if len(strategies) != k:
@@ -501,20 +711,25 @@ def run_repeated(
     steps = _Periods(game, params, strategies, streams)
     paycache: dict = {}
     counter = [0]
-    realizations: dict = {}  # realized tuple -> (aggregate, utilities)
+    outcomes = []  # realized id -> (aggregate, utilities, table id)
+    table_ids: dict[AggregateTable, int] = {}
     for t in range(horizon):
-        realized = steps.act(t)
-        hit = realizations.get(realized)
-        if hit is None:
-            hit = realizations[realized] = (
-                aggregate_mass(game, pop, realized),
-                tuple(
-                    _realization_utilities(
-                        game, pop, realized, paycache, counter, math.inf
-                    )
-                ),
+        rid = steps.act(t)
+        if rid == len(outcomes):
+            realized = steps.realized[rid]
+            table = aggregate_mass(game, pop, realized)
+            outcomes.append(
+                (
+                    table,
+                    tuple(
+                        _realization_utilities(
+                            game, pop, realized, paycache, counter, math.inf
+                        )
+                    ),
+                    table_ids.setdefault(table, len(table_ids)),
+                )
             )
-        steps.observe(t, realized, *hit)
+        steps.observe(t, rid, *outcomes[rid])
     log = steps.log(key, delta, tail_tol, horizon)
     log.discounted = log.recompute_discounted()
     return log
@@ -678,10 +893,11 @@ def finite_population_run(
     steps = _Periods(game, run_params, strategies, streams)
     gaps: list[float] = []
     paycache: dict = {}
-    aggregates: dict = {}  # realized tuple -> continuum aggregate
+    aggregates: dict = {}  # realized id -> continuum aggregate
 
     for t in range(periods):
-        realized = steps.act(t)
+        rid = steps.act(t)
+        realized = steps.realized[rid]
 
         actions_by_role = []
         owners_by_role = []
@@ -740,16 +956,15 @@ def finite_population_run(
             utilities.append(total / N)
         utilities = tuple(utilities)
 
-        continuum = aggregates.get(realized)
+        continuum = aggregates.get(rid)
         if continuum is None:
-            continuum = aggregates[realized] = aggregate_mass(game, pop, realized)
+            continuum = aggregates[rid] = aggregate_mass(game, pop, realized)
         gaps.append(table.max_diff(continuum))
-        steps.observe(t, realized, table, utilities)
+        steps.observe(t, rid, table, utilities)
 
     log = steps.log(key, 0.0, 0.0, periods)
     log.discounted = tuple(
-        sum(rec.utilities[j] for rec in log.records) / periods
-        for j in range(k)
+        sum(u[j] for u in log.utilities) / periods for j in range(k)
     )
     report = FiniteRunReport(
         clients_per_role=N,

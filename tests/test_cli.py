@@ -423,3 +423,14 @@ def test_folk_run_runs_each_honest_trial_once(tmp_path, monkeypatch):
     # One honest and one deviating run per trial, each seed used twice.
     assert len(calls) == 2 * trials
     assert sorted(calls) == sorted([(7, t) for t in range(trials)] * 2)
+
+
+@pytest.mark.parametrize("values", ["abc", "0.5,", "1000,abc"])
+def test_sweep_values_not_numbers_exit_2(tmp_path, capsys, values):
+    code = run_command(
+        ["sweep", "--config", str(_pd_config(tmp_path)), "--axis",
+         "population.params.p", "--values", values, "--run", "equilibrium",
+         "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == EXIT_CONFIG
+    assert "--values" in capsys.readouterr().err

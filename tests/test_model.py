@@ -254,3 +254,37 @@ def test_meta_profile_serialization_round_trip(pd):
     doc = profile.to_dict()
     back = MetaProfile.from_dict(doc)
     assert back == profile
+
+
+def test_instruction_profile_hash_and_equality():
+    built = [
+        InstructionProfile.pure(("C", "D")),
+        InstructionProfile.homogeneous(
+            (MixedStrategy.point_mass(0, "C"), MixedStrategy.point_mass(1, "D"))
+        ),
+    ]
+    built.append(InstructionProfile.from_dict(built[0].to_dict()))
+    # The hash is computed on first use, not at construction.
+    assert all("hash" not in ip._cache for ip in built)
+    first = built[0]
+    assert all(ip == first for ip in built) and built[1] is not first
+    assert {hash(ip) for ip in built} == {hash((first.assignments,))}
+    assert all("hash" in ip._cache for ip in built)
+    entries = {first: "hit"}
+    assert [entries.get(ip) for ip in built] == ["hit"] * 3
+    assert first.__eq__("CD") is NotImplemented
+
+    def split(c_fraction):
+        return InstructionProfile(
+            (
+                (
+                    (MixedStrategy.point_mass(0, "C"), c_fraction),
+                    (MixedStrategy.point_mass(0, "D"), 1.0 - c_fraction),
+                ),
+                ((MixedStrategy.point_mass(1, "D"), 1.0),),
+            )
+        )
+
+    assert split(0.25) == split(0.25)
+    assert split(0.25) != split(0.75)
+    assert split(0.75) not in {split(0.25): "hit"}

@@ -1,0 +1,271 @@
+"""The counter-based stepper against the public protocol functions.
+
+``sim._Periods`` keeps the public state in plain counters and builds a
+``ProtocolState`` only at boundaries; ``observe_and_update`` is the reference
+it must agree with on every aggregate stream.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from metagame.model import AggregateTable, InstructionProfile, aggregate_mass
+from metagame.protocol import (
+    EXCESS,
+    FREQUENCY,
+    ProtocolState,
+    derive_params,
+    initial_state,
+    observe_and_update,
+    prescribed_instruction,
+    _table_flags,
+)
+from metagame.scenarios import heist_punishment, make_scenario, scenario_population
+from metagame.sim import (
+    BlockStat,
+    HonestStrategy,
+    PunishmentStat,
+    Strategy,
+    _Periods,
+    make_adversary,
+    run_repeated,
+)
+
+T40 = {"probe_rate": 0.1, "block_length": 40}
+
+
+def _heist():
+    game, pop = make_scenario("heist"), scenario_population("heist")
+    hints = {j: heist_punishment(j) for j in range(3)}
+    params = derive_params(
+        game, pop, (0.0, 0.0, 0.0), 1.2, 0.5, punishment_hints=hints, overrides=T40
+    )
+    return game, pop, params
+
+
+def _pd(overrides=T40):
+    game = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    pop = scenario_population("pd")
+    return game, pop, derive_params(game, pop, (-3.6, -0.4), 1.2, 0.5, overrides=overrides)
+
+
+SCENARIOS = {"heist": _heist(), "pd": _pd()}
+
+
+def _table_pool(game, pop, params) -> list[AggregateTable]:
+    """The intended table of each segment, then each segment's table with
+    one advisor's prescription replaced by a pure profile: a single probe
+    when that advisor is under review, possibly an excess otherwise."""
+    pool = list(params.intended_aggregates)
+    pure = [InstructionProfile.pure(p) for p in game.profiles()]
+    for row in params.prescriptions:
+        for q in range(pop.llm_count):
+            for profile in pure:
+                realized = list(row)
+                realized[q] = profile
+                table = aggregate_mass(game, pop, tuple(realized))
+                if table not in pool:
+                    pool.append(table)
+    return pool
+
+
+POOLS = {name: _table_pool(*scenario) for name, scenario in SCENARIOS.items()}
+
+
+class _Checking(Strategy):
+    """Honest play that checks, each period, that the stretch state agrees
+    with the exact state in everything the protocol functions read."""
+
+    def __init__(self):
+        self.honest = HonestStrategy()
+
+    def act(self, ctx):
+        stretch, state = ctx.stretch, ctx.state
+        for name in ("phase", "segment", "mode", "punished"):
+            assert getattr(stretch, name) == getattr(state, name)
+        assert ctx.block_step == state.block_step
+        for q in range(ctx.params.llm_count):
+            assert prescribed_instruction(ctx.params, stretch, q) == (
+                prescribed_instruction(ctx.params, state, q)
+            )
+        instruction = self.honest.act(ctx)
+        self.last_probe = self.honest.last_probe
+        return instruction
+
+
+def _replay(name, stream, memo):
+    """Drive the stepper and ``observe_and_update`` with the same stream of
+    pool indices; assert equal states, events and statistics throughout."""
+    game, pop, params = SCENARIOS[name]
+    pool = POOLS[name]
+    k = pop.llm_count
+    streams = [np.random.default_rng([7, j]) for j in range(k)]
+    steps = _Periods(game, params, [_Checking() for _ in range(k)], streams)
+
+    state = initial_state(params)
+    assert steps.public.state == state
+    block_stats, punishment_stats = [], []
+    start = 0
+    for t, idx in enumerate(stream):
+        table = pool[idx]
+        rid = steps.act(t)
+        steps.observe(t, rid, table, (0.0,) * k, idx if memo else None)
+        prev = state
+        state, event = observe_and_update(params, prev, table)
+        assert steps.public.state == state, t
+        assert steps.events.get(t) == event, t
+        # The bookkeeping of the per-record stepper this one replaced.
+        if prev.mode == "review":
+            if prev.block_step == params.block_length - 1:
+                block = range(start, t + 1)
+                recs = list(steps.log((0,), 0.0, 0.0, t + 1).iter_records())
+                block_stats.append(
+                    BlockStat(
+                        phase=prev.phase,
+                        start=start,
+                        end=t,
+                        discrepancies=sum(
+                            pool[stream[s]].max_diff(
+                                params.intended_aggregates[recs[s].segment]
+                            )
+                            > params.discrepancy_tol
+                            for s in block
+                        ),
+                        deviation_counts=tuple(
+                            map(sum, zip(*(recs[s].deviated for s in block)))
+                        ),
+                        probe_counts=tuple(map(sum, zip(*(recs[s].probes for s in block)))),
+                        event=event.kind if event else None,
+                    )
+                )
+                start = t + 1
+        elif state.mode == "review":
+            punishment_stats.append(PunishmentStat(prev.punished, start, t))
+            start = t + 1
+        assert steps.block_stats == block_stats
+        assert steps.punishment_stats == punishment_stats
+
+    log = steps.log((0,), 0.0, 0.0, len(stream))
+    replayed = initial_state(params)
+    for t, rec in enumerate(log.iter_records()):
+        assert (rec.phase, rec.mode, rec.segment) == (
+            replayed.phase, replayed.mode, replayed.segment
+        )
+        replayed, event = observe_and_update(params, replayed, pool[stream[t]])
+        assert (rec.event, rec.event_llm) == (
+            (event.kind, event.llm) if event else (None, None)
+        )
+    return log
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SCENARIOS)),
+    memo=st.booleans(),
+    runs=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(1, 45)), min_size=1, max_size=12
+    ),
+)
+def test_stepper_replays_observe_and_update(name, memo, runs):
+    pool = POOLS[name]
+    stream = [idx % len(pool) for idx, n in runs for _ in range(n)]
+    _replay(name, stream, memo)
+
+
+def _first(name, flags, segment=0, phase=0):
+    _, _, params = SCENARIOS[name]
+    return next(
+        i for i, table in enumerate(POOLS[name])
+        if _table_flags(params, table, segment, phase) == flags
+    )
+
+
+@pytest.mark.parametrize("memo", [True, False])
+def test_replay_covers_punishment_excess_and_segments(memo):
+    # PD at T = 40: segments of 32 and 8 periods, punishment length 30.
+    _, _, params = SCENARIOS["pd"]
+    assert params.segment_lengths == (32, 8) and params.punish_length == 30
+    probe = _first("pd", (True, False))
+    excess = _first("pd", (True, True))
+    intended = 0
+    stream = [probe] * 40 + [intended] * 30 + [excess] * 40 + [intended] * 100
+    log = _replay("pd", stream, memo)
+    assert [(t, e.kind) for t, e in log.events.items()] == [(39, FREQUENCY), (109, EXCESS)]
+    assert [(p.start, p.end) for p in log.punishment_stats] == [(40, 69)]
+    modes = [rec.mode for rec in log.records]
+    assert modes[39:41] == ["review", "punishment"] and modes[69:71] == ["punishment", "review"]
+    assert [rec.segment for rec in log.records[110:152]] == [0] * 32 + [1] * 8 + [0] * 2
+    assert [b.event for b in log.block_stats] == [FREQUENCY, EXCESS, None, None]
+
+
+@pytest.fixture(scope="module")
+def readme_pd():
+    return _pd(overrides=None)
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _boundaries(log) -> int:
+    """Block ends, punishment ends and segment changes inside a block."""
+    recs = log.records
+    block_ends = {blk.end for blk in log.block_stats}
+    segment_changes = sum(
+        a.mode == b.mode == "review" and a.segment != b.segment
+        and a.period not in block_ends
+        for a, b in zip(recs, recs[1:])
+    )
+    return len(log.block_stats) + len(log.punishment_stats) + segment_changes
+
+
+@pytest.mark.parametrize("case", ["readme", "T40"])
+@pytest.mark.parametrize("kind", ["honest", "heavy"])
+def test_checks_once_per_table_and_states_once_per_boundary(
+    readme_pd, monkeypatch, case, kind
+):
+    game, pop, params = readme_pd if case == "readme" else SCENARIOS["pd"]
+    strategies = [HonestStrategy(), make_adversary(game, pop, params, kind)]
+    diffs = _count(monkeypatch, AggregateTable, "max_diff")
+    states = _count(monkeypatch, ProtocolState, "__init__")
+    log = run_repeated(game, pop, params, strategies, 0.995, 1e-6, seed=(5, 0))
+    monkeypatch.undo()
+    assert log.horizon == 3289
+    reviewed = {
+        (rec.aggregate, rec.segment, rec.phase)
+        for rec in log.records if rec.mode == "review"
+    }
+    assert len(diffs) <= len(reviewed)
+    # One state at the start and one per boundary; these strategies read
+    # only ``ctx.stretch`` and ``ctx.block_step``.
+    assert len(states) <= 1 + _boundaries(log)
+    if case == "readme":
+        assert len(states) == 1 and len(log.block_stats) == 0
+    else:
+        assert log.block_stats and (kind == "honest" or log.punishment_stats)
+
+
+def test_strategy_reading_state_gets_the_exact_state():
+    game, pop, params = SCENARIOS["pd"]
+    seen = []
+
+    class Reader(HonestStrategy):
+        def act(self, ctx):
+            seen.append(ctx.state)
+            return super().act(ctx)
+
+    log = run_repeated(
+        game, pop, params, [Reader(), HonestStrategy()], 0.95, 1e-3, seed=3
+    )
+    state = initial_state(params)
+    for t, table in enumerate(log.aggregates):
+        assert seen[t] == state
+        state, _ = observe_and_update(params, state, table)
