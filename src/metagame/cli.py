@@ -109,6 +109,16 @@ def _rows(value) -> list[list]:
     return [list(row) for row in value]
 
 
+def _positive_int(value) -> int:
+    """A whole number of at least 1: ``3`` and ``3.0`` pass; ``0``, ``2.5``,
+    ``true`` and ``"3"`` do not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 1:
+        raise ValueError("not a whole number >= 1")
+    return value
+
+
 def _field(node: dict, path: str, kind, default=None):
     """``node[key]`` converted by ``kind``, where ``key`` is the last part of
     the dotted ``path``, or ``default`` when absent (``None``: required).
@@ -120,9 +130,8 @@ def _field(node: dict, path: str, kind, default=None):
     try:
         return kind(node[key])
     except (TypeError, ValueError):
-        raise ConfigError(
-            path, f"must be {kind.__name__.lstrip('_')}, got {node[key]!r}"
-        ) from None
+        what = kind.__name__.strip("_").replace("_", " ")
+        raise ConfigError(path, f"must be {what}, got {node[key]!r}") from None
 
 
 def normalize_config(doc: dict) -> dict:
@@ -192,10 +201,10 @@ def normalize_config(doc: dict) -> dict:
         finite = _field(doc, "finite", _object)
         out["finite"] = {
             "clients_per_role": _field(finite, "finite.clients_per_role", int),
-            "periods": _field(finite, "finite.periods", int, 100),
+            "periods": _field(finite, "finite.periods", _positive_int, 100),
         }
 
-    out["trials"] = _field(doc, "trials", int, 30)
+    out["trials"] = _field(doc, "trials", _positive_int, 30)
     out["seed"] = _field(doc, "seed", int, 0)
     out["budget"] = _field(doc, "budget", float, 1e7)
     return out
@@ -444,6 +453,9 @@ def cmd_folk_run(args) -> int:
     if adversary is not None:
         k = pop.llm_count
         _require(0 <= adversary["llm"] < k, "adversary.llm", f"must lie in [0, {k})")
+    trials = cfg["trials"]
+    if args.trials is not None:
+        trials = _field({"--trials": args.trials}, "--trials", _positive_int)
     out_dir = _out_dir(args)
     budget = args.budget or cfg["budget"]
     try:
@@ -453,7 +465,6 @@ def cmd_folk_run(args) -> int:
         return EXIT_CERTIFICATE
     folk = cfg["folk"]
     seed = args.seed if args.seed is not None else cfg["seed"]
-    trials = args.trials or cfg["trials"]
 
     logs = []
     for trial in range(trials):
@@ -539,6 +550,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         point = copy.deepcopy(cfg)
         _set_path(point, args.axis, value)
+        point = normalize_config(point)
         game = build_game(point)
         pop = build_population(point)
         if args.run == "equilibrium":
@@ -576,7 +588,7 @@ def cmd_sweep(args) -> int:
             ]
             for trial in range(point["trials"]):
                 _, rep = finite_population_run(
-                    int(point["finite"]["clients_per_role"]),
+                    point["finite"]["clients_per_role"],
                     game,
                     pop,
                     strategies,

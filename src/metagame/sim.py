@@ -13,8 +13,13 @@ and stores the log by column.  A run realizes each distinct joint
 instruction once: its continuum aggregate (and, in continuum mode, its
 utilities) is memoized per run, and so are the review checks of each
 aggregate per (segment, phase).  A deviation-gain estimate pairs each honest
-run its caller made with one deviating run at the same seed.  Runs are
-reproducible byte-for-byte from (seed, inputs).
+run its caller made with one deviating run at the same seed.  Finite mode
+draws each client's (advisor, action) code with numpy, matches the roles by
+random permutations and realizes the period from the counts of the occupied
+cells: aggregates are the counts' marginals, utilities count-weighted
+payoffs (exact for integer payoffs, otherwise a client-by-client sum up to
+float rounding).  Runs are reproducible byte-for-byte from (seed, inputs), and
+a log's JSON lines serialize each shared value once.
 """
 
 from __future__ import annotations
@@ -405,6 +410,10 @@ class RunLog:
         )
 
     def to_jsonl(self) -> str:
+        """A header line, then ``json.dumps(record.to_dict(), sort_keys=True)``
+        for each period.  The columns share one object per distinct value, so
+        each value's JSON text is made once and kept by identity (with the
+        object, so that its id stays unique)."""
         lines = [
             json.dumps(
                 {
@@ -417,8 +426,37 @@ class RunLog:
                 sort_keys=True,
             )
         ]
+        texts: dict[int, tuple[object, str]] = {}
+
+        def text(value, to_json=None) -> str:
+            hit = texts.get(id(value))
+            if hit is None:
+                doc = value if to_json is None else to_json(value)
+                hit = texts[id(value)] = (value, json.dumps(doc, sort_keys=True))
+            return hit[1]
+
+        def instructions(profiles):
+            return [ip.to_dict() for ip in profiles]
+
         for rec in self.iter_records():
-            lines.append(json.dumps(rec.to_dict(), sort_keys=True))
+            lines.append(
+                '{"aggregate": %s, "deviated": %s, "event": %s, "event_llm": %s, '
+                '"instructions": %s, "mode": %s, "phase": %d, "probes": %s, '
+                '"segment": %d, "t": %d, "utilities": %s}'
+                % (
+                    text(rec.aggregate, AggregateTable.to_dict),
+                    text(rec.deviated, list),
+                    text(rec.event),
+                    text(rec.event_llm),
+                    text(rec.instructions, instructions),
+                    text(rec.mode),
+                    rec.phase,
+                    text(rec.probes, list),
+                    rec.segment,
+                    rec.period,
+                    text(rec.utilities, list),
+                )
+            )
         return "\n".join(lines) + "\n"
 
     def save_jsonl(self, path) -> None:
@@ -812,15 +850,42 @@ class FiniteRunReport:
         }
 
 
-def _payoff_lookup(game: BaseGame):
-    sizes = [len(a) for a in game.actions]
-    if game.table is not None and game.num_profiles <= 10**6:
-        arr = np.empty(sizes + [game.role_count])
-        for profile in game.profiles():
-            idx = tuple(game.actions[i].index(a) for i, a in enumerate(profile))
-            arr[idx] = game.payoff(profile)
-        return arr
-    return None
+def _client_codes(game, counts, realized, N):
+    """Per role, each client's code ``owner * n_i + action`` in governance
+    order, and ``(start, stop, bounds, jumps)`` per group that draws: a draw
+    ``u`` adds ``jumps[r]`` for each ``bounds[r] <= u``, which picks label
+    ``(bounds <= u).sum()``, ``Generator.choice``'s rule."""
+    plan = []
+    for i, labels in enumerate(game.actions):
+        n = len(labels)
+        index = {a: idx for idx, a in enumerate(labels)}
+        codes = np.empty(N, dtype=np.int64)
+        draws = []
+        pos = 0
+        for j, cj in enumerate(counts[i]):
+            entries = realized[j].assignments[i] if cj else ()
+            groups = largest_remainder_counts(cj, [f for _, f in entries])
+            for (strat, _), g in zip(entries, groups):
+                cells = [j * n + index[a] for a, _ in strat.weights]
+                codes[pos : pos + g] = cells[0]
+                if len(cells) > 1 and g:
+                    cdf = np.cumsum([w for _, w in strat.weights])
+                    bounds = (cdf / cdf[-1])[:-1]
+                    draws.append((pos, pos + g, bounds, np.diff(cells)))
+                pos += g
+        plan.append((codes, draws))
+    return plan
+
+
+def _draw(codes, draws, world: np.random.Generator) -> np.ndarray:
+    """One period's client codes of a role from its ``_client_codes`` plan;
+    consumes ``world.random(stop - start)`` per group, in order."""
+    codes = codes.copy()
+    for start, stop, bounds, jumps in draws:
+        u = world.random(stop - start)
+        for bound, jump in zip(bounds, jumps):
+            codes[start:stop] += jump * (u >= bound)
+    return codes
 
 
 def finite_population_run(
@@ -834,45 +899,43 @@ def finite_population_run(
 ) -> tuple[RunLog, FiniteRunReport]:
     """Simulate N clients per role with uniform re-matching every period.
 
-    Governance counts come from largest-remainder rounding of the shares.
-    When protocol ``params`` are given, the public machine runs on the
-    empirical aggregates with its discrepancy tolerance widened to the
-    sampling band 3*sqrt(log(N)/N), and the log carries the ``deviated``
-    flags and the block and punishment statistics as in continuum mode; the
-    protocol's guarantees are only asserted in continuum mode.  Without
-    ``params`` strategies see no protocol state and no deviation is flagged.
-    With ``params``, a warning names each advisor whose largest role share is
-    within the band, since its deviations cannot exceed the tolerance.  The
-    per-period gap to the continuum aggregate computes that aggregate once
-    per distinct realized tuple.
+    Governance counts, and each advisor's split of its clients across its
+    instructed strategies, come from largest-remainder rounding.  A period
+    codes each client ``owner * n_i + action``, matches each role by a
+    permutation and counts the occupied (owner, action) cells: the aggregate
+    is each role's marginal over N, and an advisor's utility is the count-
+    weighted payoff of the roles it owns in each cell, over N, with one
+    ``game.payoff`` call per distinct action profile.  That sum is exact for
+    integer payoffs; otherwise it may differ from a per-client sum by float
+    rounding (4.4e-16 at most in the pinned heist runs).  With protocol
+    ``params`` the public machine runs on the empirical aggregates, its
+    discrepancy tolerance widened to the sampling band 3*sqrt(log(N)/N); the
+    log carries the deviation flags and block and punishment statistics (the
+    protocol's guarantees hold in continuum mode only), and a warning names
+    each advisor whose largest role share is within the band, since its
+    deviations cannot exceed the tolerance.
     """
     N = clients_per_role
     k = pop.llm_count
-    m = game.role_count
     if N < 1:
         raise ValidationError("need at least one client per role")
+    if periods < 1:
+        raise ValidationError("need at least one period")
     if len(strategies) != k:
         raise ValidationError("one strategy per advisor is required")
     band = 3.0 * math.sqrt(math.log(max(N, 2)) / N)
-    run_params = params
-    if params is not None:
-        run_params = replace(params, discrepancy_tol=band)
+    run_params = None if params is None else replace(params, discrepancy_tol=band)
 
-    warnings = []
-    counts = []
-    for i in range(m):
-        row = largest_remainder_counts(N, pop.shares[i])
-        for j, c in enumerate(row):
-            if pop.shares[i][j] > 0.0 and c == 0:
-                warnings.append(
-                    f"role {i}: advisor {j} share {pop.shares[i][j]:.4g} rounds "
-                    f"to zero clients at N={N}"
-                )
-        counts.append(tuple(row))
-    counts = tuple(counts)
+    counts = tuple(tuple(largest_remainder_counts(N, row)) for row in pop.shares)
+    warnings = [
+        f"role {i}: advisor {j} share {p:.4g} rounds to zero clients at N={N}"
+        for i, row in enumerate(pop.shares)
+        for j, p in enumerate(row)
+        if p > 0.0 and counts[i][j] == 0
+    ]
     if params is not None:
         for j in range(k):
-            top = max(pop.shares[i][j] for i in range(m))
+            top = max(row[j] for row in pop.shares)
             if 0.0 < top <= band:
                 warnings.append(
                     f"advisor {j}'s deviations cannot exceed the tolerance: they "
@@ -885,82 +948,56 @@ def finite_population_run(
     streams = [np.random.Generator(np.random.PCG64(c)) for c in children[:k]]
     world = np.random.Generator(np.random.PCG64(children[k]))
 
-    lookup = _payoff_lookup(game)
-    label_index = [
-        {a: idx for idx, a in enumerate(acts)} for acts in game.actions
-    ]
-
+    ns = [len(labels) for labels in game.actions]
+    shape = tuple(k * n for n in ns)  # (owner, action) cells per role
+    grid = math.prod(shape)
     steps = _Periods(game, run_params, strategies, streams)
     gaps: list[float] = []
-    paycache: dict = {}
-    aggregates: dict = {}  # realized id -> continuum aggregate
+    paycache: dict = {}  # action indices -> payoff vector
+    plans: dict = {}  # realized id -> (continuum aggregate, _client_codes)
 
     for t in range(periods):
         rid = steps.act(t)
-        realized = steps.realized[rid]
-
-        actions_by_role = []
-        owners_by_role = []
-        for i in range(m):
-            acts = np.empty(N, dtype=np.int64)
-            owners = np.empty(N, dtype=np.int64)
-            pos = 0
-            for j in range(k):
-                cj = counts[i][j]
-                if cj == 0:
-                    continue
-                groups = largest_remainder_counts(
-                    cj, [f for _, f in realized[j].assignments[i]]
-                )
-                for (strat, _), g in zip(realized[j].assignments[i], groups):
-                    if g == 0:
-                        continue
-                    labels = [label_index[i][a] for a, _ in strat.weights]
-                    probs = [w for _, w in strat.weights]
-                    if len(labels) == 1:
-                        acts[pos : pos + g] = labels[0]
-                    else:
-                        acts[pos : pos + g] = world.choice(labels, size=g, p=probs)
-                    owners[pos : pos + g] = j
-                    pos += g
-            perm = world.permutation(N)
-            actions_by_role.append(acts[perm])
-            owners_by_role.append(owners[perm])
-
-        rows = []
-        for i in range(m):
-            binc = np.bincount(actions_by_role[i], minlength=len(game.actions[i]))
-            rows.append(tuple(binc / N))
-        table = AggregateTable(tuple(rows))
-
-        if lookup is not None:
-            pays = lookup[tuple(actions_by_role)]  # (N, m)
+        if rid not in plans:
+            realized = steps.realized[rid]
+            plans[rid] = (
+                aggregate_mass(game, pop, realized),
+                _client_codes(game, counts, realized, N),
+            )
+        continuum, plan = plans[rid]
+        # Per role: its groups' draws, then its permutation.
+        matched = [
+            _draw(codes, draws, world)[world.permutation(N)] for codes, draws in plan
+        ]
+        if grid <= 4 * N:  # a dense count costs O(N + grid)
+            joint = matched[0]
+            for codes, width in zip(matched[1:], shape[1:]):
+                joint = joint * width + codes
+            joint = np.bincount(joint, minlength=grid)
+            occupied = np.flatnonzero(joint)
+            cells, size = np.unravel_index(occupied, shape), joint[occupied]
         else:
-            pays = np.empty((N, m))
-            for y in range(N):
-                profile = tuple(
-                    game.actions[i][actions_by_role[i][y]] for i in range(m)
-                )
-                pay = paycache.get(profile)
-                if pay is None:
-                    pay = game.payoff(profile)
-                    paycache[profile] = pay
-                pays[y] = pay
-        utilities = []
-        for j in range(k):
-            total = 0.0
-            for i in range(m):
-                mask = owners_by_role[i] == j
-                if mask.any():
-                    total += float(pays[mask, i].sum())
-            utilities.append(total / N)
-        utilities = tuple(utilities)
-
-        continuum = aggregates.get(rid)
-        if continuum is None:
-            continuum = aggregates[rid] = aggregate_mass(game, pop, realized)
+            cells, size = np.unique(np.stack(matched), axis=1, return_counts=True)
+        actions = [c % n for c, n in zip(cells, ns)]
+        table = AggregateTable(
+            tuple(
+                np.bincount(a, weights=size, minlength=n) / N
+                for a, n in zip(actions, ns)
+            )
+        )
+        pays = []
+        for profile in zip(*(a.tolist() for a in actions)):
+            if profile not in paycache:
+                labels = tuple(game.actions[i][a] for i, a in enumerate(profile))
+                paycache[profile] = game.payoff(labels)
+            pays.append(paycache[profile])
+        pays = size[:, None] * np.array(pays)
+        utilities = sum(
+            np.bincount(c // n, weights=pays[:, i], minlength=k)
+            for i, (c, n) in enumerate(zip(cells, ns))
+        )
         gaps.append(table.max_diff(continuum))
-        steps.observe(t, rid, table, utilities)
+        steps.observe(t, rid, table, tuple((utilities / N).tolist()))
 
     log = steps.log(key, 0.0, 0.0, periods)
     log.discounted = tuple(

@@ -376,6 +376,22 @@ MALFORMED_CONFIGS = {
         "population",
         lambda d: d["population"]["params"].update(bogus=1),
     ),
+    "trials zero": ("trials", lambda d: d.update(trials=0)),
+    "trials negative": ("trials", lambda d: d.update(trials=-1)),
+    "trials not whole": ("trials", lambda d: d.update(trials=2.5)),
+    "trials a boolean": ("trials", lambda d: d.update(trials=True)),
+    "finite.periods zero": (
+        "finite.periods",
+        lambda d: d.update(finite={"clients_per_role": 10, "periods": 0}),
+    ),
+    "finite.periods negative": (
+        "finite.periods",
+        lambda d: d.update(finite={"clients_per_role": 10, "periods": -3}),
+    ),
+    "finite.periods not whole": (
+        "finite.periods",
+        lambda d: d.update(finite={"clients_per_role": 10, "periods": 2.5}),
+    ),
 }
 
 
@@ -434,3 +450,43 @@ def test_sweep_values_not_numbers_exit_2(tmp_path, capsys, values):
     )
     assert code == EXIT_CONFIG
     assert "--values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_folk_run_trials_flag_below_one_exits_2(tmp_path, capsys, trials):
+    code = run_command(
+        ["folk", "run", "--config", str(_pd_config(tmp_path)), "--out",
+         str(tmp_path / "out"), "--quiet", "--trials", trials]
+    )
+    assert code == EXIT_CONFIG
+    assert "config field '--trials'" in capsys.readouterr().err
+
+
+def _finite_config(tmp_path, **changes):
+    doc = json.loads(_pd_config(tmp_path).read_text())
+    finite = {"clients_per_role": 50, "periods": 3}
+    doc.update({"finite": finite, "trials": 2, **changes})
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "changes, axis, values, field",
+    [
+        ({"trials": 0}, "finite.clients_per_role", "50", "trials"),
+        ({}, "trials", "0", "trials"),
+        ({}, "finite.periods", "2.5", "finite.periods"),
+        ({}, "finite.periods", "0", "finite.periods"),
+    ],
+)
+def test_finite_sweep_counts_below_one_exit_2(
+    tmp_path, capsys, changes, axis, values, field
+):
+    config = _finite_config(tmp_path, **changes)
+    code = run_command(
+        ["sweep", "--config", str(config), "--axis", axis, "--values", values,
+         "--run", "finite", "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == EXIT_CONFIG
+    assert f"config field {field!r}" in capsys.readouterr().err

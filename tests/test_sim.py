@@ -1,12 +1,16 @@
 import dataclasses
 import hashlib
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import metagame.sim
 from metagame.errors import MetagameError, ValidationError
-from metagame.games import MixedStrategy
+from metagame.games import BaseGame, MixedStrategy, register_payoff_rule
 from metagame.model import (
     InstructionProfile,
     MetaAction,
@@ -26,6 +30,8 @@ from metagame.sim import (
     FixedProfileStrategy,
     HonestStrategy,
     Strategy,
+    _client_codes,
+    _draw,
     estimate_deviation_gain,
     finite_population_run,
     horizon_for,
@@ -487,3 +493,152 @@ def test_finite_warns_when_an_advisor_is_within_the_band(pd_small_params):
         100_000, pd, pop, honest, periods=2, seed=0, params=params
     )
     assert report.warnings == []
+
+
+def test_finite_run_needs_a_period():
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    strategies = [FixedProfileStrategy(a) for a in pd_profile("CC", "DD").actions]
+    for periods in (0, -3):
+        with pytest.raises(ValidationError):
+            finite_population_run(
+                10, pd, scenario_population("pd"), strategies, periods=periods
+            )
+
+
+def test_to_jsonl_lines_are_the_records():
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    overrides = {"block_length": 40, "probe_rate": 0.1, "punish_length": 20}
+    pop = scenario_population("pd")
+    params = derive_params(pd, pop, (-3.6, -0.4), 1.2, 0.5, overrides=overrides)
+    heavy = [HonestStrategy(), make_adversary(pd, pop, params, "heavy")]
+    log = run_repeated(pd, pop, params, heavy, delta=0.99, tail_tol=1e-3, seed=2)
+    assert log.events and log.punishment_stats
+    lines = log.to_jsonl().splitlines()
+    assert len(lines) == 1 + len(log.records)
+    assert lines[1:] == [json.dumps(r.to_dict(), sort_keys=True) for r in log.records]
+
+
+def _pd_rule(X, Y, Z):
+    table = {
+        ("C", "C"): (X, X),
+        ("D", "D"): (Y, Y),
+        ("C", "D"): (Z, 0.0),
+        ("D", "C"): (0.0, Z),
+    }
+    return table.__getitem__
+
+
+register_payoff_rule("test_pd_rule", _pd_rule)
+
+
+def test_finite_rule_game_matches_table_game(pd_small_params):
+    pd, pop, params = pd_small_params
+    rule_pd = BaseGame.from_rule(pd.actions, "test_pd_rule", X=-2.0, Y=-4.0, Z=-5.0)
+    assert rule_pd.table is None
+    mixed = InstructionProfile.homogeneous(
+        (
+            MixedStrategy.from_weights(0, {"C": 0.5, "D": 0.5}),
+            MixedStrategy.from_weights(1, {"C": 0.3, "D": 0.7}),
+        )
+    )
+
+    def run(game, with_params):
+        if with_params:
+            strategies = [HonestStrategy(), make_adversary(game, pop, params, "heavy")]
+            return finite_population_run(
+                300, game, pop, strategies, periods=90, seed=6, params=params
+            )
+        strategies = [
+            FixedProfileStrategy(MetaAction.deterministic(mixed)),
+            FixedProfileStrategy(pd_profile("CC", "DD").actions[1]),
+        ]
+        return finite_population_run(500, game, pop, strategies, periods=20, seed=(4, 2))
+
+    for with_params in (False, True):
+        table_log, table_report = run(pd, with_params)
+        rule_log, rule_report = run(rule_pd, with_params)
+        assert rule_log.to_jsonl() == table_log.to_jsonl()
+        assert rule_report.to_dict() == table_report.to_dict()
+    assert table_log.block_stats and any(any(r.deviated) for r in table_log.records)
+
+
+def _mixed(role, weights):
+    return MixedStrategy.from_weights(role, weights)
+
+
+def _heist_finite_strategies():
+    """Mixed, split and randomized instructions for the three heist advisors."""
+    homogeneous = InstructionProfile.homogeneous(
+        (
+            _mixed(0, {"burglar": 0.3, "driver": 0.7}),
+            _mixed(1, {"planner": 0.45, "driver": 0.55}),
+            _mixed(2, {"planner": 1 / 3, "burglar": 2 / 3}),
+        )
+    )
+    split = InstructionProfile(
+        (
+            (
+                (_mixed(0, {"burglar": 0.2, "driver": 0.8}), 0.6),
+                (MixedStrategy.point_mass(0, "driver"), 0.4),
+            ),
+            (
+                (MixedStrategy.point_mass(1, "planner"), 0.5),
+                (_mixed(1, {"planner": 0.9, "driver": 0.1}), 0.5),
+            ),
+            ((_mixed(2, {"planner": 0.25, "burglar": 0.75}), 1.0),),
+        )
+    )
+    cycle_or_mixed = MetaAction(
+        ((InstructionProfile.pure(blame_cycle()), 0.5), (homogeneous, 0.5))
+    )
+    return [
+        FixedProfileStrategy(MetaAction.deterministic(homogeneous)),
+        FixedProfileStrategy(MetaAction.deterministic(split)),
+        FixedProfileStrategy(cycle_or_mixed),
+    ]
+
+
+# Heist (conviction payoff -2.1) at N = 7, 333, 5000, 30 periods, seed
+# (11, N), as computed by the per-client realization: utilities summed client
+# by client, aggregates from per-client action counts.
+HEIST_FINITE_PINNED = json.loads(
+    (Path(__file__).parent / "data" / "finite_heist_pinned.json").read_text()
+)
+
+
+@pytest.mark.parametrize("n", [7, 333, 5000])
+def test_finite_heist_matches_per_client_realization(heist, heist_pop, n):
+    log, report = finite_population_run(
+        n, heist, heist_pop, _heist_finite_strategies(), periods=30, seed=(11, n)
+    )
+    pinned = HEIST_FINITE_PINNED[str(n)]
+    assert report.per_period_gap == pinned["gaps"]
+    assert [t.to_dict() for t in log.aggregates] == pinned["masses"]
+    assert len(log.utilities) == len(pinned["utilities"])
+    for got, want in zip(log.utilities, pinned["utilities"]):
+        assert got == pytest.approx(want, abs=1e-12, rel=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
+    size=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_draw_is_generator_choice(weights, size, seed):
+    # Game order is the reverse of the strategy's (sorted) label order.
+    labels = tuple(f"a{i}" for i in reversed(range(len(weights))))
+    game = BaseGame.from_table([labels], {(a,): (0.0,) for a in labels})
+    total = sum(weights)
+    strategy = _mixed(0, {a: w / total for a, w in zip(labels, weights)})
+    instruction = InstructionProfile.homogeneous((strategy,))
+    [(codes, draws)] = _client_codes(game, ((size,),), (instruction,), size)
+    ours, numpy_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = _draw(codes, draws, ours)
+    expected = numpy_choice.choice(
+        [labels.index(a) for a, _ in strategy.weights],
+        size=size,
+        p=[w for _, w in strategy.weights],
+    )
+    assert drawn.tolist() == expected.tolist()
+    assert ours.bit_generator.state == numpy_choice.bit_generator.state
