@@ -51,6 +51,7 @@ from .scenarios import (
     scenario_population,
 )
 from .sim import (
+    ADVERSARY_KINDS,
     FixedProfileStrategy,
     HonestStrategy,
     estimate_deviation_gain,
@@ -109,14 +110,43 @@ def _rows(value) -> list[list]:
     return [list(row) for row in value]
 
 
-def _positive_int(value) -> int:
-    """A whole number of at least 1: ``3`` and ``3.0`` pass; ``0``, ``2.5``,
-    ``true`` and ``"3"`` do not."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int or value < 1:
-        raise ValueError("not a whole number >= 1")
+def _whole(least: int):
+    """A converter to whole numbers of at least ``least``: ``3`` and ``3.0``
+    pass as ``3``; ``2.5``, ``true`` and ``"3"`` do not."""
+
+    def whole(value) -> int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if type(value) is not int or value < least:
+            raise ValueError(f"not a whole number >= {least}")
+        return value
+
+    whole.__name__ = f"a whole number >= {least}"
+    return whole
+
+
+_positive_int, _natural = _whole(1), _whole(0)
+
+
+def _positive_number(value) -> float:
+    """``float(value)`` when above 0 (``NaN`` is not)."""
+    if not float(value) > 0:
+        raise ValueError("not above 0")
+    return float(value)
+
+
+def _probability(value):
+    """``value`` when ``float(value)`` lies in [0, 1] and it is no boolean."""
+    if isinstance(value, bool) or not 0 <= float(value) <= 1:
+        raise ValueError("not in [0, 1]")
     return value
+
+
+OVERRIDES = {
+    "probe_rate": _probability,
+    "block_length": _positive_int,
+    "punish_length": _natural,
+}
 
 
 def _field(node: dict, path: str, kind, default=None):
@@ -132,6 +162,12 @@ def _field(node: dict, path: str, kind, default=None):
     except (TypeError, ValueError):
         what = kind.__name__.strip("_").replace("_", " ")
         raise ConfigError(path, f"must be {what}, got {node[key]!r}") from None
+
+
+def _flag(value, name: str, kind, default):
+    """A command-line option's ``value`` converted by ``kind`` as
+    :func:`_field` does, or ``default`` when the option was not given."""
+    return default if value is None else _field({name: value}, name, kind)
 
 
 def normalize_config(doc: dict) -> dict:
@@ -176,37 +212,42 @@ def normalize_config(doc: dict) -> dict:
         folk = _field(doc, "folk", _object)
         norm = {
             "r": _field(folk, "folk.r", _numbers),
-            "epsilon": _field(folk, "folk.epsilon", float, 1.2),
-            "gamma": _field(folk, "folk.gamma", float, 0.5),
+            "epsilon": _field(folk, "folk.epsilon", _positive_number, 1.2),
+            "gamma": _field(folk, "folk.gamma", _positive_number, 0.5),
             "delta": _field(folk, "folk.delta", float, 0.995),
-            "tail_tol": _field(folk, "folk.tail_tol", float, 1e-6),
+            "tail_tol": _field(folk, "folk.tail_tol", _positive_number, 1e-6),
         }
-        _require(norm["epsilon"] > 0, "folk.epsilon", "must be positive")
-        _require(norm["gamma"] > 0, "folk.gamma", "must be positive")
         _require(0 < norm["delta"] < 1, "folk.delta", "must lie in (0, 1)")
         if folk.get("overrides"):
-            norm["overrides"] = _field(folk, "folk.overrides", _object)
+            overrides = _field(folk, "folk.overrides", _object)
+            for key in overrides:  # checked, but echoed as given
+                path = f"folk.overrides.{key}"
+                _require(key in OVERRIDES, path, f"is not one of {', '.join(OVERRIDES)}")
+                _field(overrides, path, OVERRIDES[key])
+            norm["overrides"] = overrides
         out["folk"] = norm
 
     if doc.get("adversary") is not None:
         adversary = _field(doc, "adversary", _object)
         out["adversary"] = {
-            "llm": _field(adversary, "adversary.llm", int),
+            "llm": _field(adversary, "adversary.llm", _natural),
             "kind": adversary.get("kind", "greedy_myopic"),
         }
+        kind = out["adversary"]["kind"]
+        _require(kind in ADVERSARY_KINDS, "adversary.kind", f"must be one of {ADVERSARY_KINDS}")
         if adversary.get("budget") is not None:
-            out["adversary"]["budget"] = _field(adversary, "adversary.budget", int)
+            out["adversary"]["budget"] = _field(adversary, "adversary.budget", _natural)
 
     if doc.get("finite") is not None:
         finite = _field(doc, "finite", _object)
         out["finite"] = {
-            "clients_per_role": _field(finite, "finite.clients_per_role", int),
+            "clients_per_role": _field(finite, "finite.clients_per_role", _positive_int),
             "periods": _field(finite, "finite.periods", _positive_int, 100),
         }
 
     out["trials"] = _field(doc, "trials", _positive_int, 30)
-    out["seed"] = _field(doc, "seed", int, 0)
-    out["budget"] = _field(doc, "budget", float, 1e7)
+    out["seed"] = _field(doc, "seed", _natural, 0)
+    out["budget"] = _field(doc, "budget", _positive_number, 1e7)
     return out
 
 
@@ -293,9 +334,15 @@ def _punishment_hints(cfg, pop):
     return None
 
 
-def _load(args) -> tuple[dict, BaseGame, Population]:
+def _budget(args, cfg) -> float:
+    """``--budget`` when given, else the config's ``budget``."""
+    return _flag(args.budget, "--budget", _positive_number, cfg["budget"])
+
+
+def _load(args) -> tuple[dict, BaseGame, Population, float]:
+    """The config, its game and population, and the term budget."""
     cfg = load_config(args.config)
-    return cfg, build_game(cfg), build_population(cfg)
+    return cfg, build_game(cfg), build_population(cfg), _budget(args, cfg)
 
 
 def _averages(pop, totals) -> list:
@@ -308,9 +355,8 @@ def _averages(pop, totals) -> list:
 
 
 def cmd_eval(args) -> int:
-    cfg, game, pop = _load(args)
+    cfg, game, pop, budget = _load(args)
     profile = build_profile(cfg, game, args.profile)
-    budget = args.budget or cfg["budget"]
     totals = llm_utility(game, pop, profile, budget=budget)
     averages = _averages(pop, totals)
     results = {"profile": args.profile, "totals": list(totals), "averages": averages}
@@ -319,9 +365,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
-    cfg, game, pop = _load(args)
+    cfg, game, pop, budget = _load(args)
     profile = build_profile(cfg, game, args.profile)
-    budget = args.budget or cfg["budget"]
     report = check_equilibrium(
         game, pop, profile, epsilon=args.epsilon, budget=budget, symmetry=args.symmetry
     )
@@ -332,10 +377,8 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_minmax(args) -> int:
-    cfg, game, pop = _load(args)
-    cert = minmax(
-        game, pop, args.llm, seed=cfg["seed"], budget=args.budget or cfg["budget"]
-    )
+    cfg, game, pop, budget = _load(args)
+    cert = minmax(game, pop, args.llm, seed=cfg["seed"], budget=budget)
     results = {
         "llm": cert.llm,
         "lower_bound": cert.lower_bound,
@@ -348,9 +391,8 @@ def cmd_minmax(args) -> int:
 
 
 def cmd_feasible(args) -> int:
-    cfg, game, pop = _load(args)
+    cfg, game, pop, budget = _load(args)
     _require("folk" in cfg, "folk", "is required for feasibility checks")
-    budget = args.budget or cfg["budget"]
     vertices = payoff_vertices(game, pop, budget=budget)
     results = {"vertex_count": len(vertices)}
     if args.dump_vertices:
@@ -425,11 +467,11 @@ def _derive_from_config(cfg, game, pop, budget):
 
 
 def cmd_folk_plan(args) -> int:
-    cfg, game, pop = _load(args)
+    cfg, game, pop, budget = _load(args)
     _require("folk" in cfg, "folk", "is required")
     out_dir = _out_dir(args)
     try:
-        params = _derive_from_config(cfg, game, pop, args.budget or cfg["budget"])
+        params = _derive_from_config(cfg, game, pop, budget)
     except (InfeasibleTargetError, NotIndividuallyRationalError) as exc:
         results = {"planned": False, "reason": str(exc)}
         if isinstance(exc, NotIndividuallyRationalError):
@@ -447,24 +489,21 @@ def cmd_folk_plan(args) -> int:
 
 
 def cmd_folk_run(args) -> int:
-    cfg, game, pop = _load(args)
+    cfg, game, pop, budget = _load(args)
     _require("folk" in cfg, "folk", "is required")
     adversary = cfg.get("adversary")
     if adversary is not None:
         k = pop.llm_count
         _require(0 <= adversary["llm"] < k, "adversary.llm", f"must lie in [0, {k})")
-    trials = cfg["trials"]
-    if args.trials is not None:
-        trials = _field({"--trials": args.trials}, "--trials", _positive_int)
+    trials = _flag(args.trials, "--trials", _positive_int, cfg["trials"])
+    seed = _flag(args.seed, "--seed", _natural, cfg["seed"])
     out_dir = _out_dir(args)
-    budget = args.budget or cfg["budget"]
     try:
         params = _derive_from_config(cfg, game, pop, budget)
     except (InfeasibleTargetError, NotIndividuallyRationalError) as exc:
         _emit(out_dir, cfg, _bundle(cfg, "folk run", {"ran": False, "reason": str(exc)}), args.quiet)
         return EXIT_CERTIFICATE
     folk = cfg["folk"]
-    seed = args.seed if args.seed is not None else cfg["seed"]
 
     logs = []
     for trial in range(trials):
@@ -553,10 +592,11 @@ def cmd_sweep(args) -> int:
         point = normalize_config(point)
         game = build_game(point)
         pop = build_population(point)
+        budget = _budget(args, point)
         if args.run == "equilibrium":
             profile = build_profile(point, game, args.profile)
             rep = check_equilibrium(
-                game, pop, profile, epsilon=args.epsilon, budget=point["budget"]
+                game, pop, profile, epsilon=args.epsilon, budget=budget
             )
             rows.append(
                 {
@@ -572,7 +612,7 @@ def cmd_sweep(args) -> int:
             )
         elif args.run == "eval":
             profile = build_profile(point, game, args.profile)
-            totals = llm_utility(game, pop, profile, budget=point["budget"])
+            totals = llm_utility(game, pop, profile, budget=budget)
             rows.append(
                 {
                     "value": value,

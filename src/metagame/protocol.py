@@ -25,7 +25,7 @@ rounding, concentration, and per-period-impact inequalities all hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -209,16 +209,17 @@ def punishment_action(
 def observe_and_update(
     params: ProtocolParams, state: ProtocolState, table: AggregateTable
 ) -> tuple[ProtocolState, ProtocolEvent | None]:
-    """Advance the public machine by one observed aggregate.
+    """Advance the public machine by one observed aggregate: the
+    ``elapsed = 0`` case of :func:`_advance`.
 
     Excess checks run per period but both rules fire at block end, excess
     first.  Identical aggregate streams produce identical trajectories no
     matter who runs the machine.
     """
     if state.mode == "punishment":
-        return _advance(params, state, False, False)
+        return _advance(params, state, 0, 0, False)
     return _advance(
-        params, state, *_table_flags(params, table, state.segment, state.phase)
+        params, state, 0, *_table_flags(params, table, state.segment, state.phase)
     )
 
 
@@ -240,78 +241,51 @@ def _table_flags(
 
 
 def _advance(
-    params: ProtocolParams, state, discrepant: bool, excess: bool
+    params: ProtocolParams,
+    state: ProtocolState,
+    elapsed: int,
+    discrepancies: int,
+    excess: bool,
 ) -> tuple[ProtocolState, ProtocolEvent | None]:
-    """:func:`observe_and_update` on a period's :func:`_table_flags` (ignored
-    in punishment).  ``state`` may be any object with the attributes of
-    :class:`ProtocolState`; the stepper in ``sim`` passes its own counters at
-    a boundary.  Builds exactly one new state."""
+    """The state ``elapsed + 1`` periods after ``state``, and the event fired
+    at the end of the last of them, when no boundary (block end, segment end,
+    punishment end) falls before that last period.  ``discrepancies`` and
+    ``excess`` total those periods' :func:`_table_flags` (ignored in
+    punishment).  Inside such a stretch only the counters move, so its
+    length is known when it starts: ``min(T - block_step,
+    segment_lengths[segment] - step)`` in review and ``punishment_remaining``
+    in punishment.  Builds exactly one new state."""
+    n = elapsed + 1
     if state.mode == "punishment":
-        remaining = state.punishment_remaining - 1
+        remaining = state.punishment_remaining - n
         if remaining > 0:
-            return (
-                ProtocolState(
-                    phase=state.phase,
-                    segment=state.segment,
-                    step=state.step,
-                    block_step=state.block_step,
-                    discrepancies=state.discrepancies,
-                    excess_seen=state.excess_seen,
-                    mode=state.mode,
-                    punishment_remaining=remaining,
-                    punished=state.punished,
-                ),
-                None,
-            )
+            return replace(state, punishment_remaining=remaining), None
         return _fresh_block(params, state.punished), None
 
-    h = state.segment
-    discrepancies = state.discrepancies + (1 if discrepant else 0)
-    excess_seen = state.excess_seen or excess
-    block_step = state.block_step + 1
-
+    discrepancies += state.discrepancies
+    excess = excess or state.excess_seen
+    block_step = state.block_step + n
     if block_step < params.block_length:
-        step = state.step + 1
-        segment = h
+        segment, step = state.segment, state.step + n
         if step >= params.segment_lengths[segment]:
             segment = _first_active_segment(params.segment_lengths, segment + 1)
             step = 0
-        return (
-            ProtocolState(
-                phase=state.phase,
-                segment=segment,
-                step=step,
-                block_step=block_step,
-                discrepancies=discrepancies,
-                excess_seen=excess_seen,
-                mode=state.mode,
-                punishment_remaining=state.punishment_remaining,
-                punished=state.punished,
-            ),
-            None,
-        )
+        state = replace(state, segment=segment, step=step, block_step=block_step,
+                        discrepancies=discrepancies, excess_seen=excess)
+        return state, None
 
     # Block complete: excess clears the reviewed advisor, frequency punishes it.
-    if excess_seen:
+    if excess:
         event = ProtocolEvent(EXCESS, state.phase)
         return _fresh_block(params, (state.phase + 1) % params.llm_count), event
     if discrepancies / params.block_length > params.freq_threshold + 1e-12:
         event = ProtocolEvent(FREQUENCY, state.phase)
-        if params.punish_length > 0:
-            return (
-                ProtocolState(
-                    phase=state.phase,
-                    segment=state.segment,
-                    step=state.step,
-                    block_step=0,
-                    discrepancies=0,
-                    excess_seen=False,
-                    mode="punishment",
-                    punishment_remaining=params.punish_length,
-                    punished=state.phase,
-                ),
-                event,
-            )
+        if params.punish_length > 0:  # ``step`` keeps the last period's value
+            state = replace(state, step=state.step + elapsed, block_step=0,
+                            discrepancies=0, excess_seen=False, mode="punishment",
+                            punishment_remaining=params.punish_length,
+                            punished=state.phase)
+            return state, event
         return _fresh_block(params, state.phase), event
     return _fresh_block(params, state.phase), None
 

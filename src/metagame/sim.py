@@ -6,9 +6,10 @@ a deterministic function of the observed aggregate stream, so every
 participant tracking it stays synchronized.  Continuum and finite mode share
 one per-period stepper and differ only in how instructions are realized, so
 deviation flags and block statistics are kept whenever protocol parameters
-are given.  The stepper interns each distinct instruction and joint
-instruction of a run to a small integer, keeps the public state in plain
-counters between boundaries (block ends, segment changes, punishment ends),
+are given.  The stepper interns each distinct joint instruction of a run
+to a small integer, keeps the public state as the state at the start of the
+current stretch plus the periods elapsed since (a stretch ends at a block
+end, segment end or punishment end, so its length is known when it starts),
 and stores the log by column.  A run realizes each distinct joint
 instruction once: its continuum aggregate (and, in continuum mode, its
 utilities) is memoized per run, and so are the review checks of each
@@ -56,46 +57,30 @@ from .protocol import (
     prescribed_instruction,
     punishment_action,
     _advance,
+    _pure_instruction,
     _table_flags,
 )
 
 
-class _Counters:
-    """The public protocol state of a run as plain counters, with the same
-    attributes as :class:`ProtocolState`.  ``stretch`` is the state loaded
-    at the start of the current stretch; ``state`` is built from the
-    counters on first access after they change."""
+class _Stretch:
+    """The public protocol state of a run as the stepper keeps it: the state
+    ``start`` loaded at the first period of the current stretch, the periods
+    ``elapsed`` since then, and their summed ``discrepancies`` and ``excess``
+    flags.  ``state`` is built from them by :func:`protocol._advance` on each
+    read."""
 
-    def __init__(self, state: ProtocolState):
-        self.load(state)
+    __slots__ = ("params", "start", "elapsed", "discrepancies", "excess")
 
-    def load(self, state: ProtocolState) -> None:
-        self.stretch = self._state = state
-        self.phase = state.phase
-        self.segment = state.segment
-        self.step = state.step
-        self.block_step = state.block_step
-        self.discrepancies = state.discrepancies
-        self.excess_seen = state.excess_seen
-        self.mode = state.mode
-        self.punishment_remaining = state.punishment_remaining
-        self.punished = state.punished
+    def __init__(self, params: ProtocolParams):
+        self.params = params
 
     @property
     def state(self) -> ProtocolState:
-        if self._state is None:
-            self._state = ProtocolState(
-                phase=self.phase,
-                segment=self.segment,
-                step=self.step,
-                block_step=self.block_step,
-                discrepancies=self.discrepancies,
-                excess_seen=self.excess_seen,
-                mode=self.mode,
-                punishment_remaining=self.punishment_remaining,
-                punished=self.punished,
-            )
-        return self._state
+        if not self.elapsed:
+            return self.start
+        return _advance(
+            self.params, self.start, self.elapsed - 1, self.discrepancies, self.excess
+        )[0]
 
 
 class StepContext:
@@ -103,24 +88,26 @@ class StepContext:
     period, its own advisor index and its own random stream, and the public
     protocol state (``None`` in a finite run without a protocol).
 
-    ``state`` is built on first access in a period.  ``stretch`` is the state
-    at the first period of the current stretch, a run of periods with one
-    phase, segment and mode: it agrees with ``state`` in everything
-    :func:`honest_step`, :func:`punishment_action` and
+    ``stretch`` is the state at the first period of the current stretch, a
+    run of periods that ends at a block end, segment end or punishment end;
+    the stepper sets it when the stretch starts.  It agrees with ``state`` in
+    everything :func:`honest_step`, :func:`punishment_action` and
     :func:`prescribed_instruction` read.  ``block_step`` is the position in
-    the current block.  Neither costs anything per period.  A run reuses one
-    context per advisor, so a strategy reads it during ``act`` only.
+    the current block.  Neither costs anything per period; ``state`` is built
+    on each read.  A run reuses one context per advisor, so a strategy reads
+    it during ``act`` only.
     """
 
-    __slots__ = ("params", "period", "llm", "rng", "_public")
+    __slots__ = ("params", "period", "llm", "rng", "stretch", "_public")
 
     def __init__(
-        self, params, llm: int, rng: np.random.Generator, public: _Counters | None
+        self, params, llm: int, rng: np.random.Generator, public: _Stretch | None
     ):
         self.params: ProtocolParams | None = params
         self.period = 0
         self.llm = llm
         self.rng = rng
+        self.stretch: ProtocolState | None = None
         self._public = public
 
     @property
@@ -128,12 +115,11 @@ class StepContext:
         return None if self._public is None else self._public.state
 
     @property
-    def stretch(self) -> ProtocolState | None:
-        return None if self._public is None else self._public.stretch
-
-    @property
     def block_step(self) -> int:
-        return 0 if self._public is None else self._public.block_step
+        stretch = self.stretch
+        if stretch is None or stretch.mode != "review":
+            return 0
+        return stretch.block_step + self._public.elapsed
 
 
 class Strategy:
@@ -205,7 +191,7 @@ class MyopicBestResponse(Strategy):
                 for q in range(self.pop.llm_count)
             )
             br = best_response(self.game, self.pop, MetaProfile(profile_actions), j)
-            hit = InstructionProfile.pure(br.profile)
+            hit = _pure_instruction(tuple(br.profile))
             self._cache[others] = hit
         self._last = (state, j, hit)
         return hit
@@ -236,6 +222,9 @@ class BudgetedDeviator(Strategy):
         return ctx.params.prescriptions[stretch.segment][ctx.llm]
 
 
+ADVERSARY_KINDS = ("honest", "light", "heavy", "greedy_myopic")
+
+
 def make_adversary(
     game: BaseGame,
     pop: Population,
@@ -243,7 +232,7 @@ def make_adversary(
     kind: str,
     budget: int | None = None,
 ) -> Strategy:
-    """Adversary factory: ``honest``, ``light``, ``heavy``, ``greedy_myopic``.
+    """Adversary factory for each of :data:`ADVERSARY_KINDS`.
 
     Light deviators change at most ``floor(p*T)`` periods per block; heavy
     ones at least ``ceil(p*T)`` (the whole block by default).
@@ -262,7 +251,9 @@ def make_adversary(
         floor_periods = int(math.ceil(p * T)) if p > 0 else 1
         periods = T if budget is None else max(int(budget), floor_periods)
         return BudgetedDeviator(game, pop, min(periods, T))
-    raise ValidationError(f"unknown adversary kind {kind!r}")
+    raise ValidationError(
+        f"unknown adversary kind {kind!r}, not one of {', '.join(ADVERSARY_KINDS)}"
+    )
 
 
 class PeriodRecord(NamedTuple):
@@ -519,20 +510,22 @@ class _Periods:
     """Per-period bookkeeping shared by both simulators.
 
     ``act`` asks every strategy for its instruction and returns the run's id
-    of the realized tuple, ``realized[id]``.  Instructions are interned per
-    run: by identity, and by value on first sight, which is when their role
-    count is checked.  After the caller realizes the tuple, ``observe``
-    appends the period to the log's columns and advances the public state
-    (when ``params`` are given).
+    of the realized tuple, ``realized[id]``.  Tuples are interned by value;
+    the role counts of a tuple's instructions are checked when it is first
+    seen.  After the caller realizes the tuple, ``observe`` appends the
+    period to the log's columns and advances the public state (when
+    ``params`` are given).
 
-    The state lives in plain counters (``public``).  A period between
-    boundaries adds its review flags to them; its deviation flags are
+    The public state (``public``) is a stretch start plus the periods
+    elapsed since it.  Entering a stretch fixes its length (the periods to
+    the block end or segment end in review, the punishment left otherwise).
+    Each period adds its review flags to the stretch's totals and, unless it
+    is the stretch's last, one to ``elapsed``; its deviation flags are
     memoized per realized tuple within a stretch, and its review flags per
     (segment, phase, table id) when the caller passes a table id (continuum
     mode) or computed directly otherwise (finite mode draws a fresh table
-    every period).  At a boundary (block end, segment change, punishment
-    end) the counters go through :func:`protocol._advance`, the body of
-    :func:`observe_and_update`, which builds the next stretch's
+    every period).  The last period passes the start and the totals to
+    :func:`protocol._advance`, which builds the next stretch's
     ``ProtocolState``; otherwise a state is built only when a strategy reads
     ``ctx.state``.
     """
@@ -541,17 +534,12 @@ class _Periods:
         self.game = game
         self.params = params
         self.strategies = strategies
-        self.public = None if params is None else _Counters(initial_state(params))
+        self.public = None if params is None else _Stretch(params)
         self._agents = [
             (s, StepContext(params, j, streams[j], self.public))
             for j, s in enumerate(strategies)
         ]
-        self._ids: dict[int, int] = {}  # id(instruction) -> instruction id
-        self._alive: list[InstructionProfile] = []  # keeps those ids unique
-        self._by_value: dict[InstructionProfile, int] = {}
-        self._instructions: list[InstructionProfile] = []
-        self._tuple_ids: dict[tuple[int, ...], int] = {}
-        self._keys: list[tuple[int, ...]] = []  # realized id -> instruction ids
+        self._ids: dict[tuple[InstructionProfile, ...], int] = {}
         self.realized: list[tuple[InstructionProfile, ...]] = []
         self._probe_mask = 0
 
@@ -568,59 +556,53 @@ class _Periods:
         if params is None:
             self.stretches.append((0, -1, "none", -1))
             return
-        self._block_length = params.block_length
         self._checks: dict[tuple[int, int], dict[int, tuple[bool, bool]]] = {}
-        self._enter(self.public.stretch, 0)
+        self._enter(initial_state(params), 0)
 
     def _enter(self, state: ProtocolState, t: int) -> None:
         """Set up the stretch that ``state`` starts at period ``t``."""
-        self.public.load(state)
+        params, public = self.params, self.public
+        public.start, public.elapsed = state, 0
+        public.discrepancies, public.excess = 0, False
+        for _, ctx in self._agents:
+            ctx.stretch = state
         self._review = state.mode == "review"
-        self._segment_length = self.params.segment_lengths[state.segment]
+        self._length = (
+            min(
+                params.block_length - state.block_step,
+                params.segment_lengths[state.segment] - state.step,
+            )
+            if self._review
+            else state.punishment_remaining
+        )
         self._checked = self._checks.setdefault((state.segment, state.phase), {})
         self._prescribed = tuple(
-            self._intern(prescribed_instruction(self.params, state, j), j, t)
+            prescribed_instruction(params, state, j)
             for j in range(len(self.strategies))
         )
         self._deviations: dict[int, int] = {}  # realized id -> deviation mask
         self.stretches.append((t, state.phase, state.mode, state.segment))
 
-    def _intern(self, instr: InstructionProfile, j: int, t: int) -> int:
-        """The run's id of advisor ``j``'s instruction at period ``t``."""
-        iid = self._ids.get(id(instr))
-        if iid is not None:
-            return iid
-        if instr.role_count != self.game.role_count:
-            raise MetagameError(
-                f"strategy for advisor {j} emitted an invalid instruction "
-                f"at period {t}"
-            )
-        iid = self._by_value.setdefault(instr, len(self._instructions))
-        if iid == len(self._instructions):
-            self._instructions.append(instr)
-        self._ids[id(instr)] = iid
-        self._alive.append(instr)
-        return iid
-
     def act(self, t: int) -> int:
-        ids = []
+        instructions = []
         mask = 0
         for j, (strategy, ctx) in enumerate(self._agents):
             ctx.period = t
-            instr = strategy.act(ctx)
-            iid = self._ids.get(id(instr))
-            if iid is None:
-                iid = self._intern(instr, j, t)
-            ids.append(iid)
+            instructions.append(strategy.act(ctx))
             if strategy.last_probe:
                 mask |= 1 << j
         self._probe_mask = mask
-        key = tuple(ids)
-        rid = self._tuple_ids.get(key)
+        key = tuple(instructions)
+        rid = self._ids.get(key)
         if rid is None:
-            rid = self._tuple_ids[key] = len(self.realized)
-            self._keys.append(key)
-            self.realized.append(tuple(self._instructions[i] for i in key))
+            for j, instr in enumerate(key):
+                if instr.role_count != self.game.role_count:
+                    raise MetagameError(
+                        f"strategy for advisor {j} emitted an invalid "
+                        f"instruction at period {t}"
+                    )
+            rid = self._ids[key] = len(self.realized)
+            self.realized.append(key)
         return rid
 
     def observe(
@@ -639,59 +621,55 @@ class _Periods:
         if deviated is None:
             deviated = self._deviations[rid] = sum(
                 1 << j
-                for j, (a, b) in enumerate(zip(self._keys[rid], self._prescribed))
+                for j, (a, b) in enumerate(zip(self.realized[rid], self._prescribed))
                 if a != b
             )
         self.deviated.append(deviated)
         public = self.public
-        public._state = None
         if self._review:
             flags = None if table_id is None else self._checked.get(table_id)
             if flags is None:
-                flags = _table_flags(self.params, table, public.segment, public.phase)
+                start = public.start
+                flags = _table_flags(self.params, table, start.segment, start.phase)
                 if table_id is not None:
                     self._checked[table_id] = flags
             discrepant, excess = flags
-            if (
-                public.block_step + 1 < self._block_length
-                and public.step + 1 < self._segment_length
-            ):
-                public.block_step += 1
-                public.step += 1
-                if discrepant:
-                    public.discrepancies += 1
-                if excess:
-                    public.excess_seen = True
-                return
-        elif public.punishment_remaining > 1:
-            public.punishment_remaining -= 1
-            return
+            if discrepant:
+                public.discrepancies += 1
+            if excess:
+                public.excess = True
+        if public.elapsed + 1 < self._length:
+            public.elapsed += 1
         else:
-            discrepant = excess = False
-        self._boundary(t, discrepant, excess)
+            self._boundary(t)
 
-    def _boundary(self, t: int, discrepant: bool, excess: bool) -> None:
+    def _boundary(self, t: int) -> None:
+        """End the stretch at its last period ``t``."""
         public = self.public
-        state, event = _advance(self.params, public, discrepant, excess)
+        start = public.start
+        state, event = _advance(
+            self.params, start, public.elapsed, public.discrepancies, public.excess
+        )
         if event is not None:
             self.events[t] = event
-        if self._review:
-            if public.block_step == self._block_length - 1:
-                self._close_block(t, public.discrepancies + discrepant, event)
-                self._start = t + 1
-        elif state.mode == "review":
+        if not self._review:
             self.punishment_stats.append(
-                PunishmentStat(punished=public.punished, start=self._start, end=t)
+                PunishmentStat(punished=start.punished, start=self._start, end=t)
+            )
+            self._start = t + 1
+        elif start.block_step + public.elapsed + 1 == self.params.block_length:
+            self._close_block(
+                t, start.phase, start.discrepancies + public.discrepancies, event
             )
             self._start = t + 1
         self._enter(state, t + 1)
 
-    def _close_block(self, t, discrepancies: int, event) -> None:
+    def _close_block(self, t, phase: int, discrepancies: int, event) -> None:
         """Record the review block that ends at period ``t``."""
         k = len(self.strategies)
         self.block_stats.append(
             BlockStat(
-                phase=self.public.phase,
+                phase=phase,
                 start=self._start,
                 end=t,
                 discrepancies=discrepancies,

@@ -392,6 +392,67 @@ MALFORMED_CONFIGS = {
         "finite.periods",
         lambda d: d.update(finite={"clients_per_role": 10, "periods": 2.5}),
     ),
+    "budget zero": ("budget", lambda d: d.update(budget=0)),
+    "budget negative": ("budget", lambda d: d.update(budget=-5)),
+    "budget NaN": ("budget", lambda d: d.update(budget=float("nan"))),
+    "folk.overrides.block_length not a number": (
+        "folk.overrides.block_length",
+        lambda d: d["folk"]["overrides"].update(block_length="x"),
+    ),
+    "folk.overrides.block_length not whole": (
+        "folk.overrides.block_length",
+        lambda d: d["folk"]["overrides"].update(block_length=40.5),
+    ),
+    "folk.overrides.block_length zero": (
+        "folk.overrides.block_length",
+        lambda d: d["folk"]["overrides"].update(block_length=0),
+    ),
+    "folk.overrides unknown key": (
+        "folk.overrides.block_len",
+        lambda d: d["folk"]["overrides"].update(block_len=40),
+    ),
+    "folk.overrides.probe_rate above 1": (
+        "folk.overrides.probe_rate",
+        lambda d: d["folk"]["overrides"].update(probe_rate=1.5),
+    ),
+    "folk.overrides.probe_rate negative": (
+        "folk.overrides.probe_rate",
+        lambda d: d["folk"]["overrides"].update(probe_rate=-0.1),
+    ),
+    "folk.overrides.punish_length negative": (
+        "folk.overrides.punish_length",
+        lambda d: d["folk"]["overrides"].update(punish_length=-1),
+    ),
+    "folk.overrides.punish_length not whole": (
+        "folk.overrides.punish_length",
+        lambda d: d["folk"]["overrides"].update(punish_length=2.5),
+    ),
+    "seed negative": ("seed", lambda d: d.update(seed=-1)),
+    "seed not whole": ("seed", lambda d: d.update(seed=2.5)),
+    "adversary.llm not whole": ("adversary.llm", lambda d: d["adversary"].update(llm=0.5)),
+    "adversary.llm a boolean": ("adversary.llm", lambda d: d["adversary"].update(llm=True)),
+    "adversary.budget not whole": (
+        "adversary.budget",
+        lambda d: d["adversary"].update(budget=2.5),
+    ),
+    "adversary.budget a boolean": (
+        "adversary.budget",
+        lambda d: d["adversary"].update(budget=True),
+    ),
+    "adversary.kind unknown": (
+        "adversary.kind",
+        lambda d: d["adversary"].update(kind="heavvy"),
+    ),
+    "finite.clients_per_role not whole": (
+        "finite.clients_per_role",
+        lambda d: d.update(finite={"clients_per_role": 2.5, "periods": 3}),
+    ),
+    "finite.clients_per_role a boolean": (
+        "finite.clients_per_role",
+        lambda d: d.update(finite={"clients_per_role": True, "periods": 3}),
+    ),
+    "folk.tail_tol NaN": ("folk.tail_tol", lambda d: d["folk"].update(tail_tol=float("nan"))),
+    "folk.tail_tol zero": ("folk.tail_tol", lambda d: d["folk"].update(tail_tol=0)),
 }
 
 
@@ -490,3 +551,52 @@ def test_finite_sweep_counts_below_one_exit_2(
     )
     assert code == EXIT_CONFIG
     assert f"config field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--budget", "0"), ("--budget", "-5"), ("--budget", "nan"), ("--seed", "-1")],
+)
+def test_folk_run_flags_out_of_range_exit_2(tmp_path, capsys, flag, value):
+    code = run_command(
+        ["folk", "run", "--config", str(_pd_config(tmp_path)), "--out",
+         str(tmp_path / "out"), "--quiet", flag, value]
+    )
+    assert code == EXIT_CONFIG
+    assert f"config field {flag!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "run, name", [("equilibrium", "check_equilibrium"), ("eval", "llm_utility")]
+)
+def test_sweep_budget_flag_reaches_the_analysis(tmp_path, monkeypatch, run, name):
+    budgets = []
+    original = getattr(metagame.cli, name)
+
+    def recording(*args, **kwargs):
+        budgets.append(kwargs["budget"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metagame.cli, name, recording)
+    code = run_command(
+        ["sweep", "--config", str(_pd_config(tmp_path)), "--axis",
+         "population.params.p", "--values", "0.6,0.9", "--run", run,
+         "--budget", "12345", "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == EXIT_OK
+    assert budgets == [12345.0, 12345.0]
+
+
+def test_bad_adversary_kind_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(metagame.cli, "run_repeated", lambda *a, **k: calls.append(a))
+    doc = json.loads(_pd_config(tmp_path).read_text())
+    doc["adversary"]["kind"] = "bogus"
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps(doc))
+    code = run_command(
+        ["folk", "run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == EXIT_CONFIG
+    assert "config field 'adversary.kind'" in capsys.readouterr().err
+    assert calls == []

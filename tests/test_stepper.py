@@ -18,6 +18,7 @@ from metagame.protocol import (
     initial_state,
     observe_and_update,
     prescribed_instruction,
+    _advance,
     _table_flags,
 )
 from metagame.scenarios import heist_punishment, make_scenario, scenario_population
@@ -269,3 +270,93 @@ def test_strategy_reading_state_gets_the_exact_state():
     for t, table in enumerate(log.aggregates):
         assert seen[t] == state
         state, _ = observe_and_update(params, state, table)
+
+
+FLAG_PAIRS = [(False, False), (True, False), (True, True)]
+
+
+def _stretch_length(params, state) -> int:
+    if state.mode == "punishment":
+        return state.punishment_remaining
+    return min(
+        params.block_length - state.block_step,
+        params.segment_lengths[state.segment] - state.step,
+    )
+
+
+_FIRST = {
+    (name, pair, segment, phase): _first(name, pair, segment, phase)
+    for name, (_, _, params) in SCENARIOS.items()
+    for pair in FLAG_PAIRS
+    for segment in range(params.segment_count)
+    for phase in range(params.llm_count)
+}
+
+
+def _reference(name, state, flags):
+    """``observe_and_update`` over one pool table per ``(discrepant,
+    excess)`` pair in ``flags``; the final state and every event."""
+    _, _, params = SCENARIOS[name]
+    events = []
+    for pair in flags:
+        table = POOLS[name][_FIRST[name, pair, state.segment, state.phase]]
+        state, event = observe_and_update(params, state, table)
+        events.append(event)
+    return state, events
+
+
+def _stretch_starts(name) -> list:
+    """Every stretch start reachable from the initial state, found with
+    ``observe_and_update`` alone: from each start, one flag stream per
+    possible (discrepancy total, excess) over the whole stretch."""
+    _, _, params = SCENARIOS[name]
+    starts, queue = {initial_state(params)}, [initial_state(params)]
+    while queue:
+        state = queue.pop()
+        n = _stretch_length(params, state)
+        totals = [(0, False)] if state.mode == "punishment" else [
+            (d, x) for d in range(n + 1) for x in (False, True) if d or not x
+        ]
+        for d, x in totals:
+            flags = [(True, x and i == d - 1) for i in range(d)]
+            flags += [(False, False)] * (n - d)
+            nxt, _ = _reference(name, state, flags)
+            if nxt not in starts:
+                starts.add(nxt)
+                queue.append(nxt)
+    return sorted(starts, key=repr)
+
+
+STARTS = {name: _stretch_starts(name) for name in SCENARIOS}
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_advance_is_successive_observe_and_update(data):
+    """``_advance`` from each reachable stretch start, after any number of
+    periods short of the stretch's end, equals that many plus one
+    ``observe_and_update`` calls on a table stream with the same flag totals;
+    only the last of them may fire an event."""
+    # The starts cover every phase and punishment, and segment 1 of PD starts
+    # with each of segment 0's discrepancy totals, 0..32.
+    pd = STARTS["pd"]
+    assert {s.discrepancies for s in pd if s.segment == 1} == set(range(33))
+    assert any(s.excess_seen for s in pd)
+    for name, starts in STARTS.items():
+        _, _, params = SCENARIOS[name]
+        everyone = set(range(params.llm_count))
+        assert {s.phase for s in starts} == everyone
+        assert {s.punished for s in starts if s.mode == "punishment"} == everyone
+        for start in starts:
+            elapsed = data.draw(st.integers(0, _stretch_length(params, start) - 1))
+            flags = data.draw(
+                st.lists(st.sampled_from(FLAG_PAIRS), min_size=elapsed + 1,
+                         max_size=elapsed + 1)
+            )
+            want, events = _reference(name, start, flags)
+            review = start.mode == "review"
+            discrepancies = sum(d for d, _ in flags) if review else 0
+            excess = review and any(x for _, x in flags)
+            got = _advance(params, start, elapsed, discrepancies, excess)
+            assert got == (want, events[-1]), (name, start, elapsed, flags)
+            assert events[:-1] == [None] * elapsed
