@@ -14,6 +14,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -98,10 +99,13 @@ def _object(value) -> dict:
     return dict(value)
 
 
-def _numbers(value) -> list[float]:
+def _finite_numbers(value) -> list[float]:
     if not isinstance(value, list):
         raise TypeError("not a list")
-    return [float(v) for v in value]
+    out = [float(v) for v in value]
+    if not all(map(math.isfinite, out)):
+        raise ValueError("not finite")
+    return out
 
 
 def _rows(value) -> list[list]:
@@ -211,7 +215,7 @@ def normalize_config(doc: dict) -> dict:
     if doc.get("folk") is not None:
         folk = _field(doc, "folk", _object)
         norm = {
-            "r": _field(folk, "folk.r", _numbers),
+            "r": _field(folk, "folk.r", _finite_numbers),
             "epsilon": _field(folk, "folk.epsilon", _positive_number, 1.2),
             "gamma": _field(folk, "folk.gamma", _positive_number, 0.5),
             "delta": _field(folk, "folk.delta", float, 0.995),
@@ -257,7 +261,7 @@ def build_game(cfg) -> BaseGame:
         if "name" in game:
             return make_scenario(game["name"], **game["params"])
         return BaseGame.from_dict(game["inline"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ConfigError("game", f"cannot build the game: {exc!r}") from None
 
 
@@ -267,31 +271,40 @@ def build_population(cfg) -> Population:
         if "shares" in pop:
             return Population(tuple(tuple(r) for r in pop["shares"]))
         return scenario_population(pop["scenario"], **pop.get("params", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ConfigError(
             "population", f"cannot build the population: {exc!r}"
         ) from None
 
 
 def build_profile(cfg, game, name) -> MetaProfile:
+    """The named meta-profile, checked to instruct every role of ``game``."""
+    path = f"meta_profiles.{name}"
     profiles = cfg.get("meta_profiles", {})
-    _require(name in profiles, f"meta_profiles.{name}", "is not defined")
+    _require(name in profiles, path, "is not defined")
     entry = profiles[name]
     if "named" in entry:
         named = entry["named"]
         if named == "heist_blame":
-            return heist_blame_profile()
-        if named == "bounded10_equilibrium":
-            return bounded10_equilibrium_profile(game)
-        raise ConfigError(f"meta_profiles.{name}.named", f"unknown profile {named!r}")
-    try:
-        if "pure" in entry:
-            return MetaProfile.from_pure([tuple(p) for p in entry["pure"]])
-        return MetaProfile.from_dict(entry["llms"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"meta_profiles.{name}", f"cannot build the profile: {exc!r}"
-        ) from None
+            profile = heist_blame_profile()
+        elif named == "bounded10_equilibrium":
+            profile = bounded10_equilibrium_profile(game)
+        else:
+            raise ConfigError(f"{path}.named", f"unknown profile {named!r}")
+    else:
+        try:
+            if "pure" in entry:
+                profile = MetaProfile.from_pure([tuple(p) for p in entry["pure"]])
+            else:
+                profile = MetaProfile.from_dict(entry["llms"])
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise ConfigError(path, f"cannot build the profile: {exc!r}") from None
+    roles = profile.actions[0].role_count
+    _require(
+        roles == game.role_count, path,
+        f"instructions cover {roles} roles, the game has {game.role_count}",
+    )
+    return profile
 
 
 def _config_digest(cfg) -> str:
@@ -583,7 +596,7 @@ def _set_path(cfg, dotted, value):
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    values = _field({"--values": args.values.split(",")}, "--values", _numbers)
+    values = _field({"--values": args.values.split(",")}, "--values", _finite_numbers)
     out_dir = _out_dir(args)
     rows = []
     for value in values:

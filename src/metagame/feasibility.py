@@ -6,6 +6,14 @@ role-homogeneous reduction).  A target inside the hull is decomposed into a
 short implementation cycle by a feasibility LP followed by Caratheodory
 support reduction.
 
+Three of the module's programs are one LP, :func:`_mixture_lp`: a
+distribution over payoff points plus one scalar, minimized or maximized.
+It finds the closest mixture to a target (the decomposition), the value of a
+punishment matrix game, and, for :mod:`metagame.protocol`, the hull point of
+largest margin above the punishment bounds.  Only the separating direction
+of an infeasible target (a box-bounded direction and a free scalar) is a
+program of its own.
+
 Punishment values: with two advisors the minmax is the exact value of a
 finite matrix game (one LP).  With three or more, the minimum over
 independent punisher mixtures is nonconvex, so the certificate brackets it:
@@ -193,31 +201,40 @@ def _caratheodory_reduce(V: np.ndarray, weights: np.ndarray, target: np.ndarray)
     return w, support
 
 
-def _closest_mixture(V: np.ndarray, target: np.ndarray, options=None):
-    """LP over weights w (the first N variables) and t (the last): minimize
-    the sup-norm miss t of sum_h w_h V_h = target, w a distribution."""
-    N, k = V.shape
+def _mixture_lp(A, b, maximize=False, t_lower=None, options=None):
+    """Minimize t subject to ``A w - t <= b`` or, with ``maximize``, maximize
+    t subject to ``A w + t <= b``; w is a distribution over the columns of
+    ``A`` and t >= ``t_lower`` (free when ``None``).  Returns w, clipped at 0
+    and renormalized, and t.  Raises :class:`MetagameError` when HiGHS
+    reports no optimum."""
+    n_rows, N = A.shape
+    sign = -1.0 if maximize else 1.0
     c = np.zeros(N + 1)
-    c[N] = 1.0
-    A_ub = np.vstack(
-        [
-            np.hstack([V.T, -np.ones((k, 1))]),
-            np.hstack([-V.T, -np.ones((k, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([target, -target])
+    c[N] = sign
     A_eq = np.zeros((1, N + 1))
     A_eq[0, :N] = 1.0
-    return linprog(
+    res = linprog(
         c,
-        A_ub=A_ub,
-        b_ub=b_ub,
+        A_ub=np.hstack([A, -sign * np.ones((n_rows, 1))]),
+        b_ub=b,
         A_eq=A_eq,
         b_eq=[1.0],
-        bounds=[(0.0, None)] * N + [(0.0, None)],
+        bounds=[(0.0, None)] * N + [(t_lower, None)],
         method="highs",
         options=options,
     )
+    if not res.success:
+        raise MetagameError(f"mixture LP failed: {res.message}")
+    w = np.clip(res.x[:N], 0.0, None)
+    w /= w.sum()
+    return w, float(res.x[N])
+
+
+def _closest_mixture(V: np.ndarray, target: np.ndarray, options=None):
+    """Weights w (a distribution) and the smallest sup-norm miss t of
+    sum_h w_h V_h = target."""
+    A, b = np.vstack([V.T, -V.T]), np.concatenate([target, -target])
+    return _mixture_lp(A, b, t_lower=0.0, options=options)
 
 
 def decompose_target(vertices: PayoffVertexSet, target) -> CycleDecomposition:
@@ -244,18 +261,15 @@ def decompose_target(vertices: PayoffVertexSet, target) -> CycleDecomposition:
                 target=tuple(target),
             )
 
-    res = _closest_mixture(V, target)
-    if res.success and res.x[-1] <= RECOMBINE_TOL:
-        w = np.clip(res.x[:-1], 0.0, None)
-        w, support = _caratheodory_reduce(V, w / w.sum(), target)
+    w, miss = _closest_mixture(V, target)
+    if miss <= RECOMBINE_TOL:
+        w, support = _caratheodory_reduce(V, w, target)
         S, w = V[support], w[support]
         if np.max(np.abs(S.T @ w - target)) > RECOMBINE_TOL:
             # Near the hull boundary the LP meets HiGHS's feasibility
             # tolerance while its clipped weights miss ours: solve again on
             # the support at a tighter tolerance.
-            res = _closest_mixture(S, target, {"primal_feasibility_tolerance": 1e-10})
-            w = np.clip(res.x[:-1], 0.0, None)
-            w /= w.sum()
+            w, _ = _closest_mixture(S, target, {"primal_feasibility_tolerance": 1e-10})
         if np.max(np.abs(S.T @ w - target)) <= RECOMBINE_TOL:
             return CycleDecomposition(
                 profiles=tuple(vertices.vertices[i].meta_profile() for i in support),
@@ -269,27 +283,8 @@ def decompose_target(vertices: PayoffVertexSet, target) -> CycleDecomposition:
 
 def _matrix_game_min_value(C: np.ndarray):
     """Minimize over row mixtures the best column reply: min_y max_a y.C[:,a]."""
-    n_rows, n_cols = C.shape
-    c = np.zeros(n_rows + 1)
-    c[n_rows] = 1.0
-    A_ub = np.hstack([C.T, -np.ones((n_cols, 1))])
-    b_ub = np.zeros(n_cols)
-    A_eq = np.zeros((1, n_rows + 1))
-    A_eq[0, :n_rows] = 1.0
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * n_rows + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise MetagameError(f"matrix-game LP failed: {res.message}")
-    y = np.clip(res.x[:n_rows], 0.0, None)
-    y /= y.sum()
-    return float(res.x[n_rows]), y
+    y, value = _mixture_lp(C.T, np.zeros(C.shape[1]))
+    return value, y
 
 
 def _mixture_meta_action(profiles: list[tuple[str, ...]], weights) -> MetaAction:

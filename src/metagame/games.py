@@ -68,6 +68,8 @@ class BaseGame:
                 if len(vector) != m:
                     raise ValidationError(f"payoff vector for {profile} is not length {m}")
                 clean[key] = tuple(float(v) for v in vector)
+                if not all(map(math.isfinite, clean[key])):
+                    raise ValidationError(f"payoff vector for {profile} is not finite")
             object.__setattr__(self, "table", clean)
         elif self._rule is None:
             if self.rule_name not in _RULES:
@@ -178,6 +180,8 @@ class MixedStrategy:
         merged: dict[str, float] = {}
         for label, w in self.weights:
             w = float(w)
+            if not math.isfinite(w):
+                raise ValidationError(f"non-finite weight {w} on action {label!r}")
             if w < -PROB_TOL:
                 raise ValidationError(f"negative weight {w} on action {label!r}")
             if w > 0.0:

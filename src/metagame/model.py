@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    InvalidProfileError,
     UndefinedAverageError,
     ValidationError,
 )
@@ -55,6 +54,8 @@ class Population:
             if len(row) != k:
                 raise ValidationError("share rows have inconsistent advisor counts")
             for p in row:
+                if not math.isfinite(p):
+                    raise ValidationError(f"non-finite share {p} in role {i}")
                 if p < 0.0:
                     raise ValidationError(f"negative share {p} in role {i}")
             if abs(sum(row) - 1.0) > PROB_TOL:
@@ -108,6 +109,8 @@ class InstructionProfile:
             merged: dict[MixedStrategy, float] = {}
             for strat, frac in entries:
                 frac = float(frac)
+                if not math.isfinite(frac):
+                    raise ValidationError(f"non-finite fraction {frac} in role {i}")
                 if strat.role != i:
                     raise ValidationError(
                         f"instruction for role {i} uses a role-{strat.role} strategy"
@@ -225,6 +228,8 @@ class MetaAction:
         merged: dict[InstructionProfile, float] = {}
         for prof, prob in self.outcomes:
             prob = float(prob)
+            if not math.isfinite(prob):
+                raise ValidationError(f"non-finite outcome probability {prob}")
             if prob < -PROB_TOL:
                 raise ValidationError(f"negative outcome probability {prob}")
             if prob > 0.0:
@@ -351,24 +356,51 @@ class AggregateTable:
 def _iter_realizations(
     pop: Population, profile: MetaProfile | Sequence[InstructionProfile]
 ):
-    """Yield ``(weight, joint realization)`` pairs for a meta-profile."""
+    """Yield ``(weight, joint realization)`` pairs for a meta-profile, or the
+    one pair of a joint realization, once its advisor and role counts match
+    ``pop``."""
     if isinstance(profile, MetaProfile):
-        if profile.llm_count != pop.llm_count:
-            raise ValidationError(
-                f"profile has {profile.llm_count} advisors, population has {pop.llm_count}"
-            )
-        for combo in itertools.product(*(a.outcomes for a in profile.actions)):
-            w = 1.0
-            for _, prob in combo:
-                w *= prob
-            yield w, tuple(prof for prof, _ in combo)
-        return
-    realization = tuple(profile)
-    if len(realization) != pop.llm_count:
+        kind, advisors = "profile", profile.actions
+    else:
+        kind, advisors = "realization", tuple(profile)
+    if len(advisors) != pop.llm_count:
         raise ValidationError(
-            f"realization has {len(realization)} advisors, population has {pop.llm_count}"
+            f"{kind} has {len(advisors)} advisors, population has {pop.llm_count}"
         )
-    yield 1.0, realization
+    for j, advisor in enumerate(advisors):
+        if advisor.role_count != pop.role_count:
+            raise ValidationError(
+                f"advisor {j} instructions cover {advisor.role_count} roles, "
+                f"population has {pop.role_count}"
+            )
+    if kind == "realization":
+        yield 1.0, advisors
+        return
+    for combo in itertools.product(*(a.outcomes for a in advisors)):
+        w = 1.0
+        for _, prob in combo:
+            w *= prob
+        yield w, tuple(prof for prof, _ in combo)
+
+
+def _role_masses(
+    pop: Population,
+    realization: Sequence[InstructionProfile],
+    skip: int | None = None,
+) -> list[dict[str, float]]:
+    """Per role, the share-weighted action masses of every advisor but
+    ``skip``.  Each mass is summed from 0.0 over advisors in index order, so
+    every caller gets the same float."""
+    out = []
+    for i, row in enumerate(pop.shares):
+        masses: dict[str, float] = {}
+        for q, p in enumerate(row):
+            if p <= 0.0 or q == skip:
+                continue
+            for a, mass in realization[q].action_mass(i).items():
+                masses[a] = masses.get(a, 0.0) + p * mass
+        out.append(masses)
+    return out
 
 
 def aggregate_mass(
@@ -376,28 +408,17 @@ def aggregate_mass(
     pop: Population,
     realization: Sequence[InstructionProfile],
 ) -> AggregateTable:
-    """Public aggregate action masses induced by one realized instruction per advisor."""
+    """Public aggregate action masses induced by one realized instruction per
+    advisor; an action the game lacks raises :class:`InvalidProfileError`."""
     if len(realization) != pop.llm_count:
         raise ValidationError("one realized instruction per advisor is required")
     if pop.role_count != game.role_count:
         raise ValidationError("population and game disagree on role count")
     rows = []
-    for i in range(game.role_count):
-        labels = game.actions[i]
-        index = {a: idx for idx, a in enumerate(labels)}
-        row = [0.0] * len(labels)
-        for q in range(pop.llm_count):
-            p = pop.shares[i][q]
-            if p <= 0.0:
-                continue
-            for a, mass in realization[q].action_mass(i).items():
-                try:
-                    row[index[a]] += p * mass
-                except KeyError:
-                    raise InvalidProfileError(
-                        f"advisor {q} instructs role {i} to play unknown "
-                        f"action {a!r}"
-                    ) from None
+    for i, masses in enumerate(_role_masses(pop, realization)):
+        row = [0.0] * len(game.actions[i])
+        for a, mass in masses.items():
+            row[game.action_index(i, a)] = mass
         rows.append(tuple(row))
     return AggregateTable(tuple(rows))
 
@@ -482,16 +503,7 @@ def _realization_utilities(
                 for j in range(k)
             ]
 
-    tots: list[dict[str, float]] = []
-    for i in range(m):
-        row_masses: dict[str, float] = {}
-        for q in range(k):
-            p = shares[i][q]
-            if p <= 0.0:
-                continue
-            for a, mass in realization[q].action_mass(i).items():
-                row_masses[a] = row_masses.get(a, 0.0) + p * mass
-        tots.append(row_masses)
+    tots = _role_masses(pop, realization)
     out = [0.0] * k
     for j in range(k):
         inst = realization[j]

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     MetagameError,
@@ -45,6 +44,7 @@ from .model import (
     Population,
     aggregate_mass,
     _payoff_tensor,
+    _role_masses,
 )
 from .feasibility import (
     CycleDecomposition,
@@ -54,6 +54,7 @@ from .feasibility import (
     decompose_target,
     minmax,
     _correlated_lower_bound,
+    _mixture_lp,
     _punishment_matrix,
     _vertex_set,
 )
@@ -80,7 +81,6 @@ class ProtocolParams:
     gamma: float
     slack: float
     blend: float
-    interior_point: tuple[float, ...]
     action_sets: tuple[tuple[str, ...], ...]
     cycle: CycleDecomposition
     prescriptions: tuple[tuple[InstructionProfile, ...], ...]  # [segment][advisor]
@@ -290,30 +290,11 @@ def _advance(
     return _fresh_block(params, state.phase), None
 
 
-def _max_margin_point(V: np.ndarray, ir_upper):
-    """Hull point maximizing the minimum margin above the punishment bounds."""
-    N, k = V.shape
-    # variables: w (N), t; maximize t  s.t.  (V^T w)_j - t >= ir_upper_j
-    c = np.zeros(N + 1)
-    c[N] = -1.0
-    A_ub = np.hstack([-V.T, np.ones((k, 1))])
-    b_ub = -np.asarray(ir_upper, dtype=float)
-    A_eq = np.zeros((1, N + 1))
-    A_eq[0, :N] = 1.0
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * N + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise MetagameError(f"interior-point LP failed: {res.message}")
-    w = np.clip(res.x[:N], 0.0, None)
-    w /= w.sum()
-    return tuple(V.T @ w), float(res.x[N])
+def _max_margin_point(V: np.ndarray, ir_upper) -> tuple[float, ...]:
+    """Hull point maximizing the minimum margin above the punishment bounds:
+    the largest t with (V^T w)_j - t >= ir_upper_j for every j."""
+    w, _ = _mixture_lp(-V.T, -np.asarray(ir_upper, dtype=float), maximize=True)
+    return tuple(V.T @ w)
 
 
 def best_pure_punishment(
@@ -334,7 +315,8 @@ def best_pure_punishment(
 
 def _best_pure_punishment(game, pop, j, U, budget, hint) -> MinmaxCertificate:
     """:func:`best_pure_punishment` on the payoff tensor ``U`` of (game, pop);
-    a pure ``hint`` punisher profile replaces the search."""
+    a pure ``hint`` punisher profile replaces the search.  Each punisher's
+    instruction is the shared :func:`_pure_instruction` object."""
     k = pop.llm_count
     if hint is not None:
         for q, action in enumerate(hint):
@@ -343,7 +325,7 @@ def _best_pure_punishment(game, pop, j, U, budget, hint) -> MinmaxCertificate:
                     raise ValidationError("hint must leave the punished slot empty")
             elif len(action.outcomes) != 1 or action.outcomes[0][0].pure_profile is None:
                 raise ValidationError("punishment hints must be deterministic")
-        punishment = tuple(hint)
+        labels = [None if a is None else a.outcomes[0][0].pure_profile for a in hint]
     elif k == 1:
         return minmax(game, pop, j, budget=budget)
     else:
@@ -351,11 +333,12 @@ def _best_pure_punishment(game, pop, j, U, budget, hint) -> MinmaxCertificate:
         worst_reply = _punishment_matrix(U, j).max(axis=1)
         combo = np.unravel_index(int(np.argmin(worst_reply)), U.shape[: k - 1])
         profiles = list(game.profiles())
-        punishers = [q for q in range(k) if q != j]
-        punishment = [None] * k
-        for q, bi in zip(punishers, combo):
-            punishment[q] = MetaAction.from_pure(profiles[bi])
-        punishment = tuple(punishment)
+        labels = [profiles[bi] for bi in combo]
+        labels.insert(j, None)
+    punishment = tuple(
+        None if p is None else MetaAction.deterministic(_pure_instruction(p))
+        for p in labels
+    )
     return certificate_from_punishment(
         game, pop, j, punishment, budget=budget,
         lower_bound=_correlated_lower_bound(U, j),
@@ -368,9 +351,10 @@ def _segment_lengths(weights, T: int) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-def _large_T_violations(params_like, T: int) -> list[str]:
-    """The four block-length inequalities, on explicit arguments."""
-    (payoffs, weights, slack, spread, cap, c, p, tau) = params_like
+def _large_T_violations(
+    T: int, payoffs, weights, slack, spread, cap, c, p, tau
+) -> list[str]:
+    """The four block-length inequalities at block length ``T``."""
     out = []
     lengths = _segment_lengths(weights, T)
     k = len(payoffs[0])
@@ -403,10 +387,19 @@ def derive_params(
     """Derive a full protocol parameterization for a target payoff vector.
 
     Raises :class:`InfeasibleTargetError` / :class:`NotIndividuallyRationalError`
-    when the target fails the preconditions.  ``overrides`` may pin
-    ``probe_rate`` / ``block_length`` / ``punish_length`` for small-scale
-    experiments; overridden parameterizations skip the block-length
-    inequalities and are flagged.
+    when the target fails the preconditions.  The adjusted target moves the
+    target toward the hull point of largest margin above the punishment
+    bounds, by at most the slack unit; the punishment ratio c and the probe
+    rate follow from it, the block length T is the first power of two from
+    16 that meets the block-length inequalities, and the punishment length
+    is ceil(c*T).  A game whose profiles all pay one vector is degenerate:
+    no deviation can gain, so the blend, c, the probe rate and the
+    punishment length are 0 and T is max(16, cycle support).  ``overrides``
+    may pin ``probe_rate`` / ``block_length`` / ``punish_length`` for
+    small-scale experiments; overridden parameterizations skip the
+    block-length inequalities and are flagged.  Prescriptions and pure
+    punishments are the shared :func:`_pure_instruction` objects, so the
+    stepper compares them by identity.
     """
     if epsilon <= 0 or gamma <= 0:
         raise ValidationError("epsilon and gamma must be positive")
@@ -438,99 +431,57 @@ def derive_params(
     if degenerate:
         # Every profile yields the same payoff vector: no deviation can gain
         # and no punishment is needed, so the machinery collapses.
-        interior = target
-        blend = 0.0
-        adjusted = target
+        blend, adjusted, c, probe_rate = 0.0, target, 0.0, 0.0
     else:
         ir_report = check_strict_ir(target, certs)
         if not ir_report.strict:
             raise NotIndividuallyRationalError(target, ir_report.margins)
-        interior, _ = _max_margin_point(V, ir_upper)
+        interior = _max_margin_point(V, ir_upper)
         diff = max(abs(s - r) for s, r in zip(interior, target))
         blend = 1.0 if diff <= slack else slack / diff
         adjusted = tuple(
             (1.0 - blend) * r + blend * s for r, s in zip(target, interior)
         )
-    cycle = decompose_target(vertices, adjusted)
-
-    if degenerate:
-        c = 0.0
-    else:
         raw_c = max(
             (max_payoffs[j] - adjusted[j]) / (adjusted[j] - ir_upper[j])
             for j in range(k)
         )
         c = max(0.0, raw_c) * 1.1
-
-    if degenerate:
-        probe_rate = 0.0
-    else:
         probe_rate = min(0.25, slack / (3.0 * spread))
-    tau = 3.0 * probe_rate
+    cycle = decompose_target(vertices, adjusted)
 
     overrides = dict(overrides or {})
     overridden = bool(overrides)
-    if "probe_rate" in overrides:
-        probe_rate = float(overrides["probe_rate"])
-        tau = 3.0 * probe_rate
+    probe_rate = float(overrides.get("probe_rate", probe_rate))
+    tau = 3.0 * probe_rate
 
     if "block_length" in overrides:
         T = int(overrides["block_length"])
         if T < 1:
             raise ValidationError("block_length override must be positive")
     elif degenerate:
+        # At spread 0 the probe rate is 0, so the concentration term below
+        # stays 4 * cap and doubling T need not end.
         T = max(16, cycle.support_size)
     else:
         T = 16
-        ineq_args = (cycle.payoffs, cycle.weights, slack, spread, cap, c, probe_rate, tau)
-        while _large_T_violations(ineq_args, T):
+        while _large_T_violations(
+            T, cycle.payoffs, cycle.weights, slack, spread, cap, c, probe_rate, tau
+        ):
             T *= 2
             if T > MAX_BLOCK_LENGTH:
                 raise MetagameError(
                     "no block length satisfies the inequalities below the cap"
                 )
+    K = int(overrides.get("punish_length", math.ceil(c * T)))
 
-    if "punish_length" in overrides:
-        K = int(overrides["punish_length"])
-    elif degenerate:
-        K = 0
-    else:
-        K = math.ceil(c * T)
-
-    lengths = _segment_lengths(cycle.weights, T)
-    prescriptions = []
-    for profile in cycle.profiles:
-        row = []
-        for action in profile.actions:
-            (instruction, _), = action.outcomes
-            row.append(instruction)
-        prescriptions.append(tuple(row))
-    prescriptions = tuple(prescriptions)
-
-    intended = tuple(
-        aggregate_mass(game, pop, row) for row in prescriptions
+    prescriptions = tuple(
+        tuple(
+            _pure_instruction(action.outcomes[0][0].pure_profile)
+            for action in profile.actions
+        )
+        for profile in cycle.profiles
     )
-    ceilings = []
-    for h, row in enumerate(prescriptions):
-        per_reviewed = []
-        for l in range(k):
-            per_role = []
-            for i in range(game.role_count):
-                labels = game.actions[i]
-                base = [0.0] * len(labels)
-                for q in range(k):
-                    if q == l:
-                        continue
-                    p_iq = pop.shares[i][q]
-                    if p_iq <= 0.0:
-                        continue
-                    for a, massv in row[q].action_mass(i).items():
-                        base[labels.index(a)] += p_iq * massv
-                p_il = pop.shares[i][l]
-                per_role.append(tuple(b + p_il for b in base))
-            per_reviewed.append(tuple(per_role))
-        ceilings.append(tuple(per_reviewed))
-
     params = ProtocolParams(
         target=target,
         adjusted_target=adjusted,
@@ -538,13 +489,14 @@ def derive_params(
         gamma=gamma,
         slack=slack,
         blend=blend,
-        interior_point=tuple(interior),
         action_sets=game.actions,
         cycle=cycle,
         prescriptions=prescriptions,
-        intended_aggregates=intended,
-        mass_ceilings=tuple(ceilings),
-        segment_lengths=lengths,
+        intended_aggregates=tuple(
+            aggregate_mass(game, pop, row) for row in prescriptions
+        ),
+        mass_ceilings=_mass_ceilings(game, pop, prescriptions),
+        segment_lengths=_segment_lengths(cycle.weights, T),
         block_length=T,
         punish_length=K,
         punish_ratio=c,
@@ -566,8 +518,32 @@ def derive_params(
     return params
 
 
+def _mass_ceilings(game: BaseGame, pop: Population, prescriptions) -> tuple:
+    """``[segment][reviewed][role][action]``: the mass the other advisors'
+    prescriptions put on the action, plus the reviewed advisor's own share
+    of the role, added last."""
+    return tuple(
+        tuple(
+            tuple(
+                tuple(masses.get(a, 0.0) + pop.shares[i][l] for a in game.actions[i])
+                for i, masses in enumerate(_role_masses(pop, row, skip=l))
+            )
+            for l in range(pop.llm_count)
+        )
+        for row in prescriptions
+    )
+
+
 def validate_params(game: BaseGame, pop: Population, params: ProtocolParams) -> list[str]:
-    """Re-check every derived-parameter invariant; empty list means all hold."""
+    """Re-check every derived-parameter invariant; empty list means all hold.
+
+    The tolerance and punishment-ratio checks apply to every
+    parameterization; a degenerate one stops there.  The others check the
+    threshold, the segment lengths, K = ceil(c*T) and the block-length
+    inequalities (the last two only when nothing was overridden), and then
+    recompute the mass ceilings (:func:`_mass_ceilings`) and the intended
+    aggregates from the prescriptions, each to 1e-12.
+    """
     out = []
     if not 12.0 * params.slack < params.epsilon:
         out.append("slack too large for epsilon")
@@ -600,29 +576,17 @@ def validate_params(game: BaseGame, pop: Population, params: ProtocolParams) -> 
     if not params.overridden:
         if params.punish_length != math.ceil(params.punish_ratio * params.block_length):
             out.append("punishment length is not ceil(c*T)")
-        ineq_args = (
-            params.cycle.payoffs,
-            params.cycle.weights,
-            params.slack,
-            params.payoff_spread,
-            params.payoff_cap,
-            params.punish_ratio,
-            params.probe_rate,
-            params.freq_threshold,
-        )
-        out.extend(_large_T_violations(ineq_args, params.block_length))
-    # ceilings must match their defining formula
-    for h in range(params.segment_count):
-        for l in range(params.llm_count):
-            for i in range(game.role_count):
-                labels = game.actions[i]
-                for a, label in enumerate(labels):
-                    want = pop.shares[i][l]
-                    for q in range(params.llm_count):
-                        if q != l:
-                            want += pop.shares[i][q] * params.prescriptions[h][q].action_mass(i).get(label, 0.0)
-                    got = params.mass_ceilings[h][l][i][a]
-                    if abs(got - want) > 1e-12:
+        out.extend(_large_T_violations(
+            params.block_length, params.cycle.payoffs, params.cycle.weights,
+            params.slack, params.payoff_spread, params.payoff_cap,
+            params.punish_ratio, params.probe_rate, params.freq_threshold,
+        ))
+    ceilings = _mass_ceilings(game, pop, params.prescriptions)
+    for h, per_reviewed in enumerate(ceilings):
+        for l, per_role in enumerate(per_reviewed):
+            for i, row in enumerate(per_role):
+                for a, (label, want) in enumerate(zip(game.actions[i], row)):
+                    if abs(params.mass_ceilings[h][l][i][a] - want) > 1e-12:
                         out.append(f"mass ceiling mismatch at h={h} l={l} ({i},{label})")
     for h in range(params.segment_count):
         want = aggregate_mass(game, pop, params.prescriptions[h])

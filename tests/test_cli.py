@@ -453,6 +453,26 @@ MALFORMED_CONFIGS = {
     ),
     "folk.tail_tol NaN": ("folk.tail_tol", lambda d: d["folk"].update(tail_tol=float("nan"))),
     "folk.tail_tol zero": ("folk.tail_tol", lambda d: d["folk"].update(tail_tol=0)),
+    "folk.r NaN": ("folk.r", lambda d: d["folk"].update(r=[float("nan"), -0.4])),
+    "folk.r Infinity": ("folk.r", lambda d: d["folk"].update(r=[-3.6, float("inf")])),
+    "population.shares NaN": (
+        "population",
+        lambda d: d.update(population={"shares": [[float("nan"), 1.0], [0.1, 0.9]]}),
+    ),
+    "population.params.p NaN": (
+        "population",
+        lambda d: d["population"]["params"].update(p=float("nan")),
+    ),
+    "inline game payoff NaN": (
+        "game",
+        lambda d: d.update(
+            game={"inline": {"actions": [["C", "D"], ["C", "D"]], "payoffs": [
+                {"profile": [a, b], "vector": [float("nan") if a == b == "C" else -4.0, -4.0]}
+                for a in "CD" for b in "CD"
+            ]}},
+            population={"shares": [[0.9, 0.1], [0.1, 0.9]]},
+        ),
+    ),
 }
 
 
@@ -477,6 +497,50 @@ def test_bad_profile_contents_exit_2(tmp_path, capsys, llms):
     doc["meta_profiles"]["main"] = {"llms": llms}
     path.write_text(json.dumps(doc))
     code = run_command(["eval", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert "config field 'meta_profiles.main'" in capsys.readouterr().err
+
+
+_C = {"weights": {"C": 1.0}, "fraction": 1.0}
+_D = {"weights": {"D": 1.0}, "fraction": 1.0}
+
+
+def _both(*outcomes):
+    """Both advisors draw from ``(probability, per-role split)`` outcomes, the
+    split the same in both roles."""
+    return {"llms": [[{"probability": p, "instruction": [split] * 2} for p, split in outcomes]] * 2}
+
+
+BAD_PROFILES = {
+    "one role per instruction": {"pure": [["C"], ["D"]]},
+    "three roles per instruction": {"pure": [["C", "C", "C"], ["D", "D", "D"]]},
+    "NaN strategy weight": _both(
+        (1.0, [{"weights": {"C": 1.0, "D": float("nan")}, "fraction": 1.0}])
+    ),
+    "NaN instruction fraction": _both((1.0, [_C, {**_D, "fraction": float("nan")}])),
+    "NaN outcome probability": _both((1.0, [_C]), (float("nan"), [_D])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PROFILES))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval"],
+        ["equilibrium"],
+        ["sweep", "--run", "finite", "--axis", "finite.periods", "--values", "3"],
+    ],
+    ids=["eval", "equilibrium", "sweep-finite"],
+)
+def test_bad_profile_exits_2_naming_it(tmp_path, capsys, case, command):
+    path = _pd_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["meta_profiles"]["main"] = BAD_PROFILES[case]
+    doc["finite"] = {"clients_per_role": 10, "periods": 3}
+    path.write_text(json.dumps(doc))
+    code = run_command(
+        [*command, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
+    )
     assert code == EXIT_CONFIG
     assert "config field 'meta_profiles.main'" in capsys.readouterr().err
 

@@ -7,7 +7,7 @@ from metagame.errors import (
     UndefinedAverageError,
     ValidationError,
 )
-from metagame.games import MixedStrategy
+from metagame.games import BaseGame, MixedStrategy
 from metagame.model import (
     InstructionProfile,
     MetaAction,
@@ -288,3 +288,48 @@ def test_instruction_profile_hash_and_equality():
     assert split(0.25) == split(0.25)
     assert split(0.25) != split(0.75)
     assert split(0.75) not in {split(0.25): "hit"}
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda bad: Population(((bad, 1.0),)), NAN),
+        (lambda bad: BaseGame.from_table((("x", "y"),), {("x",): (bad,), ("y",): (1.0,)}), NAN),
+        (lambda bad: BaseGame.from_table((("x", "y"),), {("x",): (bad,), ("y",): (1.0,)}), INF),
+        (lambda bad: MixedStrategy(0, (("C", 1.0), ("D", bad))), NAN),
+        (
+            lambda bad: InstructionProfile(
+                (((MixedStrategy.point_mass(0, "C"), 1.0), (MixedStrategy.point_mass(0, "D"), bad)),)
+            ),
+            NAN,
+        ),
+        (
+            lambda bad: MetaAction(
+                ((InstructionProfile.pure(("C",)), 1.0), (InstructionProfile.pure(("D",)), bad))
+            ),
+            NAN,
+        ),
+    ],
+    ids=["share NaN", "payoff NaN", "payoff inf", "weight NaN", "fraction NaN", "probability NaN"],
+)
+def test_model_objects_reject_non_finite_numbers(build, bad):
+    # NaN fails every sign and sum check, and a lone NaN weight was dropped.
+    with pytest.raises(ValidationError, match="finite"):
+        build(bad)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        MetaProfile.from_pure([("C",), ("D",)]),
+        MetaProfile.from_pure([("C", "C", "C")] * 2),  # took the pure fast path
+        [InstructionProfile.pure(("C",))] * 2,
+    ],
+    ids=["profile with one role", "profile with three roles", "realization with one role"],
+)
+def test_llm_utility_rejects_instructions_for_another_role_count(pd, pd_pop, profile):
+    with pytest.raises(ValidationError, match="roles"):
+        llm_utility(pd, pd_pop, profile)

@@ -12,6 +12,7 @@ from metagame.errors import (
 )
 from metagame.games import BaseGame
 from metagame.model import (
+    AggregateTable,
     InstructionProfile,
     MetaProfile,
     Population,
@@ -384,3 +385,35 @@ def test_overrides_flagged(small_params):
     assert small_params.punish_length == math.ceil(
         small_params.punish_ratio * small_params.block_length
     )
+
+
+def test_degenerate_derivation_collapses():
+    # Two advisors, two roles, every profile paying (1, 2): no deviation can
+    # gain, so nothing is blended, probed or punished.
+    game = BaseGame.from_table(
+        (("a", "b"), ("a", "b")),
+        {p: (1.0, 2.0) for p in (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))},
+    )
+    pop = Population(((0.5, 0.5), (0.5, 0.5)))
+    params = derive_params(game, pop, (1.5, 1.5), epsilon=0.5, gamma=0.5)
+    assert params.degenerate
+    assert params.block_length == max(16, params.cycle.support_size)
+    assert params.blend == 0.0
+    assert params.adjusted_target == params.target == (1.5, 1.5)
+    assert params.freq_threshold == 0.0
+    assert params.punish_length == 0
+    assert validate_params(game, pop, params) == []
+
+
+def test_validator_catches_tampered_intended_aggregates(heist, heist_pop, heist_params):
+    rows = [list(row) for row in heist_params.intended_aggregates[0].masses]
+    rows[0][0] -= 0.05
+    rows[0][1] += 0.05
+    bad = replace(
+        heist_params,
+        intended_aggregates=(AggregateTable(tuple(map(tuple, rows))),)
+        + heist_params.intended_aggregates[1:],
+    )
+    assert validate_params(heist, heist_pop, bad) == [
+        "intended aggregate mismatch in segment 0"
+    ]

@@ -642,3 +642,30 @@ def test_group_draw_is_generator_choice(weights, size, seed):
     )
     assert drawn.tolist() == expected.tolist()
     assert ours.bit_generator.state == numpy_choice.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["heavy", "greedy_myopic", "light"])
+def test_runs_compare_no_equal_but_distinct_instructions(monkeypatch, kind):
+    # Prescriptions, probes, myopic replies and pure punishments share one
+    # object per pure profile, so interning a joint instruction and masking
+    # deviations compare instructions by identity alone.
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    pop = scenario_population("pd", p=0.9)
+    params = derive_params(
+        pd, pop, (-3.6, -0.4), epsilon=1.2, gamma=0.5,
+        overrides={"block_length": 40, "probe_rate": 0.1, "punish_length": 20},
+    )
+    strategies = [HonestStrategy(), make_adversary(pd, pop, params, kind)]
+    original = InstructionProfile.__eq__
+    equal_but_distinct = []
+
+    def counting(self, other):
+        same = original(self, other)
+        if same is True and self is not other:
+            equal_but_distinct.append((self, other))
+        return same
+
+    monkeypatch.setattr(InstructionProfile, "__eq__", counting)
+    log = run_repeated(pd, pop, params, strategies, delta=0.995, tail_tol=1e-6, seed=(5, 0))
+    assert log.block_stats  # the run reviews, probes and deviates
+    assert equal_but_distinct == []
