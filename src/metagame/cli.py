@@ -99,19 +99,40 @@ def _object(value) -> dict:
     return dict(value)
 
 
+def _number(value) -> float:
+    """``float(value)`` for a JSON number; ``true`` and ``"1"`` are none."""
+    if isinstance(value, (bool, str)):
+        raise TypeError("not a number")
+    return float(value)
+
+
 def _finite_numbers(value) -> list[float]:
     if not isinstance(value, list):
         raise TypeError("not a list")
-    out = [float(v) for v in value]
+    out = [_number(v) for v in value]
     if not all(map(math.isfinite, out)):
         raise ValueError("not finite")
     return out
 
 
+def _comma_separated_numbers(value: str) -> list[float]:
+    """A command-line list such as ``0.6,0.9``: finite numbers."""
+    return _finite_numbers([float(v) for v in value.split(",")])
+
+
 def _rows(value) -> list[list]:
-    if not isinstance(value, list):
-        raise TypeError("not a list")
+    """A list of lists; a string row such as ``"CD"`` is not one."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise TypeError("not a list of lists")
     return [list(row) for row in value]
+
+
+def _variant(node: dict, path: str, keys: tuple[str, ...]) -> str | None:
+    """The one of the alternative ``keys`` that ``node`` gives, or ``None``;
+    two or more raise ``ConfigError`` naming ``path``."""
+    given = [key for key in keys if key in node]
+    _require(len(given) <= 1, path, f"gives {' and '.join(map(repr, given))}; give one")
+    return given[0] if given else None
 
 
 def _whole(least: int):
@@ -133,15 +154,15 @@ _positive_int, _natural = _whole(1), _whole(0)
 
 
 def _positive_number(value) -> float:
-    """``float(value)`` when above 0 (``NaN`` is not)."""
-    if not float(value) > 0:
+    """The number ``value`` when above 0 (``NaN`` is not)."""
+    if not _number(value) > 0:
         raise ValueError("not above 0")
     return float(value)
 
 
 def _probability(value):
-    """``value`` when ``float(value)`` lies in [0, 1] and it is no boolean."""
-    if isinstance(value, bool) or not 0 <= float(value) <= 1:
+    """The number ``value``, as given, when it lies in [0, 1]."""
+    if not 0 <= _number(value) <= 1:
         raise ValueError("not in [0, 1]")
     return value
 
@@ -177,19 +198,21 @@ def _flag(value, name: str, kind, default):
 def normalize_config(doc: dict) -> dict:
     _require(isinstance(doc, dict), "$", "must be an object")
     out = {"schema": doc.get("schema", SCHEMA)}
-    _require(out["schema"] == SCHEMA, "schema", f"unsupported schema {out['schema']}")
+    schema = _field(doc, "schema", _number, SCHEMA)
+    _require(schema == SCHEMA, "schema", f"unsupported schema {out['schema']}")
     game = _field(doc, "game", _object)
-    if "name" in game:
+    variant = _variant(game, "game", ("name", "inline"))
+    _require(variant is not None, "game", "needs 'name' or 'inline'")
+    if variant == "name":
         out["game"] = {"name": game["name"], "params": _field(game, "game.params", _object, {})}
-    elif "inline" in game:
-        out["game"] = {"inline": game["inline"]}
     else:
-        raise ConfigError("game", "needs 'name' or 'inline'")
+        out["game"] = {"inline": game["inline"]}
 
     pop = _field(doc, "population", _object, {})
-    if "shares" in pop:
+    variant = _variant(pop, "population", ("shares", "scenario"))
+    if variant == "shares":
         out["population"] = {"shares": _field(pop, "population.shares", _rows)}
-    elif "scenario" in pop:
+    elif variant == "scenario":
         out["population"] = {
             "scenario": pop["scenario"],
             "params": _field(pop, "population.params", _object, {}),
@@ -203,14 +226,10 @@ def normalize_config(doc: dict) -> dict:
     for name, entry in _field(doc, "meta_profiles", _object, {}).items():
         path = f"meta_profiles.{name}"
         _require(isinstance(entry, dict), path, "must be an object")
-        if "pure" in entry:
-            out["meta_profiles"][name] = {"pure": _field(entry, f"{path}.pure", _rows)}
-        elif "named" in entry:
-            out["meta_profiles"][name] = {"named": entry["named"]}
-        elif "llms" in entry:
-            out["meta_profiles"][name] = {"llms": entry["llms"]}
-        else:
-            raise ConfigError(path, "needs 'pure', 'named', or 'llms'")
+        variant = _variant(entry, path, ("pure", "named", "llms"))
+        _require(variant is not None, path, "needs 'pure', 'named', or 'llms'")
+        value = _field(entry, f"{path}.pure", _rows) if variant == "pure" else entry[variant]
+        out["meta_profiles"][name] = {variant: value}
 
     if doc.get("folk") is not None:
         folk = _field(doc, "folk", _object)
@@ -218,7 +237,7 @@ def normalize_config(doc: dict) -> dict:
             "r": _field(folk, "folk.r", _finite_numbers),
             "epsilon": _field(folk, "folk.epsilon", _positive_number, 1.2),
             "gamma": _field(folk, "folk.gamma", _positive_number, 0.5),
-            "delta": _field(folk, "folk.delta", float, 0.995),
+            "delta": _field(folk, "folk.delta", _number, 0.995),
             "tail_tol": _field(folk, "folk.tail_tol", _positive_number, 1e-6),
         }
         _require(0 < norm["delta"] < 1, "folk.delta", "must lie in (0, 1)")
@@ -596,7 +615,7 @@ def _set_path(cfg, dotted, value):
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    values = _field({"--values": args.values.split(",")}, "--values", _finite_numbers)
+    values = _field({"--values": args.values}, "--values", _comma_separated_numbers)
     out_dir = _out_dir(args)
     rows = []
     for value in values:

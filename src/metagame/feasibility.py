@@ -43,7 +43,7 @@ from .errors import (
     MetagameError,
     ValidationError,
 )
-from .games import BaseGame
+from .games import BaseGame, _weighted
 from .model import (
     DEFAULT_TERM_BUDGET,
     InstructionProfile,
@@ -307,11 +307,8 @@ def _uj_matrix(U, j, row_llm, fixed_actions, index):
     # Axes: row_llm, j, then the remaining advisors in index order.
     Uj = np.moveaxis(U[..., j], (row_llm, j), (0, 1))
     C = np.zeros(Uj.shape[:2])
-    for combo in itertools.product(*others):
-        w = 1.0
-        for _, prob in combo:
-            w *= prob
-        C += w * Uj[(Ellipsis, *(index[prof.pure_profile] for prof, _ in combo))]
+    for w, profs in _weighted(others):
+        C += w * Uj[(Ellipsis, *(index[prof.pure_profile] for prof in profs))]
     return C
 
 
@@ -331,11 +328,7 @@ def certificate_from_punishment(
     """
     if len(punishment) != pop.llm_count or punishment[j] is not None:
         raise ValidationError("punishment must leave exactly slot j empty")
-    placeholder = MetaAction.from_pure(tuple(a[0] for a in game.actions))
-    profile = MetaProfile(
-        tuple(placeholder if q == j else punishment[q] for q in range(pop.llm_count))
-    )
-    br = best_response(game, pop, profile, j, budget=budget)
+    br = best_response(game, pop, punishment, j, budget=budget)
     if lower_bound is None:
         lower_bound = _correlated_lower_bound(_payoff_tensor(game, pop, budget), j)
     return MinmaxCertificate(
@@ -371,22 +364,18 @@ def minmax(
 ) -> MinmaxCertificate:
     """Certified bracket on advisor ``j``'s guaranteed (minmax) payoff.
 
-    With three or more advisors, each of ``starts`` alternating
-    minimizations begins at flat-Dirichlet punisher mixtures drawn from
-    ``seed`` and stops once the value moves by less than ``MINMAX_TOL``, or
-    after ``MINMAX_ROUNDS`` rounds; the best start's punishers are re-scored
-    by an exact best reply.
+    A lone advisor faces no punishers: both bounds are its exact best
+    reply, the certificate of the empty punishment ``(None,)``.  With two
+    advisors the lower bound is the value of a matrix game.  With three or
+    more, each of ``starts`` alternating minimizations begins at
+    flat-Dirichlet punisher mixtures drawn from ``seed`` and stops once the
+    value moves by less than ``MINMAX_TOL``, or after ``MINMAX_ROUNDS``
+    rounds; the best start's punishers are re-scored by an exact best reply.
     """
     k = pop.llm_count
-    if k == 1:
-        dummy = MetaProfile.from_pure([tuple(a[0] for a in game.actions)])
-        br = best_response(game, pop, dummy, j, budget=budget)
-        return MinmaxCertificate(
-            llm=j,
-            lower_bound=br.value,
-            upper_bound=br.value,
-            punishment=(None,),
-            best_response=br.profile,
+    if k == 1:  # no punishers: the best reply's value is exact
+        return certificate_from_punishment(
+            game, pop, j, (None,), budget=budget, lower_bound=math.inf
         )
 
     U = _payoff_tensor(game, pop, budget)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidProfileError, ValidationError
 
@@ -27,6 +27,17 @@ _RULES: dict[str, Callable[..., PayoffRule]] = {}
 
 def register_payoff_rule(name: str, factory: Callable[..., PayoffRule]) -> None:
     _RULES[name] = factory
+
+
+def _weighted(supports: Iterable[Sequence[tuple[object, float]]], weight: float = 1.0):
+    """Yield ``(weight * w_1 * ... * w_n, (x_1, ..., x_n))`` for every choice
+    of one ``(x_i, w_i)`` pair per support, in product order.  The product is
+    taken left to right from ``weight``, so every caller gets the same float."""
+    for combo in itertools.product(*supports):
+        w = weight
+        for _, wi in combo:
+            w *= wi
+        yield w, tuple(x for x, _ in combo)
 
 
 @dataclass(frozen=True)
@@ -261,11 +272,8 @@ def expected_payoff(game: BaseGame, profile: StrategyProfile) -> tuple[float, ..
         supports.append(strat.weights)
     m = game.role_count
     totals = [0.0] * m
-    for combo in itertools.product(*supports):
-        w = 1.0
-        for _, wi in combo:
-            w *= wi
-        pay = game.payoff(tuple(label for label, _ in combo))
+    for w, labels in _weighted(supports):
+        pay = game.payoff(labels)
         for i in range(m):
             totals[i] += w * pay[i]
     return tuple(totals)

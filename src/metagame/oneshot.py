@@ -27,15 +27,17 @@ from .errors import (
     NotSingleRoleError,
     ValidationError,
 )
-from .games import BaseGame, MixedStrategy, StrategyProfile
+from .games import BaseGame, MixedStrategy, StrategyProfile, _weighted
 from .model import (
     DEFAULT_TERM_BUDGET,
     InstructionProfile,
     MetaAction,
     MetaProfile,
     Population,
+    _check_advisors,
     _payoff_tensor,
     _realization_utilities,
+    _Terms,
     llm_utility,
 )
 
@@ -82,18 +84,6 @@ class RegretReport:
             "epsilon": self.epsilon,
             "is_epsilon_equilibrium": self.is_epsilon_equilibrium,
         }
-
-
-def _opponent_outcomes(profile: MetaProfile, j: int):
-    """Joint outcome expansion of everyone but advisor j."""
-    others = [
-        (q, action) for q, action in enumerate(profile.actions) if q != j
-    ]
-    for combo in itertools.product(*(a.outcomes for _, a in others)):
-        w = 1.0
-        for _, prob in combo:
-            w *= prob
-        yield w, {q: prof for (q, _), (prof, _) in zip(others, combo)}
 
 
 def _permute_strategy(strategy: MixedStrategy, mapping: dict[str, str]) -> MixedStrategy:
@@ -143,7 +133,9 @@ def rotation_mapping(game: BaseGame) -> dict[str, str]:
     return {labels[i]: labels[(i + 1) % len(labels)] for i in range(len(labels))}
 
 
-def verify_rotation_symmetry(game: BaseGame, profile: MetaProfile, j: int) -> None:
+def verify_rotation_symmetry(
+    game: BaseGame, profile: MetaProfile | Sequence[MetaAction | None], j: int
+) -> None:
     """Check that the game and every opponent of j are rotation-invariant.
 
     Tabular games are checked exhaustively; rule-backed games on
@@ -166,7 +158,8 @@ def verify_rotation_symmetry(game: BaseGame, profile: MetaProfile, j: int) -> No
             permuted = tuple(mapping[a] for a in prof)
             if game.payoff(permuted) != game.payoff(prof):
                 raise ValidationError("game payoffs are not rotation-invariant")
-    for q, action in enumerate(profile.actions):
+    actions = profile.actions if isinstance(profile, MetaProfile) else profile
+    for q, action in enumerate(actions):
         if q == j:
             continue
         if not meta_actions_close(permute_meta_action(action, mapping), action):
@@ -202,46 +195,46 @@ def _deviation_candidates(
 def best_response(
     game: BaseGame,
     pop: Population,
-    profile: MetaProfile,
+    profile: MetaProfile | Sequence[MetaAction | None],
     j: int,
     budget: float = DEFAULT_TERM_BUDGET,
     symmetry: str | None = None,
 ) -> BestResponse:
     """Best pure role-homogeneous deviation of advisor ``j``.
 
-    ``profile``'s j-th entry is ignored.  ``symmetry='rotation'`` scores one
+    ``profile`` holds one meta-action per advisor; its j-th entry is ignored
+    and may be ``None``.  Every other entry must instruct the population's
+    roles, else :class:`ValidationError`.  ``symmetry='rotation'`` scores one
     representative per label-rotation orbit after verifying that the game and
     all opponents are rotation-invariant; the reported profile is then a
     maximizer up to relabeling.
     """
     if symmetry not in (None, "rotation"):
         raise ValidationError(f"unknown symmetry reduction {symmetry!r}")
+    actions = profile.actions if isinstance(profile, MetaProfile) else tuple(profile)
+    _check_advisors(game, pop, actions, skip=j)
     if symmetry == "rotation":
-        verify_rotation_symmetry(game, profile, j)
+        verify_rotation_symmetry(game, actions, j)
 
-    governed = pop.governed_roles(j)
-    candidates = math.prod(
-        len(game.actions[i]) for i in governed[1 if symmetry else 0 :]
-    )
-    outcome_combos = math.prod(len(a.outcomes) for q, a in enumerate(profile.actions) if q != j)
-    if candidates * max(1, outcome_combos) > budget:
-        raise BudgetExceededError(candidates * max(1, outcome_combos), budget)
+    free = pop.governed_roles(j)[1 if symmetry else 0 :]
+    candidates = math.prod(len(game.actions[i]) for i in free)
+    # Slot j becomes the single outcome None of weight 1, so each weight is
+    # the product over the opponents alone, to the last bit.
+    supports = [((None, 1.0),) if q == j else a.outcomes for q, a in enumerate(actions)]
+    outcome_combos = math.prod(len(s) for s in supports)
+    if candidates * outcome_combos > budget:
+        raise BudgetExceededError(candidates * outcome_combos, budget)
 
-    outcomes = list(_opponent_outcomes(profile, j))
-    counter = [0]
-    paycache: dict = {}
+    outcomes = list(_weighted(supports))
+    terms = _Terms(game, budget)
     best_val = None
     best_profile = None
     for candidate in _deviation_candidates(game, pop, j, symmetry == "rotation"):
         cand_instr = InstructionProfile.pure(candidate)
         total = 0.0
         for w, others in outcomes:
-            realization = tuple(
-                cand_instr if q == j else others[q] for q in range(pop.llm_count)
-            )
-            total += w * _realization_utilities(
-                game, pop, realization, paycache, counter, budget
-            )[j]
+            realization = others[:j] + (cand_instr,) + others[j + 1 :]
+            total += w * _realization_utilities(terms, pop, realization)[j]
         if best_val is None or total > best_val:
             best_val = total
             best_profile = candidate

@@ -40,10 +40,10 @@ from .model import (
     AggregateTable,
     InstructionProfile,
     MetaAction,
-    MetaProfile,
     Population,
     aggregate_mass,
     _realization_utilities,
+    _Terms,
 )
 from .oneshot import best_response
 from .protocol import (
@@ -183,14 +183,9 @@ class MyopicBestResponse(Strategy):
         )
         hit = self._cache.get(others)
         if hit is None:
-            placeholder = MetaAction.from_pure(
-                tuple(a[0] for a in self.game.actions)
-            )
-            profile_actions = tuple(
-                placeholder if q == j else MetaAction.deterministic(others[q])
-                for q in range(self.pop.llm_count)
-            )
-            br = best_response(self.game, self.pop, MetaProfile(profile_actions), j)
+            opponents = [None if o is None else MetaAction.deterministic(o)
+                         for o in others]
+            br = best_response(self.game, self.pop, opponents, j)
             hit = _pure_instruction(tuple(br.profile))
             self._cache[others] = hit
         self._last = (state, j, hit)
@@ -725,8 +720,7 @@ def run_repeated(
         for child in np.random.SeedSequence(list(key)).spawn(k)
     ]
     steps = _Periods(game, params, strategies, streams)
-    paycache: dict = {}
-    counter = [0]
+    terms = _Terms(game)
     outcomes = []  # realized id -> (aggregate, utilities, table id)
     table_ids: dict[AggregateTable, int] = {}
     for t in range(horizon):
@@ -737,11 +731,7 @@ def run_repeated(
             outcomes.append(
                 (
                     table,
-                    tuple(
-                        _realization_utilities(
-                            game, pop, realized, paycache, counter, math.inf
-                        )
-                    ),
+                    tuple(_realization_utilities(terms, pop, realized)),
                     table_ids.setdefault(table, len(table_ids)),
                 )
             )
@@ -931,7 +921,7 @@ def finite_population_run(
     grid = math.prod(shape)
     steps = _Periods(game, run_params, strategies, streams)
     gaps: list[float] = []
-    paycache: dict = {}  # action indices -> payoff vector
+    terms = _Terms(game)
     plans: dict = {}  # realized id -> (continuum aggregate, _client_codes)
 
     for t in range(periods):
@@ -963,13 +953,12 @@ def finite_population_run(
                 for a, n in zip(actions, ns)
             )
         )
-        pays = []
-        for profile in zip(*(a.tolist() for a in actions)):
-            if profile not in paycache:
-                labels = tuple(game.actions[i][a] for i, a in enumerate(profile))
-                paycache[profile] = game.payoff(labels)
-            pays.append(paycache[profile])
-        pays = size[:, None] * np.array(pays)
+        pays = size[:, None] * np.array(
+            [
+                terms.payoff(tuple(labels[a] for labels, a in zip(game.actions, profile)))
+                for profile in zip(*(a.tolist() for a in actions))
+            ]
+        )
         utilities = sum(
             np.bincount(c // n, weights=pays[:, i], minlength=k)
             for i, (c, n) in enumerate(zip(cells, ns))

@@ -473,6 +473,36 @@ MALFORMED_CONFIGS = {
             population={"shares": [[0.9, 0.1], [0.1, 0.9]]},
         ),
     ),
+    "folk.epsilon a boolean": ("folk.epsilon", lambda d: d["folk"].update(epsilon=True)),
+    "folk.r booleans": ("folk.r", lambda d: d["folk"].update(r=[True, False])),
+    "folk.r strings": ("folk.r", lambda d: d["folk"].update(r=["-3.6", "-0.4"])),
+    "budget a string": ("budget", lambda d: d.update(budget="1e7")),
+    "folk.delta a string": ("folk.delta", lambda d: d["folk"].update(delta="0.99")),
+    "folk.overrides.probe_rate a string": (
+        "folk.overrides.probe_rate",
+        lambda d: d["folk"]["overrides"].update(probe_rate="0.1"),
+    ),
+    "schema a boolean": ("schema", lambda d: d.update(schema=True)),
+    "game both name and inline": (
+        "game",
+        lambda d: d["game"].update(
+            inline={"actions": [["C", "D"], ["C", "D"]], "payoffs": [
+                {"profile": [a, b], "vector": [-1.0, -1.0]} for a in "CD" for b in "CD"
+            ]}
+        ),
+    ),
+    "population both shares and scenario": (
+        "population",
+        lambda d: d["population"].update(shares=[[0.9, 0.1], [0.1, 0.9]]),
+    ),
+    "meta_profiles both pure and named": (
+        "meta_profiles.main",
+        lambda d: d["meta_profiles"]["main"].update(named="heist_blame"),
+    ),
+    "meta_profiles pure rows as strings": (
+        "meta_profiles.main.pure",
+        lambda d: d["meta_profiles"]["main"].update(pure=["CC", "DD"]),
+    ),
 }
 
 

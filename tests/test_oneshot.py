@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from metagame.errors import NotSingleRoleError, ValidationError
+from metagame.errors import BudgetExceededError, NotSingleRoleError, ValidationError
 from metagame.games import BaseGame, MixedStrategy, StrategyProfile, expected_payoff
 from metagame.model import (
     InstructionProfile,
@@ -22,6 +22,7 @@ from metagame.oneshot import (
     verify_rotation_symmetry,
 )
 from metagame.scenarios import (
+    blame_cycle,
     bounded10_equilibrium_profile,
     heist_punishment,
     make_scenario,
@@ -82,6 +83,46 @@ def test_best_response_single_llm(pd):
     br = best_response(pd, one, MetaProfile.from_pure([("D", "D")]), 0)
     assert br.profile == ("C", "C")
     assert br.value == pytest.approx(-4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [MetaProfile.from_pure([("C",), ("D",)]), MetaProfile.from_pure([("C", "C")])],
+    ids=["opponent instructs one role", "one advisor of two"],
+)
+def test_best_response_rejects_profiles_of_another_shape(pd, pd_pop, profile):
+    with pytest.raises(ValidationError):
+        best_response(pd, pd_pop, profile, 0)
+
+
+def _heist_term_calls():
+    """Heist evaluations that sum shared-role mixed realizations."""
+    game, pop = make_scenario("heist"), scenario_population("heist")
+    cycle = MetaAction.from_pure(blame_cycle())
+    mixed = MetaAction.uniform_over_pure([blame_cycle(), ("driver", "planner", "burglar")])
+    punisher = MetaAction.uniform_over_pure([("burglar", "planner", "planner"), blame_cycle()])
+    return {
+        "llm_utility": lambda budget: llm_utility(
+            game, pop, MetaProfile((mixed, mixed, cycle)), budget
+        ),
+        "best_response": lambda budget: best_response(
+            game, pop, MetaProfile((cycle, punisher, punisher)), 0, budget=budget
+        ),
+    }
+
+
+# Payoff terms each evaluation sums, found by bisecting the budget; a change
+# in how terms are counted shows here.
+TERM_TOTALS = {"llm_utility": 109, "best_response": 704}
+
+
+@pytest.mark.parametrize("name", sorted(TERM_TOTALS))
+def test_term_budget_counts_every_term(name):
+    call, total = _heist_term_calls()[name], TERM_TOTALS[name]
+    call(total)
+    with pytest.raises(BudgetExceededError) as exc:
+        call(total - 1)
+    assert exc.value.needed == total
 
 
 def test_heist_best_response_under_punishment_certified():

@@ -30,6 +30,7 @@ from metagame.model import (
     Population,
     _payoff_tensor,
     _realization_utilities,
+    _Terms,
 )
 from metagame.oneshot import meta_bimatrix
 from metagame.protocol import best_pure_punishment
@@ -43,21 +44,19 @@ BUDGET = 10**7
 # ------------------------------------------------------------ loop references
 
 
-def _pure_utilities(game, pop, combo, paycache, counter):
+def _pure_utilities(game, pop, combo, terms):
     pure = [InstructionProfile.pure(p) for p in game.profiles()]
-    return _realization_utilities(
-        game, pop, tuple(pure[a] for a in combo), paycache, counter, BUDGET
-    )
+    return _realization_utilities(terms, pop, tuple(pure[a] for a in combo))
 
 
 def loop_payoff_vertices(game, pop):
     labels = list(game.profiles())
-    paycache, counter = {}, [0]
+    terms = _Terms(game, BUDGET)
     return PayoffVertexSet(
         tuple(
             Vertex(
                 profiles=tuple(labels[i] for i in combo),
-                payoff=tuple(_pure_utilities(game, pop, combo, paycache, counter)),
+                payoff=tuple(_pure_utilities(game, pop, combo, terms)),
             )
             for combo in itertools.product(range(len(labels)), repeat=pop.llm_count)
         )
@@ -73,7 +72,7 @@ def loop_uj_matrix(game, pop, j, row_llm, fixed_actions):
         for q in range(pop.llm_count)
         if q not in (j, row_llm)
     ]
-    paycache, counter = {}, [0]
+    terms = _Terms(game, BUDGET)
     C = np.empty((n, n))
     for bi in range(n):
         for ai in range(n):
@@ -87,9 +86,7 @@ def loop_uj_matrix(game, pop, j, row_llm, fixed_actions):
                 realization[row_llm] = pure[bi]
                 for (q, _), (prof, _) in zip(others, combo):
                     realization[q] = prof
-                total += w * _realization_utilities(
-                    game, pop, tuple(realization), paycache, counter, BUDGET
-                )[j]
+                total += w * _realization_utilities(terms, pop, tuple(realization))[j]
             C[bi, ai] = total
     return C
 
@@ -99,7 +96,7 @@ def _loop_punishment_rows(game, pop, j):
     n = game.num_profiles
     k = pop.llm_count
     punishers = [q for q in range(k) if q != j]
-    paycache, counter = {}, [0]
+    terms = _Terms(game, BUDGET)
     rows = []
     for combo in itertools.product(range(n), repeat=k - 1):
         row = []
@@ -108,7 +105,7 @@ def _loop_punishment_rows(game, pop, j):
             full[j] = ai
             for q, bi in zip(punishers, combo):
                 full[q] = bi
-            row.append(_pure_utilities(game, pop, full, paycache, counter)[j])
+            row.append(_pure_utilities(game, pop, full, terms)[j])
         rows.append((combo, row))
     return rows
 
@@ -143,10 +140,10 @@ def loop_meta_bimatrix(game, pop):
     n = game.num_profiles
     A = np.empty((n, n))
     B = np.empty((n, n))
-    paycache, counter = {}, [0]
+    terms = _Terms(game, BUDGET)
     for r in range(n):
         for c in range(n):
-            A[r, c], B[r, c] = _pure_utilities(game, pop, (r, c), paycache, counter)
+            A[r, c], B[r, c] = _pure_utilities(game, pop, (r, c), terms)
     return A, B
 
 
