@@ -189,6 +189,17 @@ def _field(node: dict, path: str, kind, default=None):
         raise ConfigError(path, f"must be {what}, got {node[key]!r}") from None
 
 
+def _population_numbers(entries) -> None:
+    """Raise ``ConfigError`` on field ``population``, naming the entry,
+    unless every ``(name, value)`` of ``entries`` holds a :func:`_number`;
+    the values stay as given."""
+    for name, value in entries:
+        try:
+            _number(value)
+        except (TypeError, ValueError):
+            raise ConfigError("population", f"{name} must be a number, got {value!r}") from None
+
+
 def _flag(value, name: str, kind, default):
     """A command-line option's ``value`` converted by ``kind`` as
     :func:`_field` does, or ``default`` when the option was not given."""
@@ -211,12 +222,17 @@ def normalize_config(doc: dict) -> dict:
     pop = _field(doc, "population", _object, {})
     variant = _variant(pop, "population", ("shares", "scenario"))
     if variant == "shares":
-        out["population"] = {"shares": _field(pop, "population.shares", _rows)}
+        shares = _field(pop, "population.shares", _rows)
+        _population_numbers(
+            (f"population.shares[{i}][{j}]", v)
+            for i, row in enumerate(shares)
+            for j, v in enumerate(row)
+        )
+        out["population"] = {"shares": shares}
     elif variant == "scenario":
-        out["population"] = {
-            "scenario": pop["scenario"],
-            "params": _field(pop, "population.params", _object, {}),
-        }
+        params = _field(pop, "population.params", _object, {})
+        _population_numbers((f"population.params.{key}", v) for key, v in params.items())
+        out["population"] = {"scenario": pop["scenario"], "params": params}
     elif "name" in out["game"]:
         out["population"] = {"scenario": out["game"]["name"], "params": {}}
     else:

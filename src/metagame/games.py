@@ -5,6 +5,11 @@ explicit table (small games) or computed by a registered rule (games whose
 profile space is too large to tabulate).  Mixed strategies and profiles are
 finite-support distributions over action labels; :func:`expected_payoff` is
 the multilinear extension of the pure payoff function.
+
+:meth:`BaseGame.payoff_block` evaluates a block of pure profiles, given as
+rows of action indices, in one numpy call: a table game reads a dense array
+built on first use, and a rule game calls the vectorized form registered
+with its rule.  A rule registered without one has no block form.
 """
 
 from __future__ import annotations
@@ -14,19 +19,32 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InvalidProfileError, ValidationError
 
 PROB_TOL = 1e-12
 
 PayoffRule = Callable[[tuple[str, ...]], tuple[float, ...]]
+BlockRule = Callable[[np.ndarray], np.ndarray]
 
 # Registry of named payoff rules, so rule-backed games can round-trip through
-# serialization without pickling callables.
-_RULES: dict[str, Callable[..., PayoffRule]] = {}
+# serialization without pickling callables: name -> (factory, block factory).
+_RULES: dict[str, tuple[Callable[..., PayoffRule], Callable[..., BlockRule] | None]] = {}
 
 
-def register_payoff_rule(name: str, factory: Callable[..., PayoffRule]) -> None:
-    _RULES[name] = factory
+def register_payoff_rule(
+    name: str,
+    factory: Callable[..., PayoffRule],
+    block: Callable[..., BlockRule] | None = None,
+) -> None:
+    """Register ``factory(**params)``, the payoff rule called ``name``.
+
+    ``block(actions, **params)``, when given, returns the rule's vectorized
+    form: a function from a ``(B, m)`` array of action indices into
+    ``actions`` to the ``(B, m)`` payoff vectors of those profiles, equal to
+    the rule's own, bit for bit."""
+    _RULES[name] = (factory, block)
 
 
 def _weighted(supports: Iterable[Sequence[tuple[object, float]]], weight: float = 1.0):
@@ -82,11 +100,17 @@ class BaseGame:
                 if not all(map(math.isfinite, clean[key])):
                     raise ValidationError(f"payoff vector for {profile} is not finite")
             object.__setattr__(self, "table", clean)
-        elif self._rule is None:
+        block = None
+        if self.table is None and self._rule is None:
             if self.rule_name not in _RULES:
                 raise ValidationError(f"unknown payoff rule {self.rule_name!r}")
-            rule = _RULES[self.rule_name](**dict(self.rule_params))
-            object.__setattr__(self, "_rule", rule)
+            factory, block_factory = _RULES[self.rule_name]
+            params = dict(self.rule_params)
+            object.__setattr__(self, "_rule", factory(**params))
+            if block_factory is not None:
+                block = block_factory(self.actions, **params)
+        # The vectorized payoff; a table game builds its dense array on first use.
+        object.__setattr__(self, "_block", block)
 
     @property
     def role_count(self) -> int:
@@ -120,6 +144,24 @@ class BaseGame:
         if self.table is not None:
             return tuple(self.table[key])
         return tuple(self._rule(key))
+
+    @property
+    def has_payoff_block(self) -> bool:
+        """Whether :meth:`payoff_block` is available: a table game, or a rule
+        registered with a vectorized form."""
+        return self.table is not None or self._block is not None
+
+    def payoff_block(self, index: np.ndarray) -> np.ndarray:
+        """Payoff vectors of the pure profiles whose action indices are the
+        rows of the ``(B, m)`` integer array ``index``: a ``(B, m)`` float
+        array whose row b equals :meth:`payoff` of row b's labels.  Needs
+        :attr:`has_payoff_block`; indices are not range-checked."""
+        if self._block is None:
+            sizes = tuple(len(a) for a in self.actions)
+            dense = np.array([self.table[p] for p in self.profiles()])
+            dense = dense.reshape(sizes + (self.role_count,))
+            object.__setattr__(self, "_block", lambda idx: dense[tuple(idx.T)])
+        return self._block(index)
 
     def profiles(self) -> Iterator[tuple[str, ...]]:
         """All pure profiles in per-role list order (lexicographic)."""

@@ -29,13 +29,18 @@ from .errors import (
 )
 from .games import BaseGame, MixedStrategy, StrategyProfile, _weighted
 from .model import (
+    BLOCK_REALIZATIONS,
     DEFAULT_TERM_BUDGET,
     InstructionProfile,
     MetaAction,
     MetaProfile,
     Population,
+    _block_utilities,
     _check_advisors,
+    _grid,
     _payoff_tensor,
+    _pure_supports,
+    _realization_block,
     _realization_utilities,
     _Terms,
     llm_utility,
@@ -207,7 +212,10 @@ def best_response(
     roles, else :class:`ValidationError`.  ``symmetry='rotation'`` scores one
     representative per label-rotation orbit after verifying that the game and
     all opponents are rotation-invariant; the reported profile is then a
-    maximizer up to relabeling.
+    maximizer up to relabeling.  When each role has one governing advisor
+    and every opponent outcome is a pure profile, candidates and opponent
+    outcomes are scored in numpy blocks (see :mod:`metagame.model`), with
+    the same value and profile to the last bit.
     """
     if symmetry not in (None, "rotation"):
         raise ValidationError(f"unknown symmetry reduction {symmetry!r}")
@@ -225,6 +233,9 @@ def best_response(
     if candidates * outcome_combos > budget:
         raise BudgetExceededError(candidates * outcome_combos, budget)
 
+    pure = _pure_supports(game, pop, supports)
+    if pure is not None:
+        return _best_block_response(game, pop, j, free, pure)
     outcomes = list(_weighted(supports))
     terms = _Terms(game, budget)
     best_val = None
@@ -239,6 +250,42 @@ def best_response(
             best_val = total
             best_profile = candidate
     return BestResponse(llm=j, value=best_val, profile=best_profile)
+
+
+def _best_block_response(game, pop, j, free, pure) -> BestResponse:
+    """:func:`best_response` on the block path: candidates (action indices on
+    the ``free`` roles, the rest at index 0) times opponent outcomes, in
+    numpy blocks of at most ``BLOCK_REALIZATIONS``.  Each candidate's total
+    is summed over the outcomes in order from 0.0 (``np.add.accumulate``
+    adds left to right), and the first maximum wins, as in the scalar loop."""
+    owners, rows, probs = pure
+    sizes = [len(game.actions[i]) for i in free]
+    n_cand = math.prod(sizes)
+    n_out = math.prod(len(p) for p in probs)
+    cand_step = max(1, BLOCK_REALIZATIONS // n_out)
+    out_step = min(n_out, BLOCK_REALIZATIONS)
+    best_val, best = None, None
+    for c0 in range(0, n_cand, cand_step):
+        cands = _grid(sizes, c0, min(c0 + cand_step, n_cand))
+        totals = np.zeros(len(cands))
+        for o0 in range(0, n_out, out_step):
+            index, weights = _realization_block(
+                owners, rows, probs, o0, min(o0 + out_step, n_out)
+            )
+            index = np.repeat(index[None], len(cands), axis=0)
+            index[:, :, list(free)] = cands[:, None, :]
+            vals = _block_utilities(game, pop, index.reshape(-1, len(owners)))[:, j]
+            weighted = weights * vals.reshape(len(cands), -1)
+            totals = np.add.accumulate(
+                np.concatenate([totals[:, None], weighted], axis=1), axis=1
+            )[:, -1]
+        top = int(np.argmax(totals))
+        if best_val is None or totals[top] > best_val:
+            best_val, best = float(totals[top]), cands[top]
+    profile = [acts[0] for acts in game.actions]
+    for i, a in zip(free, best):
+        profile[i] = game.actions[i][a]
+    return BestResponse(llm=j, value=best_val, profile=tuple(profile))
 
 
 def check_equilibrium(

@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 from .games import BaseGame, MixedStrategy, register_payoff_rule
 from .model import InstructionProfile, MetaAction, MetaProfile, Population
@@ -69,7 +71,31 @@ def _bounded_rule(n_roles: int = 10, group_size: int = 4, prize: float = 100.0):
     return payoff
 
 
-register_payoff_rule("bounded_group_prize", _bounded_rule)
+def _bounded_block(
+    actions, n_roles: int = 10, group_size: int = 4, prize: float = 100.0
+):
+    """:func:`_bounded_rule` on a ``(B, m)`` block of action indices.  Labels
+    are compared through one integer code per distinct label, so roles with
+    different action lists count alike only on equal labels."""
+    codes: dict[str, int] = {}
+    per_role = [
+        np.array([codes.setdefault(a, len(codes)) for a in labels])
+        for labels in actions
+    ]
+
+    def payoff(index):
+        label = np.stack([per_role[i][index[:, i]] for i in range(len(actions))], 1)
+        counts = (label[:, :, None] == label[:, None, :]).sum(axis=2)
+        win = counts == group_size
+        winners = win.sum(axis=1)
+        share = prize / np.maximum(winners, 1)
+        pay = np.where(win, share[:, None], 0.0)
+        return pay[:, :n_roles]
+
+    return payoff
+
+
+register_payoff_rule("bounded_group_prize", _bounded_rule, _bounded_block)
 
 
 def _bounded10_game(n_actions: int = 100) -> BaseGame:

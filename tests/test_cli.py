@@ -503,7 +503,44 @@ MALFORMED_CONFIGS = {
         "meta_profiles.main.pure",
         lambda d: d["meta_profiles"]["main"].update(pure=["CC", "DD"]),
     ),
+    "population.shares booleans": (
+        "population",
+        lambda d: d.update(population={"shares": [[True, False], [False, True]]}),
+    ),
+    "population.shares strings": (
+        "population",
+        lambda d: d.update(population={"shares": [["0.9", "0.1"], ["0.1", "0.9"]]}),
+    ),
+    "population.shares null entry": (
+        "population",
+        lambda d: d.update(population={"shares": [[None, 1.0], [0.1, 0.9]]}),
+    ),
+    "population.params.p a boolean": (
+        "population",
+        lambda d: d["population"]["params"].update(p=True),
+    ),
+    "population.params.p a string": (
+        "population",
+        lambda d: d["population"]["params"].update(p="0.9"),
+    ),
 }
+
+
+@pytest.mark.parametrize(
+    "population,entry",
+    [
+        ({"shares": [[True, False], [False, True]]}, "population.shares[0][0]"),
+        ({"shares": [[0.9, 0.1], [0.1, "0.9"]]}, "population.shares[1][1]"),
+        ({"scenario": "pd", "params": {"p": True}}, "population.params.p"),
+    ],
+)
+def test_population_non_numbers_name_the_entry(tmp_path, capsys, population, entry):
+    path = _pd_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["population"] = population
+    path.write_text(json.dumps(doc))
+    assert run_command(["eval", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+    assert f"{entry} must be a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))

@@ -367,3 +367,45 @@ def test_advance_is_successive_observe_and_update(data):
             got = _advance(params, start, elapsed, discrepancies, excess)
             assert got == (want, events[-1]), (name, start, elapsed, flags)
             assert events[:-1] == [None] * elapsed
+
+
+def _threshold_totals(params, start, n):
+    """Discrepancy totals for a stretch of ``n`` review periods from
+    ``start``: none, the count that first trips the frequency rule at block
+    end (less one, exactly, plus one, net of ``start``'s) and all ``n``."""
+    T = params.block_length
+    trip = next(
+        (d for d in range(T + 1) if d / T > params.freq_threshold + 1e-12), T + 1
+    )
+    trip -= start.discrepancies
+    return sorted({d for d in (0, trip - 1, trip, trip + 1, n) if 0 <= d <= n})
+
+
+def test_advance_covers_every_stretch_start_exhaustively():
+    """``_advance`` against ``observe_and_update`` from every reachable
+    stretch start, after every number of periods short of the stretch's end,
+    with discrepancy totals at 0, at the frequency threshold and one either
+    side, and at the most the stretch allows, each without and with an
+    excess."""
+    assert sum(map(len, STARTS.values())) == 140
+    fired = set()
+    for name, starts in STARTS.items():
+        _, _, params = SCENARIOS[name]
+        for start in starts:
+            review = start.mode == "review"
+            for elapsed in range(_stretch_length(params, start)):
+                n = elapsed + 1
+                totals = _threshold_totals(params, start, n) if review else [0]
+                for d in totals:
+                    for excess in (False, True) if review and d else (False,):
+                        flags = [(True, excess and i == d - 1) for i in range(d)]
+                        flags += [(False, False)] * (n - d)
+                        want, events = _reference(name, start, flags)
+                        got = _advance(params, start, elapsed, d, excess)
+                        assert got == (want, events[-1]), (name, start, elapsed, d, excess)
+                        assert events[:-1] == [None] * elapsed
+                        if events[-1] is not None:
+                            fired.add((name, events[-1].kind, elapsed > 0))
+    # Both events fire, at block ends reached after more than one period.
+    assert {(name, kind, True) for name in SCENARIOS for kind in (EXCESS, FREQUENCY)} <= fired
+
