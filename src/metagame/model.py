@@ -55,13 +55,15 @@ AGGREGATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Population:
-    """Governance shares: ``shares[i][j]`` is the role-i fraction under advisor j."""
+    """Governance shares: ``shares[i][j]`` is the role-i fraction under advisor j.
+
+    Each row must sum to 1 within ``PROB_TOL``; it is stored divided by its sum.
+    """
 
     shares: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         rows = tuple(tuple(float(p) for p in row) for row in self.shares)
-        object.__setattr__(self, "shares", rows)
         if not rows:
             raise ValidationError("population needs at least one role")
         k = len(rows[0])
@@ -79,6 +81,10 @@ class Population:
                 raise ValidationError(
                     f"role {i} shares sum to {sum(row)}, expected 1"
                 )
+        # One definition of the shares: a row within the tolerance of 1 is
+        # scaled to sum to 1, so every form of the utilities weighs it alike.
+        rows = tuple(tuple(p / s for p in row) for row, s in zip(rows, map(sum, rows)))
+        object.__setattr__(self, "shares", rows)
 
     @property
     def role_count(self) -> int:

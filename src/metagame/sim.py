@@ -15,12 +15,13 @@ instruction once: its continuum aggregate (and, in continuum mode, its
 utilities) is memoized per run, and so are the review checks of each
 aggregate per (segment, phase).  A deviation-gain estimate pairs each honest
 run its caller made with one deviating run at the same seed.  Finite mode
-draws each client's (advisor, action) code with numpy, matches the roles by
-random permutations and realizes the period from the counts of the occupied
-cells: aggregates are the counts' marginals, utilities count-weighted
-payoffs (exact for integer payoffs, otherwise a client-by-client sum up to
-float rounding).  Runs are reproducible byte-for-byte from (seed, inputs), and
-a log's JSON lines serialize each shared value once.
+samples each period's counts of occupied (advisor, action) cells directly,
+by multinomial draws per client group and hypergeometric matching, with the
+law of per-client draws and uniform matching: aggregates are the counts'
+marginals, utilities count-weighted payoffs (exact for integer payoffs,
+otherwise a client-by-client sum up to float rounding).  Runs are
+reproducible byte-for-byte from (seed, inputs), and a log's JSON lines
+serialize each shared value once.
 """
 
 from __future__ import annotations
@@ -818,42 +819,54 @@ class FiniteRunReport:
         }
 
 
-def _client_codes(game, counts, realized, N):
-    """Per role, each client's code ``owner * n_i + action`` in governance
-    order, and ``(start, stop, bounds, jumps)`` per group that draws: a draw
-    ``u`` adds ``jumps[r]`` for each ``bounds[r] <= u``, which picks label
-    ``(bounds <= u).sum()``, ``Generator.choice``'s rule."""
+def _group_plan(game, counts, realized):
+    """Per role, the counts of its one-cell groups over its (owner, action)
+    cells ``owner * n_i + action``, and ``(g, weights, cells)`` per group of
+    ``g > 0`` clients whose strategy has several actions."""
     plan = []
     for i, labels in enumerate(game.actions):
         n = len(labels)
         index = {a: idx for idx, a in enumerate(labels)}
-        codes = np.empty(N, dtype=np.int64)
+        fixed = np.zeros(len(counts[i]) * n, dtype=np.int64)
         draws = []
-        pos = 0
         for j, cj in enumerate(counts[i]):
             entries = realized[j].assignments[i] if cj else ()
             groups = largest_remainder_counts(cj, [f for _, f in entries])
             for (strat, _), g in zip(entries, groups):
-                cells = [j * n + index[a] for a, _ in strat.weights]
-                codes[pos : pos + g] = cells[0]
-                if len(cells) > 1 and g:
-                    cdf = np.cumsum([w for _, w in strat.weights])
-                    bounds = (cdf / cdf[-1])[:-1]
-                    draws.append((pos, pos + g, bounds, np.diff(cells)))
-                pos += g
-        plan.append((codes, draws))
+                cells = np.array([j * n + index[a] for a, _ in strat.weights])
+                if len(cells) == 1:
+                    fixed[cells[0]] += g
+                elif g:
+                    weights = np.array([w for _, w in strat.weights])
+                    draws.append((g, weights / weights.sum(), cells))
+        plan.append((fixed, draws))
     return plan
 
 
-def _draw(codes, draws, world: np.random.Generator) -> np.ndarray:
-    """One period's client codes of a role from its ``_client_codes`` plan;
-    consumes ``world.random(stop - start)`` per group, in order."""
-    codes = codes.copy()
-    for start, stop, bounds, jumps in draws:
-        u = world.random(stop - start)
-        for bound, jump in zip(bounds, jumps):
-            codes[start:stop] += jump * (u >= bound)
-    return codes
+def _sample_table(plan, world: np.random.Generator):
+    """One period's occupied joint cells (an index array per role) and their
+    client counts, in lexicographic order: multinomial group counts, then
+    hypergeometric partners per occupied prefix cell, the last taking the rest."""
+    margins = []
+    for fixed, draws in plan:
+        counts = fixed.copy()
+        for g, weights, cells in draws:
+            counts[cells] += world.multinomial(g, weights)
+        margins.append(counts)
+    cells = [np.flatnonzero(margins[0])]
+    sizes = margins[0][cells[0]]
+    for counts in margins[1:]:
+        occupied = np.flatnonzero(counts)
+        pool = counts[occupied]
+        parts = np.empty((len(sizes), len(occupied)), dtype=np.int64)
+        for r, size in enumerate(sizes[:-1]):
+            parts[r] = world.multivariate_hypergeometric(pool, size)
+            pool = pool - parts[r]
+        parts[-1] = pool
+        rows, cols = np.nonzero(parts)
+        cells = [c[rows] for c in cells] + [occupied[cols]]
+        sizes = parts[rows, cols]
+    return cells, sizes
 
 
 def finite_population_run(
@@ -869,19 +882,23 @@ def finite_population_run(
 
     Governance counts, and each advisor's split of its clients across its
     instructed strategies, come from largest-remainder rounding.  A period
-    codes each client ``owner * n_i + action``, matches each role by a
-    permutation and counts the occupied (owner, action) cells: the aggregate
-    is each role's marginal over N, and an advisor's utility is the count-
-    weighted payoff of the roles it owns in each cell, over N, with one
-    ``game.payoff`` call per distinct action profile.  That sum is exact for
-    integer payoffs; otherwise it may differ from a per-client sum by float
-    rounding (4.4e-16 at most in the pinned heist runs).  With protocol
-    ``params`` the public machine runs on the empirical aggregates, its
-    discrepancy tolerance widened to the sampling band 3*sqrt(log(N)/N); the
-    log carries the deviation flags and block and punishment statistics (the
-    protocol's guarantees hold in continuum mode only), and a warning names
-    each advisor whose largest role share is within the band, since its
-    deviations cannot exceed the tolerance.
+    reads only the counts of occupied joint (owner, action) cells, so
+    ``_sample_table`` draws them with the law of per-client play at a cost
+    in cells, not clients: a group of g clients on one strategy draws i.i.d.
+    actions, whose counts are ``multinomial(g, w)``; a uniform matching is
+    role 0 in place and roles 1..m-1 permuted uniformly, so the role-i
+    partners of each occupied cell of roles 0..i-1 are a uniform subset of
+    what is left of role i, a multivariate hypergeometric draw.  The
+    aggregate is each role's marginal over N; an advisor's utility is the
+    count-weighted payoff of the roles it owns, over N, with one
+    ``game.payoff`` call per distinct action profile (exact for integer
+    payoffs, else within 2.2e-16 of a per-client sum in the pinned heist
+    runs).  With protocol ``params`` the public machine runs on the
+    empirical aggregates, its discrepancy tolerance widened to the sampling
+    band 3*sqrt(log(N)/N); the log carries the deviation flags and block and
+    punishment statistics (the protocol's guarantees hold in continuum mode
+    only), and a warning names each advisor whose largest role share is
+    within the band, since its deviations cannot exceed the tolerance.
     """
     N = clients_per_role
     k = pop.llm_count
@@ -917,12 +934,10 @@ def finite_population_run(
     world = np.random.Generator(np.random.PCG64(children[k]))
 
     ns = [len(labels) for labels in game.actions]
-    shape = tuple(k * n for n in ns)  # (owner, action) cells per role
-    grid = math.prod(shape)
     steps = _Periods(game, run_params, strategies, streams)
     gaps: list[float] = []
     terms = _Terms(game)
-    plans: dict = {}  # realized id -> (continuum aggregate, _client_codes)
+    plans: dict = {}  # realized id -> (continuum aggregate, _group_plan)
 
     for t in range(periods):
         rid = steps.act(t)
@@ -930,28 +945,13 @@ def finite_population_run(
             realized = steps.realized[rid]
             plans[rid] = (
                 aggregate_mass(game, pop, realized),
-                _client_codes(game, counts, realized, N),
+                _group_plan(game, counts, realized),
             )
         continuum, plan = plans[rid]
-        # Per role: its groups' draws, then its permutation.
-        matched = [
-            _draw(codes, draws, world)[world.permutation(N)] for codes, draws in plan
-        ]
-        if grid <= 4 * N:  # a dense count costs O(N + grid)
-            joint = matched[0]
-            for codes, width in zip(matched[1:], shape[1:]):
-                joint = joint * width + codes
-            joint = np.bincount(joint, minlength=grid)
-            occupied = np.flatnonzero(joint)
-            cells, size = np.unravel_index(occupied, shape), joint[occupied]
-        else:
-            cells, size = np.unique(np.stack(matched), axis=1, return_counts=True)
+        cells, size = _sample_table(plan, world)
         actions = [c % n for c, n in zip(cells, ns)]
         table = AggregateTable(
-            tuple(
-                np.bincount(a, weights=size, minlength=n) / N
-                for a, n in zip(actions, ns)
-            )
+            tuple(np.bincount(a, weights=size, minlength=n) / N for a, n in zip(actions, ns))
         )
         pays = size[:, None] * np.array(
             [
@@ -967,9 +967,7 @@ def finite_population_run(
         steps.observe(t, rid, table, tuple((utilities / N).tolist()))
 
     log = steps.log(key, 0.0, 0.0, periods)
-    log.discounted = tuple(
-        sum(u[j] for u in log.utilities) / periods for j in range(k)
-    )
+    log.discounted = tuple(sum(u[j] for u in log.utilities) / periods for j in range(k))
     report = FiniteRunReport(
         clients_per_role=N,
         periods=periods,

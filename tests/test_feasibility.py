@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metagame.errors import InfeasibleTargetError, ValidationError
 from metagame.model import MetaAction, MetaProfile, Population, llm_utility
@@ -47,6 +48,11 @@ def heist():
 @pytest.fixture(scope="module")
 def heist_pop():
     return scenario_population("heist")
+
+
+@pytest.fixture(scope="module")
+def heist_vertices(heist, heist_pop):
+    return payoff_vertices(heist, heist_pop)
 
 
 def test_pd_vertex_set(pd_vertices):
@@ -127,6 +133,38 @@ def test_decompose_near_the_hull_boundary(pd_vertices):
         return
     combo = np.array(dec.payoffs).T @ np.array(dec.weights)
     assert np.max(np.abs(combo - np.array(target))) <= RECOMBINE_TOL
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scenario=st.sampled_from(["pd", "heist"]),
+    seed=st.integers(0, 2**32 - 1),
+    push=st.sampled_from([0.0, 1e-10, 1e-8, 1e-3, 0.5, 3.0]),
+)
+def test_decompose_recombines_or_raises(pd_vertices, heist_vertices, scenario, seed, push):
+    # A seeded mixture of a few vertices, pushed `push` along a random
+    # direction (often out of the hull): the decomposition recombines within
+    # RECOMBINE_TOL, or it raises with a separating direction; a target that
+    # is a mixture (push 0) separates by no positive gap.
+    verts = pd_vertices if scenario == "pd" else heist_vertices
+    V = verts.matrix
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(len(V), size=rng.integers(1, 5), replace=False)
+    direction = rng.normal(size=V.shape[1])
+    target = rng.dirichlet(np.ones(len(idx))) @ V[idx]
+    target = target + push * direction / np.linalg.norm(direction)
+    try:
+        dec = decompose_target(verts, tuple(target))
+    except InfeasibleTargetError as err:
+        d = np.array(err.direction)
+        assert np.max(np.abs(d)) <= 1.0 + 1e-9
+        assert err.gap == pytest.approx(d @ target - (V @ d).max(), abs=1e-9)
+        assert push > 0.0 or err.gap <= 1e-9
+        return
+    weights = np.array(dec.weights)
+    assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
+    combo = np.array(dec.payoffs).T @ weights
+    assert np.max(np.abs(combo - target)) <= RECOMBINE_TOL
 
 
 def test_infeasible_target_gets_separating_direction(pd_vertices):

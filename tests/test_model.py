@@ -58,6 +58,24 @@ def test_population_validation():
     assert pop.governed_roles(1) == (0, 1)
 
 
+def test_population_rows_are_divided_by_their_sums():
+    # Rows that sum to 1 exactly are kept bit for bit; a row within the
+    # tolerance of 1 is divided by its sum, so the factorized utilities and
+    # the governance-product oracle read one population.
+    assert Population(((0.9, 0.1), (0.2, 0.8))).shares == ((0.9, 0.1), (0.2, 0.8))
+    assert Population(((1.0 - 3e-13, 0.0),)).shares == ((1.0, 0.0),)
+    rng = random.Random(12)
+    for _ in range(10):
+        game = random_game(rng, roles=3, n_actions=2, lo=-50.0, hi=50.0)
+        pop = Population(
+            ((1.0 - 3e-13, 0.0), (0.0, 1.0 - 3e-13), (0.6, 0.4 - 3e-13))
+        )
+        assert all(abs(sum(row) - 1.0) <= 2e-16 for row in pop.shares)
+        profile = random_meta_profile(rng, game, 2)
+        got = llm_utility(game, pop, profile)
+        assert got == pytest.approx(governance_utilities(game, pop, profile), abs=1e-12, rel=0)
+
+
 def test_pd_golden_utilities(pd, pd_pop):
     profile = pd_profile("CC", "DD")
     U = llm_utility(pd, pd_pop, profile)

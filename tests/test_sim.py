@@ -1,11 +1,14 @@
+import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 import metagame.sim
@@ -30,8 +33,8 @@ from metagame.sim import (
     FixedProfileStrategy,
     HonestStrategy,
     Strategy,
-    _client_codes,
-    _draw,
+    _group_plan,
+    _sample_table,
     estimate_deviation_gain,
     finite_population_run,
     horizon_for,
@@ -369,7 +372,7 @@ RUNLOG_SHA256 = {
     # so heavy and greedy_myopic play the same 156 periods here.
     "heavy": "8ee489003939a7ecc3e35be3ab3b3e4f934c73d995cc2d02dd1172c31603db03",
     "greedy_myopic": "8ee489003939a7ecc3e35be3ab3b3e4f934c73d995cc2d02dd1172c31603db03",
-    "finite": "2aa9f88db579de22d133edcaa0c030925dd672319b3600ba4789b26047f44bdb",
+    "finite": "3f4284f25c2934992f988405c9a6bcec24933d16dd3890b4d7e23ed96f24df94",
 }
 
 
@@ -598,19 +601,57 @@ def _heist_finite_strategies():
     ]
 
 
+def _per_client(game, k, N, cells, sizes):
+    """Per-role action counts and advisor utilities of one sampled table,
+    expanded to its matched instances; each client's payoff is one term of
+    its advisor's correctly rounded sum."""
+    ns = [len(labels) for labels in game.actions]
+    actions = [[0] * n for n in ns]
+    terms = [[] for _ in range(k)]
+    for *cell, size in zip(*(c.tolist() for c in cells), sizes.tolist()):
+        profile = tuple(labels[c % n] for labels, c, n in zip(game.actions, cell, ns))
+        pay = game.payoff(profile)
+        for _ in range(size):
+            for i, (c, n) in enumerate(zip(cell, ns)):
+                actions[i][c % n] += 1
+                terms[c // n].append(pay[i])
+    return actions, [math.fsum(t) / N for t in terms]
+
+
+def _heist_per_client_run(heist, heist_pop, n, monkeypatch):
+    """A pinned heist run and its per-client realization: every period's
+    sampled table is recorded and expanded client by client."""
+    tables = []
+    sample = metagame.sim._sample_table
+
+    def recording(plan, world):
+        tables.append(sample(plan, world))
+        return tables[-1]
+
+    monkeypatch.setattr(metagame.sim, "_sample_table", recording)
+    log, report = finite_population_run(
+        n, heist, heist_pop, _heist_finite_strategies(), periods=30, seed=(11, n)
+    )
+    expanded = [_per_client(heist, 3, n, *table) for table in tables]
+    return log, report, expanded
+
+
 # Heist (conviction payoff -2.1) at N = 7, 333, 5000, 30 periods, seed
-# (11, N), as computed by the per-client realization: utilities summed client
-# by client, aggregates from per-client action counts.
+# (11, N), as computed by the per-client realization of each sampled table:
+# utilities summed client by client, aggregates from per-client action counts.
+# Regenerate with _heist_per_client_run after any change to the sampling.
 HEIST_FINITE_PINNED = json.loads(
     (Path(__file__).parent / "data" / "finite_heist_pinned.json").read_text()
 )
 
 
 @pytest.mark.parametrize("n", [7, 333, 5000])
-def test_finite_heist_matches_per_client_realization(heist, heist_pop, n):
-    log, report = finite_population_run(
-        n, heist, heist_pop, _heist_finite_strategies(), periods=30, seed=(11, n)
-    )
+def test_finite_heist_matches_per_client_realization(heist, heist_pop, n, monkeypatch):
+    log, report, expanded = _heist_per_client_run(heist, heist_pop, n, monkeypatch)
+    assert len(expanded) == len(log.utilities) == 30
+    for (actions, utilities), table, got in zip(expanded, log.aggregates, log.utilities):
+        assert [[c / n for c in row] for row in actions] == table.to_dict()
+        assert got == pytest.approx(utilities, abs=1e-12, rel=0)
     pinned = HEIST_FINITE_PINNED[str(n)]
     assert report.per_period_gap == pinned["gaps"]
     assert [t.to_dict() for t in log.aggregates] == pinned["masses"]
@@ -619,29 +660,163 @@ def test_finite_heist_matches_per_client_realization(heist, heist_pop, n):
         assert got == pytest.approx(want, abs=1e-12, rel=0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    weights=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
-    size=st.integers(1, 300),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_group_draw_is_generator_choice(weights, size, seed):
-    # Game order is the reverse of the strategy's (sorted) label order.
-    labels = tuple(f"a{i}" for i in reversed(range(len(weights))))
-    game = BaseGame.from_table([labels], {(a,): (0.0,) for a in labels})
-    total = sum(weights)
-    strategy = _mixed(0, {a: w / total for a, w in zip(labels, weights)})
-    instruction = InstructionProfile.homogeneous((strategy,))
-    [(codes, draws)] = _client_codes(game, ((size,),), (instruction,), size)
-    ours, numpy_choice = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = _draw(codes, draws, ours)
-    expected = numpy_choice.choice(
-        [labels.index(a) for a, _ in strategy.weights],
-        size=size,
-        p=[w for _, w in strategy.weights],
+def _groups(game, pop, realized, N):
+    """Per role, ``(g, cells, weights)`` per client group with ``g > 0``, in
+    governance order, from the same largest-remainder splits as the run."""
+    roles = []
+    for i, labels in enumerate(game.actions):
+        n, groups = len(labels), []
+        for j, cj in enumerate(largest_remainder_counts(N, pop.shares[i])):
+            entries = realized[j].assignments[i] if cj else ()
+            for (strat, _), g in zip(
+                entries, largest_remainder_counts(cj, [f for _, f in entries])
+            ):
+                if g:
+                    cells = [j * n + labels.index(a) for a, _ in strat.weights]
+                    groups.append((g, cells, [w for _, w in strat.weights]))
+        roles.append(groups)
+    return roles
+
+
+def _exact_tables(game, pop, realized, N):
+    """Exact probability of each joint count table: every per-client outcome,
+    then every permutation of roles 1..m-1 (role 0 stays in place)."""
+    clients = [
+        [list(zip(cells, weights)) for g, cells, weights in groups for _ in range(g)]
+        for groups in _groups(game, pop, realized, N)
+    ]
+    perms = list(itertools.permutations(range(N)))
+    share = 1.0 / len(perms) ** (len(clients) - 1)
+    tables = collections.Counter()
+    for outcome in itertools.product(*(itertools.product(*role) for role in clients)):
+        prob = math.prod(w for role in outcome for _, w in role) * share
+        codes = [[c for c, _ in role] for role in outcome]
+        for sigma in itertools.product(perms, repeat=len(codes) - 1):
+            matched = [codes[0]] + [[r[s] for s in p] for r, p in zip(codes[1:], sigma)]
+            tables[frozenset(collections.Counter(zip(*matched)).items())] += prob
+    return tables
+
+
+def _table_key(cells, sizes):
+    return frozenset(zip(zip(*(c.tolist() for c in cells)), sizes.tolist()))
+
+
+def _pd_split_case():
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    pop = Population(((0.6, 0.4), (0.6, 0.4)))  # 2 + 1 clients per role
+    split = InstructionProfile(
+        (
+            ((_mixed(0, {"C": 0.3, "D": 0.7}), 0.5), (MixedStrategy.point_mass(0, "D"), 0.5)),
+            ((_mixed(1, {"C": 0.5, "D": 0.5}), 0.5), (MixedStrategy.point_mass(1, "C"), 0.5)),
+        )
     )
-    assert drawn.tolist() == expected.tolist()
-    assert ours.bit_generator.state == numpy_choice.bit_generator.state
+    mixed = InstructionProfile.homogeneous(
+        (_mixed(0, {"C": 0.6, "D": 0.4}), _mixed(1, {"C": 0.2, "D": 0.8}))
+    )
+    return pd, pop, (split, mixed), 3
+
+
+def _heist_case():
+    heist = make_scenario("heist")
+    pop = Population(((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)))
+    strategies = _heist_finite_strategies()
+    realized = (
+        strategies[0].action.outcomes[0][0],
+        strategies[1].action.outcomes[0][0],
+        strategies[0].action.outcomes[0][0],
+    )
+    return heist, pop, realized, 2
+
+
+@pytest.mark.parametrize("case", [_pd_split_case, _heist_case], ids=["pd", "heist"])
+def test_sampled_tables_have_the_per_client_distribution(case):
+    # 20,000 seeded tables against the exact law of per-client draws and
+    # uniform matching; tables expected fewer than 5 times share one bin.
+    # The test fails at level 0.001.
+    game, pop, realized, N = case()
+    exact = _exact_tables(game, pop, realized, N)
+    assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+    counts = tuple(tuple(largest_remainder_counts(N, row)) for row in pop.shares)
+    plan = _group_plan(game, counts, realized)
+    world = np.random.default_rng(20260)
+    draws = 20_000
+    seen = collections.Counter(
+        _table_key(*_sample_table(plan, world)) for _ in range(draws)
+    )
+    assert set(seen) <= set(exact)
+    rare = [t for t in exact if exact[t] * draws < 5]
+    bins = [[t] for t in exact if exact[t] * draws >= 5] + ([rare] if rare else [])
+    observed = [sum(seen[t] for t in b) for b in bins]
+    expected = [sum(exact[t] for t in b) * draws for b in bins]
+    assert len(bins) > 10
+    assert scipy.stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scenario=st.sampled_from(["pd", "heist"]),
+    N=st.integers(1, 400),
+    data=st.data(),
+)
+def test_sampled_table_keeps_every_group_count(scenario, N, data):
+    # Every role's marginal is the sum of its groups' counts, each group's
+    # multinomial draw sums to its size and lands only on its own cells, and
+    # every role matches all N clients.
+    game = make_scenario(scenario)
+    m, k = len(game.actions), 2 if scenario == "pd" else 3
+    unit = st.floats(0.05, 1.0)
+    shares = [data.draw(st.lists(unit, min_size=k, max_size=k)) for _ in range(m)]
+    pop = Population(tuple(tuple(w / sum(r) for w in r) for r in shares))
+
+    def strategy(i):
+        labels = game.actions[i]
+        pure = data.draw(st.sampled_from([None, *labels]))
+        if pure is not None:
+            return MixedStrategy.point_mass(i, pure)
+        q = data.draw(st.floats(0.05, 0.95))
+        return _mixed(i, {labels[0]: q, labels[1]: 1.0 - q})
+
+    def assignment(i):
+        fractions = data.draw(st.lists(unit, min_size=1, max_size=3))
+        return tuple((strategy(i), f / sum(fractions)) for f in fractions)
+
+    realized = tuple(
+        InstructionProfile(tuple(assignment(i) for i in range(m))) for _ in range(k)
+    )
+    counts = tuple(tuple(largest_remainder_counts(N, row)) for row in pop.shares)
+    multinomials = []
+
+    class Recording:
+        def __init__(self, seed):
+            self.world = np.random.default_rng(seed)
+
+        def multinomial(self, g, weights):
+            multinomials.append((g, self.world.multinomial(g, weights)))
+            return multinomials[-1][1]
+
+        def multivariate_hypergeometric(self, pool, size):
+            return self.world.multivariate_hypergeometric(pool, size)
+
+    cells, sizes = _sample_table(
+        _group_plan(game, counts, realized), Recording(data.draw(st.integers(0, 2**32 - 1)))
+    )
+    assert sizes.min() > 0 and sizes.sum() == N
+    draws = iter(multinomials)
+    for i, groups in enumerate(_groups(game, pop, realized, N)):
+        margin = np.bincount(cells[i], weights=sizes, minlength=k * len(game.actions[i]))
+        expect = np.zeros_like(margin)
+        for g, group_cells, _ in groups:
+            if len(group_cells) == 1:
+                expect[group_cells[0]] += g
+            else:
+                size, drawn = next(draws)
+                assert size == g and drawn.sum() == g and len(drawn) == len(group_cells)
+                expect[group_cells] += drawn
+        assert margin.tolist() == expect.tolist()
+        n = len(game.actions[i])
+        for j in range(k):
+            assert margin[j * n : (j + 1) * n].sum() == counts[i][j]
+    assert next(draws, None) is None
 
 
 @pytest.mark.parametrize("kind", ["heavy", "greedy_myopic", "light"])
