@@ -426,6 +426,8 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_minmax(args) -> int:
     cfg, game, pop, budget = _load(args)
+    k = pop.llm_count
+    _require(0 <= args.llm < k, "--llm", f"must lie in [0, {k})")
     cert = minmax(game, pop, args.llm, seed=cfg["seed"], budget=budget)
     results = {
         "llm": cert.llm,

@@ -19,7 +19,11 @@ finite matrix game (one LP).  With three or more, the minimum over
 independent punisher mixtures is nonconvex, so the certificate brackets it:
 a lower bound from the correlated-punishers LP (a relaxation) and an upper
 bound from the best punisher profile found by alternating minimization,
-re-scored with an exact inner best response.
+re-scored with an exact inner best response.  After the first round the
+mixtures are LP vertex solutions, so the starts keep meeting the same
+punisher matrices; one call solves each distinct matrix game once.  The
+matrix is all the LP reads and single-threaded HiGHS is deterministic, so
+the result is the one fresh solves would give.
 
 One payoff tensor ``U[a_1, ..., a_k, j]`` per (game, population), advisor j's
 utility when each advisor q instructs pure profile ``a_q``, backs the
@@ -312,6 +316,11 @@ def _uj_matrix(U, j, row_llm, fixed_actions, index):
     return C
 
 
+def _check_advisor(pop: Population, j: int) -> None:
+    if not 0 <= j < pop.llm_count:
+        raise ValidationError(f"advisor j = {j} must lie in [0, {pop.llm_count})")
+
+
 def certificate_from_punishment(
     game: BaseGame,
     pop: Population,
@@ -326,6 +335,7 @@ def certificate_from_punishment(
     punisher profile certifies one.  When no lower bound is supplied the
     correlated-punishers LP provides it.
     """
+    _check_advisor(pop, j)
     if len(punishment) != pop.llm_count or punishment[j] is not None:
         raise ValidationError("punishment must leave exactly slot j empty")
     br = best_response(game, pop, punishment, j, budget=budget)
@@ -371,7 +381,15 @@ def minmax(
     flat-Dirichlet punisher mixtures drawn from ``seed`` and stops once the
     value moves by less than ``MINMAX_TOL``, or after ``MINMAX_ROUNDS``
     rounds; the best start's punishers are re-scored by an exact best reply.
+    Each distinct punisher matrix game is solved once per call and its
+    (value, mixture) reused by later rounds and starts; since the matrix is
+    all the LP reads, the certificate is the one fresh solves would give.
+    Raises :class:`ValidationError` unless ``0 <= j < k`` and
+    ``starts >= 1``.
     """
+    _check_advisor(pop, j)
+    if starts < 1:
+        raise ValidationError(f"starts = {starts} must be at least 1")
     k = pop.llm_count
     if k == 1:  # no punishers: the best reply's value is exact
         return certificate_from_punishment(
@@ -395,6 +413,7 @@ def minmax(
     lower = _correlated_lower_bound(U, j)
     punishers = [q for q in range(k) if q != j]
     rng = np.random.default_rng(seed)
+    solved: dict[bytes, tuple[float, np.ndarray]] = {}  # C.tobytes() -> (value, y)
 
     candidates: list[tuple[float, int, dict]] = []
     for s_idx in range(starts):
@@ -407,7 +426,12 @@ def minmax(
                     for p in punishers
                     if p != q
                 }
-                value, y = _matrix_game_min_value(_uj_matrix(U, j, q, fixed, index))
+                C = _uj_matrix(U, j, q, fixed, index)
+                key = C.tobytes()
+                if key not in solved:
+                    solved[key] = _matrix_game_min_value(C)
+                    solved[key][1].setflags(write=False)  # shared by later starts
+                value, y = solved[key]
                 mixtures[q] = y
             if abs(value_prev - value) < MINMAX_TOL:
                 break

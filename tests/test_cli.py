@@ -731,3 +731,30 @@ def test_bad_adversary_kind_exits_2_before_any_run(tmp_path, monkeypatch, capsys
     assert code == EXIT_CONFIG
     assert "config field 'adversary.kind'" in capsys.readouterr().err
     assert calls == []
+
+
+def _heist_config(tmp_path):
+    doc = {
+        "schema": 1,
+        "game": {"name": "heist", "params": {}},
+        "population": {"scenario": "heist", "params": {}},
+        "seed": 0,
+    }
+    path = tmp_path / "heist.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("config, k", [(_pd_config, 2), (_heist_config, 3)])
+def test_minmax_llm_out_of_range_exits_2(tmp_path, monkeypatch, capsys, config, k):
+    calls = []
+    monkeypatch.setattr(metagame.cli, "minmax", lambda *a, **kw: calls.append(a))
+    path = config(tmp_path)
+    for llm in (-1, k, k + 3):
+        code = run_command(
+            ["minmax", "--config", str(path), "--llm", str(llm),
+             "--out", str(tmp_path / "out"), "--quiet"]
+        )
+        assert code == EXIT_CONFIG
+        assert f"config field '--llm': must lie in [0, {k})" in capsys.readouterr().err
+    assert calls == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metagame import feasibility
 from metagame.errors import InfeasibleTargetError, ValidationError
 from metagame.model import MetaAction, MetaProfile, Population, llm_utility
 from metagame.feasibility import (
@@ -304,3 +305,36 @@ def test_check_strict_ir_validates_order(heist, heist_pop):
     ]
     with pytest.raises(ValidationError):
         check_strict_ir((0.0, 0.0, 0.0), certs[::-1])
+
+
+def _no_enumeration(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerated before checking the advisor index")
+
+    monkeypatch.setattr(feasibility, "_payoff_tensor", fail)
+    monkeypatch.setattr(feasibility, "best_response", fail)
+
+
+@pytest.mark.parametrize(
+    "scenario, pop",
+    [
+        ("pd", Population(((1.0,), (1.0,)))),
+        ("pd", scenario_population("pd")),
+        ("heist", scenario_population("heist")),
+    ],
+)
+def test_advisor_index_out_of_range_is_rejected_first(monkeypatch, scenario, pop):
+    game, k = make_scenario(scenario), pop.llm_count
+    _no_enumeration(monkeypatch)
+    for j in (-1, k, k + 3):
+        with pytest.raises(ValidationError, match=rf"must lie in \[0, {k}\)"):
+            minmax(game, pop, j)
+        with pytest.raises(ValidationError, match=rf"must lie in \[0, {k}\)"):
+            certificate_from_punishment(game, pop, j, (None,) * k)
+
+
+@pytest.mark.parametrize("starts", [0, -2])
+def test_minmax_needs_a_start(monkeypatch, heist, heist_pop, starts):
+    _no_enumeration(monkeypatch)
+    with pytest.raises(ValidationError, match="starts"):
+        minmax(heist, heist_pop, 0, starts=starts)
