@@ -2,9 +2,10 @@
 
 Subcommands: ``eval``, ``equilibrium``, ``minmax``, ``feasible``,
 ``folk plan``, ``folk run``, ``sweep``, ``report``.  Exit codes: 0 success
-(and, for ``equilibrium``, certified); 2 config/validation problems;
-3 infeasible / not individually rational / not an equilibrium; 1 internal
-errors.
+(and, for ``equilibrium``, certified); 2 config/validation problems,
+including a term budget (``budget``, ``--budget``) too small for the exact
+enumeration; 3 infeasible / not individually rational / not an
+equilibrium; 1 internal errors.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
+    BudgetExceededError,
     InfeasibleTargetError,
     MetagameError,
     NotIndividuallyRationalError,
@@ -157,6 +159,13 @@ def _positive_number(value) -> float:
     """The number ``value`` when above 0 (``NaN`` is not)."""
     if not _number(value) > 0:
         raise ValueError("not above 0")
+    return float(value)
+
+
+def _finite_nonnegative_number(value) -> float:
+    """The number ``value`` when it lies in [0, inf) (``NaN`` does not)."""
+    if not 0 <= _number(value) < math.inf:
+        raise ValueError("not in [0, inf)")
     return float(value)
 
 
@@ -376,15 +385,14 @@ def _emit(out_dir: Path, cfg, bundle, quiet: bool) -> None:
         print(json.dumps(bundle["results"], indent=2, sort_keys=True))
 
 
-def _punishment_hints(cfg, pop):
-    if cfg["game"].get("name") == "heist":
-        return {j: heist_punishment(j) for j in range(pop.llm_count)}
-    return None
-
-
 def _budget(args, cfg) -> float:
     """``--budget`` when given, else the config's ``budget``."""
     return _flag(args.budget, "--budget", _positive_number, cfg["budget"])
+
+
+def _epsilon(args) -> float:
+    """``--epsilon``, the regret an equilibrium may leave; 1e-9 when not given."""
+    return _flag(args.epsilon, "--epsilon", _finite_nonnegative_number, 1e-9)
 
 
 def _load(args) -> tuple[dict, BaseGame, Population, float]:
@@ -414,9 +422,10 @@ def cmd_eval(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     cfg, game, pop, budget = _load(args)
+    epsilon = _epsilon(args)
     profile = build_profile(cfg, game, args.profile)
     report = check_equilibrium(
-        game, pop, profile, epsilon=args.epsilon, budget=budget, symmetry=args.symmetry
+        game, pop, profile, epsilon=epsilon, budget=budget, symmetry=args.symmetry
     )
     averages = _averages(pop, report.utilities)
     results = {"profile": args.profile, "averages": averages, **report.to_dict()}
@@ -511,7 +520,6 @@ def _derive_from_config(cfg, game, pop, budget):
         folk["epsilon"],
         folk["gamma"],
         overrides=folk.get("overrides"),
-        punishment_hints=_punishment_hints(cfg, pop),
         budget=budget,
     )
 
@@ -634,6 +642,7 @@ def _set_path(cfg, dotted, value):
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     values = _field({"--values": args.values}, "--values", _comma_separated_numbers)
+    epsilon = _epsilon(args)
     out_dir = _out_dir(args)
     rows = []
     for value in values:
@@ -645,9 +654,7 @@ def cmd_sweep(args) -> int:
         budget = _budget(args, point)
         if args.run == "equilibrium":
             profile = build_profile(point, game, args.profile)
-            rep = check_equilibrium(
-                game, pop, profile, epsilon=args.epsilon, budget=budget
-            )
+            rep = check_equilibrium(game, pop, profile, epsilon=epsilon, budget=budget)
             rows.append(
                 {
                     "value": value,
@@ -769,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibrium", help="certify a meta-profile")
     _add_common(p, profile_default="main")
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p.add_argument("--epsilon", type=float, default=None, help="regret tolerance (default 1e-9)")
     p.add_argument("--symmetry", choices=["rotation"], default=None)
     p.set_defaults(func=cmd_equilibrium)
 
@@ -800,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True, help="dotted config path, e.g. population.params.p")
     p.add_argument("--values", required=True, help="comma-separated numbers")
     p.add_argument("--run", choices=["equilibrium", "eval", "finite"], default="equilibrium")
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p.add_argument("--epsilon", type=float, default=None, help="regret tolerance (default 1e-9)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="recompute headline scenario numbers")
@@ -819,7 +826,7 @@ def run_command(argv) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleTargetError, NotIndividuallyRationalError) as exc:

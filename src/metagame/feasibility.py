@@ -14,16 +14,17 @@ largest margin above the punishment bounds.  Only the separating direction
 of an infeasible target (a box-bounded direction and a free scalar) is a
 program of its own.
 
-Punishment values: with two advisors the minmax is the exact value of a
-finite matrix game (one LP).  With three or more, the minimum over
-independent punisher mixtures is nonconvex, so the certificate brackets it:
-a lower bound from the correlated-punishers LP (a relaxation) and an upper
-bound from the best punisher profile found by alternating minimization,
-re-scored with an exact inner best response.  After the first round the
-mixtures are LP vertex solutions, so the starts keep meeting the same
-punisher matrices; one call solves each distinct matrix game once.  The
-matrix is all the LP reads and single-threaded HiGHS is deterministic, so
-the result is the one fresh solves would give.
+Punishment values: with two advisors the minmax is the value of the
+correlated-punishers LP, exact for a lone punisher.  With three or more,
+the minimum over independent punisher mixtures is nonconvex, so the
+certificate brackets it: a lower bound from that LP (a relaxation) and an
+upper bound from the best punisher profile found by alternating
+minimization, re-scored with an exact inner best response.  The punisher
+mixtures are kept as meta-actions.  After the first round they are LP
+vertex solutions, so the starts keep meeting the same punisher matrices;
+one call solves each distinct matrix game, and builds its meta-action,
+once.  The matrix is all the LP reads and single-threaded HiGHS is
+deterministic, so the result is the one fresh solves would give.
 
 One payoff tensor ``U[a_1, ..., a_k, j]`` per (game, population), advisor j's
 utility when each advisor q instructs pure profile ``a_q``, backs the
@@ -304,8 +305,9 @@ def _mixture_meta_action(profiles: list[tuple[str, ...]], weights) -> MetaAction
 def _uj_matrix(U, j, row_llm, fixed_actions, index):
     """C[b, a]: utility of advisor j playing pure profile a while ``row_llm``
     plays pure profile b and every other advisor q follows the mixture over
-    pure profiles ``fixed_actions[q]``; ``index`` maps a profile to its axis
-    position in the payoff tensor ``U``."""
+    pure profiles ``fixed_actions[q]`` (j's and ``row_llm``'s entries, if
+    any, are ignored); ``index`` maps a profile to its axis position in the
+    payoff tensor ``U``."""
     k = U.ndim - 1
     others = [fixed_actions[q].outcomes for q in range(k) if q not in (j, row_llm)]
     # Axes: row_llm, j, then the remaining advisors in index order.
@@ -376,14 +378,16 @@ def minmax(
 
     A lone advisor faces no punishers: both bounds are its exact best
     reply, the certificate of the empty punishment ``(None,)``.  With two
-    advisors the lower bound is the value of a matrix game.  With three or
+    advisors the lower bound is the correlated-punishers LP on
+    :func:`_punishment_matrix`, exact for one punisher.  With three or
     more, each of ``starts`` alternating minimizations begins at
     flat-Dirichlet punisher mixtures drawn from ``seed`` and stops once the
     value moves by less than ``MINMAX_TOL``, or after ``MINMAX_ROUNDS``
     rounds; the best start's punishers are re-scored by an exact best reply.
-    Each distinct punisher matrix game is solved once per call and its
-    (value, mixture) reused by later rounds and starts; since the matrix is
-    all the LP reads, the certificate is the one fresh solves would give.
+    Punisher mixtures are kept as meta-actions.  Each distinct punisher
+    matrix game is solved once per call and its (value, meta-action) reused
+    by later rounds and starts; since the matrix is all the LP reads, the
+    certificate is the one fresh solves would give.
     Raises :class:`ValidationError` unless ``0 <= j < k`` and
     ``starts >= 1``.
     """
@@ -398,52 +402,46 @@ def minmax(
 
     U = _payoff_tensor(game, pop, budget)
     profiles = list(game.profiles())
-    n = len(profiles)
-    index = {p: i for i, p in enumerate(profiles)}
-
     if k == 2:
-        opp = 1 - j
-        value, y = _matrix_game_min_value(_uj_matrix(U, j, opp, {}, index))
+        value, y = _matrix_game_min_value(_punishment_matrix(U, j))
         punishment: list[MetaAction | None] = [None, None]
-        punishment[opp] = _mixture_meta_action(profiles, y)
+        punishment[1 - j] = _mixture_meta_action(profiles, y)
         return certificate_from_punishment(
             game, pop, j, tuple(punishment), budget=budget, lower_bound=value
         )
 
     lower = _correlated_lower_bound(U, j)
+    n = len(profiles)
+    index = {p: i for i, p in enumerate(profiles)}
     punishers = [q for q in range(k) if q != j]
     rng = np.random.default_rng(seed)
-    solved: dict[bytes, tuple[float, np.ndarray]] = {}  # C.tobytes() -> (value, y)
+    # C.tobytes() -> (value, the row punisher's mixture as a meta-action)
+    solved: dict[bytes, tuple[float, MetaAction]] = {}
 
     candidates: list[tuple[float, int, dict]] = []
     for s_idx in range(starts):
-        mixtures = {q: rng.dirichlet(np.ones(n)) for q in punishers}
+        actions = {
+            q: _mixture_meta_action(profiles, rng.dirichlet(np.ones(n)))
+            for q in punishers
+        }
         value_prev = math.inf
         for _ in range(MINMAX_ROUNDS):
             for q in punishers:
-                fixed = {
-                    p: _mixture_meta_action(profiles, mixtures[p])
-                    for p in punishers
-                    if p != q
-                }
-                C = _uj_matrix(U, j, q, fixed, index)
+                C = _uj_matrix(U, j, q, actions, index)
                 key = C.tobytes()
                 if key not in solved:
-                    solved[key] = _matrix_game_min_value(C)
-                    solved[key][1].setflags(write=False)  # shared by later starts
-                value, y = solved[key]
-                mixtures[q] = y
+                    value, y = _matrix_game_min_value(C)
+                    solved[key] = value, _mixture_meta_action(profiles, y)
+                value, actions[q] = solved[key]
             if abs(value_prev - value) < MINMAX_TOL:
                 break
             value_prev = value
-        candidates.append((value, s_idx, dict(mixtures)))
+        candidates.append((value, s_idx, actions))
 
-    best_value, _, best_mix = min(candidates, key=lambda t: (t[0], t[1]))
-    punishment = [None] * k
-    for q in punishers:
-        punishment[q] = _mixture_meta_action(profiles, best_mix[q])
+    best = min(candidates, key=lambda t: t[:2])[2]
     return certificate_from_punishment(
-        game, pop, j, tuple(punishment), budget=budget, lower_bound=lower
+        game, pop, j, tuple(best.get(q) for q in range(k)), budget=budget,
+        lower_bound=lower,
     )
 
 

@@ -310,37 +310,26 @@ def best_pure_punishment(
     deterministic.
     """
     U = _payoff_tensor(game, pop, budget)
-    return _best_pure_punishment(game, pop, j, U, budget, None)
+    return _best_pure_punishment(game, pop, j, U, budget)
 
 
-def _best_pure_punishment(game, pop, j, U, budget, hint) -> MinmaxCertificate:
-    """:func:`best_pure_punishment` on the payoff tensor ``U`` of (game, pop);
-    a pure ``hint`` punisher profile replaces the search.  Each punisher's
-    instruction is the shared :func:`_pure_instruction` object."""
+def _best_pure_punishment(game, pop, j, U, budget) -> MinmaxCertificate:
+    """:func:`best_pure_punishment` on the payoff tensor ``U`` of (game, pop).
+    Each punisher's instruction is the shared :func:`_pure_instruction`
+    object."""
     k = pop.llm_count
-    if hint is not None:
-        for q, action in enumerate(hint):
-            if q == j:
-                if action is not None:
-                    raise ValidationError("hint must leave the punished slot empty")
-            elif len(action.outcomes) != 1 or action.outcomes[0][0].pure_profile is None:
-                raise ValidationError("punishment hints must be deterministic")
-        labels = [None if a is None else a.outcomes[0][0].pure_profile for a in hint]
-    elif k == 1:
+    if k == 1:
         return minmax(game, pop, j, budget=budget)
-    else:
-        # First minimizer in product order of the punished advisor's best reply.
-        worst_reply = _punishment_matrix(U, j).max(axis=1)
-        combo = np.unravel_index(int(np.argmin(worst_reply)), U.shape[: k - 1])
-        profiles = list(game.profiles())
-        labels = [profiles[bi] for bi in combo]
-        labels.insert(j, None)
-    punishment = tuple(
-        None if p is None else MetaAction.deterministic(_pure_instruction(p))
-        for p in labels
-    )
+    # First minimizer in product order of the punished advisor's best reply.
+    worst_reply = _punishment_matrix(U, j).max(axis=1)
+    combo = np.unravel_index(int(np.argmin(worst_reply)), U.shape[: k - 1])
+    profiles = list(game.profiles())
+    punishment: list[MetaAction | None] = [
+        MetaAction.deterministic(_pure_instruction(profiles[bi])) for bi in combo
+    ]
+    punishment.insert(j, None)
     return certificate_from_punishment(
-        game, pop, j, punishment, budget=budget,
+        game, pop, j, tuple(punishment), budget=budget,
         lower_bound=_correlated_lower_bound(U, j),
     )
 
@@ -381,11 +370,12 @@ def derive_params(
     epsilon: float,
     gamma: float,
     overrides: dict | None = None,
-    punishment_hints: dict[int, tuple[MetaAction | None, ...]] | None = None,
     budget: float = DEFAULT_TERM_BUDGET,
 ) -> ProtocolParams:
     """Derive a full protocol parameterization for a target payoff vector.
 
+    Each advisor's punishment is its :func:`best_pure_punishment`, searched
+    over the payoff tensor that also gives the vertices.
     Raises :class:`InfeasibleTargetError` / :class:`NotIndividuallyRationalError`
     when the target fails the preconditions.  The adjusted target moves the
     target toward the hull point of largest margin above the punishment
@@ -409,10 +399,7 @@ def derive_params(
     vertices = _vertex_set(game, U)
     V = vertices.matrix
 
-    certs = []
-    for j in range(k):
-        hint = punishment_hints.get(j) if punishment_hints else None
-        certs.append(_best_pure_punishment(game, pop, j, U, budget, hint))
+    certs = [_best_pure_punishment(game, pop, j, U, budget) for j in range(k)]
     ir_upper = [c.upper_bound for c in certs]
 
     # Not a duplicate of the decomposition below: that one decomposes the

@@ -269,14 +269,13 @@ def test_criterion_6_minmax_grid_oracle():
 def heist_setup():
     game = make_scenario("heist")
     pop = scenario_population("heist")
-    hints = {j: heist_punishment(j) for j in range(3)}
-    return game, pop, hints
+    return game, pop
 
 
 def test_criterion_7a_own_phase_excess_never_fires(heist_setup):
-    game, pop, hints = heist_setup
+    game, pop = heist_setup
     params = derive_params(
-        game, pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5, punishment_hints=hints,
+        game, pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5,
         overrides={"probe_rate": 0.15, "block_length": 40},
     )
     rng = random.Random(7001)
@@ -296,10 +295,10 @@ def test_criterion_7a_own_phase_excess_never_fires(heist_setup):
 
 
 def test_criterion_7b_honest_false_punishment_rate(heist_setup):
-    game, pop, hints = heist_setup
+    game, pop = heist_setup
     p, T = 0.15, 40
     params = derive_params(
-        game, pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5, punishment_hints=hints,
+        game, pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5,
         overrides={"probe_rate": p, "block_length": T},
     )
     blocks = 10_000
@@ -382,10 +381,8 @@ def test_criterion_7c_heavy_pre_phase_blocks_detected():
     )
 
 
-def _protocol_end_to_end(game, pop, target, hints, adversary_llm, seeds=30):
-    params = derive_params(
-        game, pop, target, epsilon=1.2, gamma=0.5, punishment_hints=hints
-    )
+def _protocol_end_to_end(game, pop, target, adversary_llm, seeds=30):
+    params = derive_params(game, pop, target, epsilon=1.2, gamma=0.5)
     assert not params.overridden and not params.degenerate
     assert validate_params(game, pop, params) == []
 
@@ -429,13 +426,13 @@ def _protocol_end_to_end(game, pop, target, hints, adversary_llm, seeds=30):
 
 
 def test_criterion_8_protocol_end_to_end(heist_setup):
-    game, pop, hints = heist_setup
-    hparams, hgap, hgains = _protocol_end_to_end(game, pop, (0.0, 0.0, 0.0), hints, 0)
+    game, pop = heist_setup
+    hparams, hgap, hgains = _protocol_end_to_end(game, pop, (0.0, 0.0, 0.0), 0)
 
     pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
     ppop = scenario_population("pd")
     target = llm_utility(pd, ppop, pd_profile("CC", "CC"))
-    pparams, pgap, pgains = _protocol_end_to_end(pd, ppop, target, None, 1)
+    pparams, pgap, pgains = _protocol_end_to_end(pd, ppop, target, 1)
 
     _ok(
         8,

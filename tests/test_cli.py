@@ -758,3 +758,33 @@ def test_minmax_llm_out_of_range_exits_2(tmp_path, monkeypatch, capsys, config, 
         assert code == EXIT_CONFIG
         assert f"config field '--llm': must lie in [0, {k})" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["equilibrium"], ["sweep", "--axis", "population.params.p", "--values", "0.9"]],
+)
+def test_epsilon_out_of_range_exits_2(tmp_path, capsys, command, value):
+    # NaN and -1 used to read as "not an equilibrium" (exit 3), and inf
+    # certified every profile.
+    code = run_command(
+        [*command, "--config", str(_pd_config(tmp_path)), "--epsilon", value,
+         "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == EXIT_CONFIG
+    assert "config field '--epsilon'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, command",
+    [(_heist_config, ["minmax", "--llm", "0"]), (_pd_config, ["eval"])],
+)
+def test_budget_too_small_exits_2(tmp_path, capsys, config, command):
+    code = run_command(
+        [*command, "--config", str(config(tmp_path)), "--budget", "1",
+         "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: exact enumeration needs") and "budget is 1" in err

@@ -1,9 +1,11 @@
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metagame.errors import (
     InfeasibleTargetError,
@@ -19,9 +21,11 @@ from metagame.model import (
     aggregate_mass,
     llm_utility,
 )
+from metagame.feasibility import certificate_from_punishment
 from metagame.protocol import (
     EXCESS,
     FREQUENCY,
+    best_pure_punishment,
     derive_params,
     honest_step,
     initial_state,
@@ -29,7 +33,9 @@ from metagame.protocol import (
     observe_and_update,
     punishment_action,
     validate_params,
+    _mass_ceilings,
     _segment_lengths,
+    _table_flags,
 )
 from metagame.scenarios import (
     blame_cycle,
@@ -38,7 +44,7 @@ from metagame.scenarios import (
     scenario_population,
 )
 
-from oracles import random_instruction
+from oracles import random_game, random_instruction, random_population
 
 
 @pytest.fixture(scope="module")
@@ -53,19 +59,13 @@ def heist_pop():
 
 @pytest.fixture(scope="module")
 def heist_params(heist, heist_pop):
-    hints = {j: heist_punishment(j) for j in range(3)}
-    return derive_params(
-        heist, heist_pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5,
-        punishment_hints=hints,
-    )
+    return derive_params(heist, heist_pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5)
 
 
 @pytest.fixture(scope="module")
 def small_params(heist, heist_pop):
-    hints = {j: heist_punishment(j) for j in range(3)}
     return derive_params(
         heist, heist_pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5,
-        punishment_hints=hints,
         overrides={"probe_rate": 0.2, "block_length": 30},
     )
 
@@ -103,8 +103,7 @@ def test_infeasible_and_non_ir_targets_error(heist, heist_pop):
     convict = MetaProfile.from_pure([("burglar", "planner", "planner")] * 3)
     target = llm_utility(heist, heist_pop, convict)
     with pytest.raises(NotIndividuallyRationalError) as exc:
-        derive_params(heist, heist_pop, target, epsilon=1.2, gamma=0.5,
-                      punishment_hints={j: heist_punishment(j) for j in range(3)})
+        derive_params(heist, heist_pop, target, epsilon=1.2, gamma=0.5)
     assert exc.value.margins[0] <= 0
 
 
@@ -168,10 +167,9 @@ def test_honest_step_non_reviewed_never_probes(small_params):
 
 
 def test_honest_step_zero_probe_rate(heist, heist_pop):
-    hints = {j: heist_punishment(j) for j in range(3)}
     params = derive_params(
         heist, heist_pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5,
-        punishment_hints=hints, overrides={"probe_rate": 0.0, "block_length": 16},
+        overrides={"probe_rate": 0.0, "block_length": 16},
     )
     state = initial_state(params)
     rng = np.random.default_rng(1)
@@ -281,6 +279,45 @@ def test_own_phase_deviations_never_breach_ceilings(heist, heist_pop, small_para
                 ) + 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    roles=st.integers(2, 3),
+    n_actions=st.integers(2, 3),
+    llms=st.integers(2, 3),
+    segments=st.integers(1, 4),
+)
+def test_own_phase_deviations_never_set_excess(seed, roles, n_actions, llms, segments):
+    # Beyond heist: seeded random games and populations in which every
+    # advisor governs a share of every role, and pure prescriptions per
+    # segment as derivation writes them.  In review of advisor l during
+    # segment h, l plays any instruction (mixtures and within-role splits
+    # included) while the others follow their prescriptions; no mass may
+    # pass the ceiling that _mass_ceilings builds.
+    rng = random.Random(seed)
+    game = random_game(rng, roles=roles, n_actions=n_actions)
+    pop = random_population(rng, roles=roles, llms=llms)
+    prescriptions = tuple(
+        tuple(
+            InstructionProfile.pure(tuple(rng.choice(acts) for acts in game.actions))
+            for _ in range(llms)
+        )
+        for _ in range(segments)
+    )
+    params = SimpleNamespace(
+        discrepancy_tol=1e-9,
+        intended_aggregates=tuple(aggregate_mass(game, pop, row) for row in prescriptions),
+        mass_ceilings=_mass_ceilings(game, pop, prescriptions),
+    )
+    for h, row in enumerate(prescriptions):
+        for l in range(llms):
+            for _ in range(4):
+                trial = list(row)
+                trial[l] = random_instruction(rng, game)
+                table = aggregate_mass(game, pop, trial)
+                assert _table_flags(params, table, h, l)[1] is False
+
+
 def test_segment_rounding_bound():
     rng = random.Random(3)
     for _ in range(200):
@@ -349,6 +386,40 @@ def test_pd_punishment_actions():
     )
     assert punishment_action(params, state, 1).pure_profile == ("D", "D")
     assert punishment_action(params, state, 0).pure_profile == ("C", "C")
+
+
+def _punishment_doc(cert):
+    return [None if a is None else a.to_dict() for a in cert.punishment]
+
+
+@pytest.mark.parametrize(
+    "name, game_params, pop_params, target",
+    [
+        ("heist", {}, {}, (0.0, 0.0, 0.0)),
+        ("pd", {"X": -2, "Y": -4, "Z": -5}, {"p": 0.9}, (-3.6, -0.4)),  # README
+    ],
+)
+def test_derived_punishments_are_the_searched_ones(name, game_params, pop_params, target):
+    # derive_params takes no punishment from its caller: each certificate is
+    # the pure search's over the payoff tensor.
+    game = make_scenario(name, **game_params)
+    pop = scenario_population(name, **pop_params)
+    params = derive_params(game, pop, target, epsilon=1.2, gamma=0.5)
+    for j, cert in enumerate(params.certificates):
+        searched = best_pure_punishment(game, pop, j)
+        assert _punishment_doc(cert) == _punishment_doc(searched)
+        assert (cert.lower_bound, cert.upper_bound) == (
+            searched.lower_bound, searched.upper_bound
+        )
+        assert cert.best_response == searched.best_response
+
+
+def test_derived_heist_punishments_match_the_named_ones(heist, heist_pop, heist_params):
+    # The searched punishments hold every heist advisor as low as the
+    # hand-written ones in metagame.scenarios.
+    for j, cert in enumerate(heist_params.certificates):
+        named = certificate_from_punishment(heist, heist_pop, j, heist_punishment(j))
+        assert cert.upper_bound == pytest.approx(named.upper_bound, abs=1e-12)
 
 
 def test_mode_preconditions(small_params):

@@ -24,7 +24,6 @@ from metagame.model import (
 from metagame.protocol import FREQUENCY, derive_params
 from metagame.scenarios import (
     blame_cycle,
-    heist_punishment,
     make_scenario,
     pd_profile,
     scenario_population,
@@ -56,10 +55,8 @@ def heist_pop():
 
 @pytest.fixture(scope="module")
 def small_params(heist, heist_pop):
-    hints = {j: heist_punishment(j) for j in range(3)}
     return derive_params(
         heist, heist_pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5,
-        punishment_hints=hints,
         overrides={"probe_rate": 0.1, "block_length": 40},
     )
 

@@ -21,7 +21,7 @@ from metagame.protocol import (
     _advance,
     _table_flags,
 )
-from metagame.scenarios import heist_punishment, make_scenario, scenario_population
+from metagame.scenarios import make_scenario, scenario_population
 from metagame.sim import (
     BlockStat,
     HonestStrategy,
@@ -37,10 +37,7 @@ T40 = {"probe_rate": 0.1, "block_length": 40}
 
 def _heist():
     game, pop = make_scenario("heist"), scenario_population("heist")
-    hints = {j: heist_punishment(j) for j in range(3)}
-    params = derive_params(
-        game, pop, (0.0, 0.0, 0.0), 1.2, 0.5, punishment_hints=hints, overrides=T40
-    )
+    params = derive_params(game, pop, (0.0, 0.0, 0.0), 1.2, 0.5, overrides=T40)
     return game, pop, params
 
 
