@@ -102,10 +102,14 @@ def _object(value) -> dict:
 
 
 def _number(value) -> float:
-    """``float(value)`` for a JSON number; ``true`` and ``"1"`` are none."""
+    """``float(value)`` for a JSON number; ``true`` and ``"1"`` are none, nor
+    is an integer too large for a float."""
     if isinstance(value, (bool, str)):
         raise TypeError("not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("too large for a float") from None
 
 
 def _finite_numbers(value) -> list[float]:
@@ -305,7 +309,7 @@ def build_game(cfg) -> BaseGame:
         if "name" in game:
             return make_scenario(game["name"], **game["params"])
         return BaseGame.from_dict(game["inline"])
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise ConfigError("game", f"cannot build the game: {exc!r}") from None
 
 
@@ -341,7 +345,7 @@ def build_profile(cfg, game, name) -> MetaProfile:
                 profile = MetaProfile.from_pure([tuple(p) for p in entry["pure"]])
             else:
                 profile = MetaProfile.from_dict(entry["llms"])
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise ConfigError(path, f"cannot build the profile: {exc!r}") from None
     roles = profile.actions[0].role_count
     _require(

@@ -51,11 +51,11 @@ from .errors import (
 from .games import BaseGame, _weighted
 from .model import (
     DEFAULT_TERM_BUDGET,
-    InstructionProfile,
     MetaAction,
     MetaProfile,
     Population,
     _payoff_tensor,
+    _pure_instruction,
 )
 from .oneshot import best_response
 
@@ -293,8 +293,11 @@ def _matrix_game_min_value(C: np.ndarray):
 
 
 def _mixture_meta_action(profiles: list[tuple[str, ...]], weights) -> MetaAction:
+    """The mixture with ``weights`` over pure ``profiles``, entries of weight
+    1e-12 or less dropped and the rest renormalized; each outcome is the
+    shared :func:`_pure_instruction` object."""
     outcomes = [
-        (InstructionProfile.pure(p), float(w))
+        (_pure_instruction(p), float(w))
         for p, w in zip(profiles, weights)
         if w > 1e-12
     ]

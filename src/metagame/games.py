@@ -189,10 +189,13 @@ class BaseGame:
         actions = tuple(tuple(a) for a in doc["actions"])
         payoffs = doc["payoffs"]
         if isinstance(payoffs, Mapping):
+            params = payoffs.get("params", {})
+            if not isinstance(params, Mapping):
+                raise ValidationError("procedural payoff params must be an object")
             return cls(
                 actions=actions,
                 rule_name=payoffs["procedural"],
-                rule_params=tuple(sorted(payoffs.get("params", {}).items())),
+                rule_params=tuple(sorted(params.items())),
             )
         table = {
             tuple(entry["profile"]): tuple(float(v) for v in entry["vector"])

@@ -26,6 +26,13 @@ blocks of at most ``BLOCK_REALIZATIONS`` (:func:`_pure_supports`,
 :func:`_realization_block`, :func:`_block_utilities`), with the same float
 operations in the same order as the scalar path, so the results agree bit for
 bit.  Any other input takes the scalar path.
+
+The payoff tensor behind the vertices, the punishments and ``minmax``
+(:func:`_payoff_tensor`) covers shared roles as well: it reads the n pure
+payoff vectors once and evaluates the n^k pure realizations in numpy blocks,
+one-profile realizations as the fast path sums them and the others from
+per-role aggregate slots as :func:`_role_value` sums them, so it too equals
+the per-realization loop bit for bit and stops at the same term count.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -239,6 +247,12 @@ class InstructionProfile:
                 for i, entries in enumerate(doc)
             )
         )
+
+
+@lru_cache(maxsize=4096)
+def _pure_instruction(labels: tuple[str, ...]) -> InstructionProfile:
+    """The one shared :meth:`InstructionProfile.pure` object of ``labels``."""
+    return InstructionProfile.pure(labels)
 
 
 @dataclass(frozen=True)
@@ -553,19 +567,131 @@ def _payoff_tensor(game: BaseGame, pop: Population, budget: float) -> np.ndarray
     """``U[a_0, ..., a_{k-1}, j]``: advisor j's utility when each advisor q
     instructs the pure profile with index ``a_q`` in ``game.profiles()`` order.
 
-    Raises :class:`BudgetExceededError` before enumerating anything when the
-    n^k realizations exceed ``budget``.
+    Equal, bit for bit, to :func:`_realization_utilities` of each pure
+    realization, and built in numpy blocks of at most
+    ``BLOCK_REALIZATIONS`` realizations in product order from the n payoff
+    vectors, read once.  A realization in which every governing advisor
+    names the same action on every role plays one profile: advisor j's
+    utility is ``shares[i][j] * pay[i]`` summed over its roles in role order
+    from 0.0, as on the scalar fast path.  In any other realization each
+    role's aggregate has one slot per distinct named action, in the order
+    the advisors first name it, holding the shares of its advisors summed in
+    index order (:func:`_role_masses`).  For each role i that advisor j
+    governs, the value of j's role-i action against the other roles' slots
+    sums ``w * pay[..., i]`` over slot combinations in product order from
+    0.0, with ``w`` the slot masses multiplied left to right
+    (:func:`_role_value`); padded slots are masked out and add no term.
+    Advisor j's utility sums ``shares[i][j] * value`` over its roles in role
+    order from 0.0.
+
+    Raises :class:`BudgetExceededError` before building anything when the
+    n^k realizations exceed ``budget``.  Otherwise the terms are counted as
+    the scalar path counts them, 1 for a one-profile realization and, for
+    each (j, i), the product of the other roles' slot counts: the error is
+    raised with the first running count, in product order, that passes
+    ``budget``.
     """
     n = game.num_profiles
     k = pop.llm_count
     if n**k > budget:
         raise BudgetExceededError(n**k, budget)
-    pure = [InstructionProfile.pure(p) for p in game.profiles()]
+    sizes = tuple(len(a) for a in game.actions)
+    m = len(sizes)
+    pay = np.array([game.payoff(p) for p in game.profiles()], dtype=float)
+    pay = pay.reshape(sizes + (m,))
+    named_by = _grid(sizes, 0, n)  # profile index -> action index per role
+    shares = pop.shares
+    governing = [[q for q, p in enumerate(row) if p > 0.0] for row in shares]
     U = np.empty((n,) * k + (k,))
-    terms = _Terms(game, budget)
-    for idx in itertools.product(range(n), repeat=k):
-        U[idx] = _realization_utilities(terms, pop, tuple(pure[a] for a in idx))
+    flat = U.reshape(-1, k)
+    used = 0
+    for start in range(0, n**k, BLOCK_REALIZATIONS):
+        stop = min(start + BLOCK_REALIZATIONS, n**k)
+        named = named_by[_grid((n,) * k, start, stop)]  # (B, k, m)
+        lead = named[:, [g[0] for g in governing], range(m)]  # (B, m)
+        one = np.ones(stop - start, dtype=bool)
+        for i, g in enumerate(governing):
+            for q in g[1:]:
+                one &= named[:, q, i] == lead[:, i]
+        vals = np.empty((stop - start, k))
+        vals[one] = _block_utilities(pop, pay[tuple(lead[one].T)])
+        vals[~one], counts = _mixed_utilities(pop, pay, governing, named[~one])
+        terms = np.ones(stop - start, dtype=np.int64)
+        terms[~one] = counts.sum(axis=1)
+        running = used + np.cumsum(terms)
+        if running[-1] > budget:
+            # The scalar path checks after each (advisor, role) increment:
+            # replay the increments of the first row that passes the budget.
+            b = int(np.argmax(running > budget))
+            used = int(running[b] - terms[b])
+            row = [1] if one[b] else counts[int(np.sum(~one[:b]))].tolist()
+            for c in row:
+                used += c
+                if used > budget:
+                    raise BudgetExceededError(used, budget)
+        used = int(running[-1])
+        flat[start:stop] = vals
     return U
+
+
+def _mixed_utilities(
+    pop: Population,
+    pay: np.ndarray,
+    governing: Sequence[Sequence[int]],
+    named: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """For the ``(S, k, m)`` action indices ``named`` of S pure realizations
+    that play more than one profile: the ``(S, k)`` advisor utilities, summed
+    as :func:`_payoff_tensor` describes, and the ``(S, P)`` term counts of
+    the P governed (advisor, role) pairs in (advisor, role) order."""
+    S, k, m = named.shape
+    rows = np.arange(S)
+    slots, counts = [], []  # per role: (actions, masses, valid) and slot counts
+    for r, g in enumerate(governing):
+        width = min(len(g), pay.shape[r])
+        act = np.zeros((S, width), dtype=np.intp)
+        mass = np.zeros((S, width))
+        count = np.zeros(S, dtype=np.intp)
+        for q in g:
+            a = named[:, q, r]
+            s = count.copy()  # a new slot, unless an earlier advisor named a
+            for u in range(width):
+                s = np.where((u < count) & (act[:, u] == a), u, s)
+            act[rows, s] = a
+            mass[rows, s] += pop.shares[r][q]
+            count += s == count
+        slots.append((act, mass, np.arange(width) < count[:, None]))
+        counts.append(count)
+    out = np.zeros((S, k))
+    pair_counts = []
+    for j in range(k):
+        for i in range(m):
+            p = pop.shares[i][j]
+            if p <= 0.0:
+                continue
+            terms = np.ones(S, dtype=np.int64)
+            for r in range(m):
+                if r != i:
+                    terms *= counts[r]
+            pair_counts.append(terms)
+            value = np.zeros(S)
+            widths = [1 if r == i else slots[r][0].shape[1] for r in range(m)]
+            for combo in itertools.product(*map(range, widths)):
+                w = np.ones(S)
+                live = np.ones(S, dtype=bool)
+                index = []
+                for r, s in enumerate(combo):
+                    if r == i:
+                        index.append(named[:, j, i])
+                        continue
+                    act, mass, valid = slots[r]
+                    w = w * mass[:, s]
+                    live &= valid[:, s]
+                    index.append(act[:, s])
+                term = w * pay[(*index, i)]
+                value = np.where(live, value + term, value)
+            out[:, j] += p * value
+    return out, np.stack(pair_counts, axis=1)
 
 
 def _pure_supports(
@@ -638,13 +764,12 @@ def _realization_block(
     return index, weights
 
 
-def _block_utilities(game: BaseGame, pop: Population, index: np.ndarray) -> np.ndarray:
-    """``(B, k)`` advisor utilities at the pure profiles whose action indices
-    are the rows of ``index``: advisor j's is ``shares[i][j] * pay[:, i]``
+def _block_utilities(pop: Population, pay: np.ndarray) -> np.ndarray:
+    """``(B, k)`` advisor utilities at B pure profiles whose ``(B, m)``
+    payoff vectors are ``pay``: advisor j's is ``shares[i][j] * pay[:, i]``
     summed over the roles it governs, in role order from 0.0, as the scalar
     fast path of :func:`_realization_utilities` sums it."""
-    pay = game.payoff_block(index)
-    out = np.zeros((len(index), pop.llm_count))
+    out = np.zeros((len(pay), pop.llm_count))
     for i, row in enumerate(pop.shares):
         for j, p in enumerate(row):
             if p > 0.0:
@@ -697,7 +822,7 @@ def llm_utility(
         for start in range(0, combos, BLOCK_REALIZATIONS):
             stop = min(start + BLOCK_REALIZATIONS, combos)
             index, weights = _realization_block(*pure, start, stop)
-            vals = _block_utilities(game, pop, index)
+            vals = _block_utilities(pop, game.payoff_block(index))
             for j in range(k):
                 s[j], c[j] = _neumaier(s[j], c[j], weights * vals[:, j])
         return tuple(s[j] + c[j] for j in range(k))

@@ -274,7 +274,9 @@ def _best_block_response(game, pop, j, free, pure) -> BestResponse:
             )
             index = np.repeat(index[None], len(cands), axis=0)
             index[:, :, list(free)] = cands[:, None, :]
-            vals = _block_utilities(game, pop, index.reshape(-1, len(owners)))[:, j]
+            vals = _block_utilities(
+                pop, game.payoff_block(index.reshape(-1, len(owners)))
+            )[:, j]
             weighted = weights * vals.reshape(len(cands), -1)
             totals = np.add.accumulate(
                 np.concatenate([totals[:, None], weighted], axis=1), axis=1

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .model import (
     Population,
     aggregate_mass,
     _payoff_tensor,
+    _pure_instruction,
     _role_masses,
 )
 from .feasibility import (
@@ -153,11 +153,6 @@ def _fresh_block(params: ProtocolParams, phase: int) -> ProtocolState:
         punishment_remaining=0,
         punished=None,
     )
-
-
-@lru_cache(maxsize=4096)
-def _pure_instruction(labels: tuple[str, ...]) -> InstructionProfile:
-    return InstructionProfile.pure(labels)
 
 
 def prescribed_instruction(

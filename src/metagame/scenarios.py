@@ -15,6 +15,7 @@ Scenarios:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Sequence
 
@@ -76,7 +77,14 @@ def _bounded_block(
 ):
     """:func:`_bounded_rule` on a ``(B, m)`` block of action indices.  Labels
     are compared through one integer code per distinct label, so roles with
-    different action lists count alike only on equal labels."""
+    different action lists count alike only on equal labels.  Raises
+    :class:`ValidationError` unless the game has ``n_roles`` roles and
+    ``prize`` is finite (``TypeError`` when it is not a number)."""
+    if len(actions) != n_roles or not math.isfinite(prize):
+        raise ValidationError(
+            f"bounded_group_prize needs {len(actions)} roles and a finite prize, "
+            f"got n_roles = {n_roles!r} and prize = {prize!r}"
+        )
     codes: dict[str, int] = {}
     per_role = [
         np.array([codes.setdefault(a, len(codes)) for a in labels])

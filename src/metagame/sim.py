@@ -43,6 +43,7 @@ from .model import (
     MetaAction,
     Population,
     aggregate_mass,
+    _pure_instruction,
     _realization_utilities,
     _Terms,
 )
@@ -58,7 +59,6 @@ from .protocol import (
     prescribed_instruction,
     punishment_action,
     _advance,
-    _pure_instruction,
     _table_flags,
 )
 

@@ -1,13 +1,21 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metagame.cli
 import metagame.sim
 from metagame.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     load_config,
     normalize_config,
@@ -523,6 +531,44 @@ MALFORMED_CONFIGS = {
         "population",
         lambda d: d["population"]["params"].update(p="0.9"),
     ),
+    "budget too large for a float": ("budget", lambda d: d.update(budget=10**400)),
+    "folk.delta too large for a float": (
+        "folk.delta",
+        lambda d: d["folk"].update(delta=10**400),
+    ),
+    "population.params.p too large for a float": (
+        "population",
+        lambda d: d["population"]["params"].update(p=10**400),
+    ),
+    "inline game payoff too large for a float": (
+        "game",
+        lambda d: d.update(_inline_game(actions=[["C"], ["C"]], payoffs=[
+            {"profile": ["C", "C"], "vector": [10**400, 0]}
+        ])),
+    ),
+    "inline procedural params a list": (
+        "game",
+        lambda d: d.update(_inline_game(
+            actions=[["C"], ["C"]],
+            payoffs={"procedural": "bounded_group_prize", "params": []},
+        )),
+    ),
+    "inline bounded rule with another role count": (
+        "game",
+        lambda d: d.update(_inline_game(
+            actions=[["C", "D"], ["C", "D"]],
+            payoffs={"procedural": "bounded_group_prize",
+                     "params": {"n_roles": 3, "group_size": 2}},
+        )),
+    ),
+    "inline bounded rule prize a string": (
+        "game",
+        lambda d: d.update(_inline_game(
+            actions=[["C", "D"], ["C", "D"]],
+            payoffs={"procedural": "bounded_group_prize",
+                     "params": {"n_roles": 2, "group_size": 2, "prize": "x"}},
+        )),
+    ),
 }
 
 
@@ -586,6 +632,7 @@ BAD_PROFILES = {
     ),
     "NaN instruction fraction": _both((1.0, [_C, {**_D, "fraction": float("nan")}])),
     "NaN outcome probability": _both((1.0, [_C]), (float("nan"), [_D])),
+    "outcome probability too large for a float": _both((10**400, [_C])),
 }
 
 
@@ -788,3 +835,76 @@ def test_budget_too_small_exits_2(tmp_path, capsys, config, command):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: exact enumeration needs") and "budget is 1" in err
+
+
+# The README PD config and the heist config of the benchmark's plan-heist.
+MUTATED_BASES = {
+    "readme-pd": {
+        "schema": 1,
+        "game": {"name": "pd", "params": {"X": -2, "Y": -4, "Z": -5}},
+        "population": {"scenario": "pd", "params": {"p": 0.9}},
+        "meta_profiles": {"main": {"pure": [["C", "C"], ["D", "D"]]}},
+        "folk": {"r": [-3.6, -0.4], "epsilon": 1.2, "gamma": 0.5, "delta": 0.995},
+        "adversary": {"llm": 1, "kind": "heavy"},
+        "trials": 30,
+        "seed": 42,
+    },
+    "heist": {
+        "schema": 1,
+        "game": {"name": "heist", "params": {}},
+        "population": {"scenario": "heist", "params": {}},
+        "meta_profiles": {"main": {"named": "heist_blame"}},
+        "folk": {"r": [0.0, 0.0, 0.0]},
+        "seed": 0,
+    },
+}
+
+
+def _field_paths(node, prefix=()):
+    """The path of every object member and list entry below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+# Edge values first: integers too large for a float, NaN, infinities, wrong types.
+_JSON_VALUES = st.recursive(
+    st.sampled_from([10**400, -(10**400), float("nan"), float("inf"), -1, 0, True, None, ""])
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_config(draw):
+    """A base config with one field dropped or replaced by a JSON value."""
+    doc = copy.deepcopy(MUTATED_BASES[draw(st.sampled_from(sorted(MUTATED_BASES)))])
+    path = draw(st.sampled_from(list(_field_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.integers(0, 3)) == 0:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_mutated_config())
+def test_mutated_configs_never_exit_1(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_command(
+                ["eval", "--config", str(path), "--out", str(Path(tmp) / "out"), "--quiet"]
+            )
+    assert code != EXIT_INTERNAL, err.getvalue()
