@@ -55,6 +55,7 @@ from .scenarios import (
 )
 from .sim import (
     ADVERSARY_KINDS,
+    CLIENT_CEILING,
     FixedProfileStrategy,
     HonestStrategy,
     estimate_deviation_gain,
@@ -296,6 +297,11 @@ def normalize_config(doc: dict) -> dict:
             "clients_per_role": _field(finite, "finite.clients_per_role", _positive_int),
             "periods": _field(finite, "finite.periods", _positive_int, 100),
         }
+        _require(
+            out["finite"]["clients_per_role"] < CLIENT_CEILING,
+            "finite.clients_per_role",
+            f"must be below {CLIENT_CEILING:,}, the finite sampler's limit",
+        )
 
     out["trials"] = _field(doc, "trials", _positive_int, 30)
     out["seed"] = _field(doc, "seed", _natural, 0)

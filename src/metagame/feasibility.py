@@ -12,7 +12,8 @@ It finds the closest mixture to a target (the decomposition), the value of a
 punishment matrix game, and, for :mod:`metagame.protocol`, the hull point of
 largest margin above the punishment bounds.  Only the separating direction
 of an infeasible target (a box-bounded direction and a free scalar) is a
-program of its own.
+program of its own.  The two LPs go through :func:`_highs`, which imports scipy
+on the first LP, so the commands that solve none start without it.
 
 Punishment values: with two advisors the minmax is the value of the
 correlated-punishers LP, exact for a lone punisher.  With three or more,
@@ -41,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     InfeasibleTargetError,
@@ -158,6 +158,14 @@ def _vertex_set(game: BaseGame, U: np.ndarray) -> PayoffVertexSet:
     )
 
 
+def _highs(c, **lp):
+    """``scipy.optimize.linprog(c, **lp)`` by HiGHS.  scipy is imported
+    here, on the first LP, not with the module."""
+    from scipy.optimize import linprog
+
+    return linprog(c, method="highs", **lp)
+
+
 def _separating_direction(V: np.ndarray, target: np.ndarray):
     """Direction d, |d|_inf <= 1, maximizing d.target - max_h d.V_h."""
     N, k = V.shape
@@ -166,7 +174,7 @@ def _separating_direction(V: np.ndarray, target: np.ndarray):
     A_ub = np.hstack([V, -np.ones((N, 1))])
     b_ub = np.zeros(N)
     bounds = [(-1.0, 1.0)] * k + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = _highs(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
     if not res.success:
         raise MetagameError(f"separating-direction LP failed: {res.message}")
     d = res.x[:k]
@@ -218,14 +226,13 @@ def _mixture_lp(A, b, maximize=False, t_lower=None, options=None):
     c[N] = sign
     A_eq = np.zeros((1, N + 1))
     A_eq[0, :N] = 1.0
-    res = linprog(
+    res = _highs(
         c,
         A_ub=np.hstack([A, -sign * np.ones((n_rows, 1))]),
         b_ub=b,
         A_eq=A_eq,
         b_eq=[1.0],
         bounds=[(0.0, None)] * N + [(t_lower, None)],
-        method="highs",
         options=options,
     )
     if not res.success:

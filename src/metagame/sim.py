@@ -843,6 +843,12 @@ def _group_plan(game, counts, realized):
     return plan
 
 
+# numpy's multivariate_hypergeometric (its default "marginals" method, which
+# fixes the random stream) needs fewer than 10**9 items in the urn, and
+# ``_sample_table``'s first urn for a role holds all N of its clients.
+CLIENT_CEILING = 10**9
+
+
 def _sample_table(plan, world: np.random.Generator):
     """One period's occupied joint cells (an index array per role) and their
     client counts, in lexicographic order: multinomial group counts, then
@@ -904,6 +910,11 @@ def finite_population_run(
     k = pop.llm_count
     if N < 1:
         raise ValidationError("need at least one client per role")
+    if N >= CLIENT_CEILING:
+        raise ValidationError(
+            f"need fewer than {CLIENT_CEILING:,} clients per role, the limit "
+            "of numpy's hypergeometric sampler"
+        )
     if periods < 1:
         raise ValidationError("need at least one period")
     if len(strategies) != k:

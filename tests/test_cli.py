@@ -561,6 +561,14 @@ MALFORMED_CONFIGS = {
                      "params": {"n_roles": 3, "group_size": 2}},
         )),
     ),
+    "finite.clients_per_role at the sampler's ceiling": (
+        "finite.clients_per_role",
+        lambda d: d.update(finite={"clients_per_role": 10**9, "periods": 3}),
+    ),
+    "finite.clients_per_role beyond int64": (
+        "finite.clients_per_role",
+        lambda d: d.update(finite={"clients_per_role": 10**30, "periods": 3}),
+    ),
     "inline bounded rule prize a string": (
         "game",
         lambda d: d.update(_inline_game(
@@ -729,6 +737,18 @@ def test_finite_sweep_counts_below_one_exit_2(
     )
     assert code == EXIT_CONFIG
     assert f"config field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["1000000000", "1e30"])
+def test_finite_sweep_clients_at_the_sampler_ceiling_exit_2(tmp_path, capsys, values):
+    # These exited 1: numpy's hypergeometric sampler takes fewer than 10**9.
+    code = run_command(
+        ["sweep", "--config", str(_finite_config(tmp_path)), "--axis",
+         "finite.clients_per_role", "--values", values, "--run", "finite",
+         "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == EXIT_CONFIG
+    assert "config field 'finite.clients_per_role'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

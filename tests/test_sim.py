@@ -505,6 +505,27 @@ def test_finite_run_needs_a_period():
             )
 
 
+def test_finite_run_clients_below_the_sampler_ceiling():
+    # numpy's multivariate_hypergeometric takes fewer than 10**9 items; at
+    # the ceiling the run used to end in a ValueError, and beyond int64 in an
+    # OverflowError.
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    mixed = InstructionProfile.homogeneous(
+        (
+            MixedStrategy.from_weights(0, {"C": 0.5, "D": 0.5}),
+            MixedStrategy.from_weights(1, {"C": 0.5, "D": 0.5}),
+        )
+    )
+    strategies = [FixedProfileStrategy(MetaAction.deterministic(mixed))] * 2
+    pop = scenario_population("pd")
+    N = metagame.sim.CLIENT_CEILING - 1
+    _, report = finite_population_run(N, pd, pop, strategies, periods=2, seed=0)
+    assert report.clients_per_role == N and report.max_gap < 1e-3
+    for N in (metagame.sim.CLIENT_CEILING, 10**30):
+        with pytest.raises(ValidationError, match="sampler"):
+            finite_population_run(N, pd, pop, strategies, periods=2, seed=0)
+
+
 def test_to_jsonl_lines_are_the_records():
     pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
     overrides = {"block_length": 40, "probe_rate": 0.1, "punish_length": 20}
