@@ -26,6 +26,7 @@ from .errors import (
     InfeasibleTargetError,
     MetagameError,
     NotIndividuallyRationalError,
+    SolverLimitError,
     ValidationError,
 )
 from .games import BaseGame
@@ -836,6 +837,13 @@ def run_command(argv) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except SolverLimitError as exc:
+        # An LP matrix entry is a payoff.  A bound is a target entry or a
+        # payoff, and a payoff that passed the matrix limit cannot reach the
+        # bound limit, so a bound beyond it is a target entry.
+        field = "game" if exc.option == "large_matrix_value" else "folk.r"
+        print(f"error: {ConfigError(field, str(exc))}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, ValidationError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

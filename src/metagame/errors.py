@@ -59,3 +59,15 @@ class NotIndividuallyRationalError(MetagameError):
         )
         self.target = tuple(target)
         self.margins = tuple(margins)
+
+
+class SolverLimitError(ValidationError):
+    """An LP input HiGHS cannot take: NaN, or a value whose size reaches the
+    HiGHS limit named by ``option``."""
+
+    def __init__(self, what, value, option, limit):
+        super().__init__(
+            f"LP {what} {value:g} must be a number smaller in size than "
+            f"HiGHS's {option} ({limit:g})"
+        )
+        self.option = option

@@ -13,7 +13,13 @@ punishment matrix game, and, for :mod:`metagame.protocol`, the hull point of
 largest margin above the punishment bounds.  Only the separating direction
 of an infeasible target (a box-bounded direction and a free scalar) is a
 program of its own.  The two LPs go through :func:`_highs`, which imports scipy
-on the first LP, so the commands that solve none start without it.
+on the first LP, so the commands that solve none start without it.  It
+drives HiGHS through scipy's private binding ``scipy.optimize._highspy._core``
+rather than ``linprog``, because the LPs are tiny and many (a warm
+``plan-heist`` benchmark pass solves 115, most of them 8x8 punisher matrix
+games) and ``linprog``'s wrapper cost most of each one.  The model, the
+options and the post-solve check are ``linprog``'s, so every solution is bit
+for bit the one ``linprog`` returns.
 
 Punishment values: with two advisors the minmax is the value of the
 correlated-punishers LP, exact for a lone punisher.  With three or more,
@@ -46,6 +52,7 @@ import numpy as np
 from .errors import (
     InfeasibleTargetError,
     MetagameError,
+    SolverLimitError,
     ValidationError,
 )
 from .games import BaseGame, _weighted
@@ -158,12 +165,138 @@ def _vertex_set(game: BaseGame, U: np.ndarray) -> PayoffVertexSet:
     )
 
 
-def _highs(c, **lp):
-    """``scipy.optimize.linprog(c, **lp)`` by HiGHS.  scipy is imported
-    here, on the first LP, not with the module."""
-    from scipy.optimize import linprog
+# linprog's words before the status of a failed LP, so that the failure reads
+# as it did through linprog; the statuses left out here (errors, and limits
+# this module never sets) have none.
+_STATUS_WORDS = {
+    "kInfeasible": "The problem is infeasible. ",
+    "kUnboundedOrInfeasible": "The problem is unbounded or infeasible. ",
+    "kUnbounded": "The problem is unbounded. ",
+    "kUnknown": "The HiGHS status code was not recognized. ",
+}
+RESIDUAL_TOL = math.sqrt(1e-9) * 10  # linprog's post-solve tolerance
 
-    return linprog(c, method="highs", **lp)
+
+def _solution_holds(x, fun, lower, upper, slack, residual) -> bool:
+    """linprog's post-solve check: no NaN, and ``x`` within its bounds, the
+    inequality slacks no lower and the equality residuals no larger in size
+    than ``RESIDUAL_TOL``."""
+    if math.isnan(fun) or any(np.isnan(a).any() for a in (x, slack, residual)):
+        return False
+    tol = RESIDUAL_TOL
+    return not (
+        (x < lower - tol).any()
+        or (x > upper + tol).any()
+        or (slack < -tol).any()
+        or (np.abs(residual) > tol).any()
+    )
+
+
+def _highs(what, c, A_ub, b_ub, lower, upper, A_eq=None, b_eq=None, options=None):
+    """``x`` and the value of min c.x s.t. ``A_ub x <= b_ub``,
+    ``A_eq x = b_eq`` and ``lower <= x <= upper``, by one fresh HiGHS solve.
+
+    HiGHS gets the model and options scipy's ``linprog(method="highs")``
+    gives it, and the result passes the same checks, but the call goes
+    through scipy's bundled binding ``scipy.optimize._highspy._core``, a
+    private module (scipy >= 1.15).  On an 8x8 punisher matrix game (9
+    columns, 9 rows) linprog took about 2.4 ms on a 2-vCPU Xeon, under
+    0.5 ms of it in HiGHS's ``run`` and the rest in its wrapper (input
+    parsing, a sparse matrix, re-validating each option); this call takes
+    0.6-0.75 ms.  scipy is imported here, on the first LP, not with the
+    module.
+
+    Raises :class:`SolverLimitError` when a matrix entry or a row bound is
+    NaN or as large in size as HiGHS's ``large_matrix_value`` or
+    ``infinite_bound``, which HiGHS would reject as a model error, and
+    :class:`MetagameError` naming ``what`` unless HiGHS reports an optimum
+    that passes :func:`_solution_holds`.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        raise MetagameError(
+            f"the LP solver needs scipy >= 1.15 (scipy.optimize._highspy): {exc}"
+        ) from None
+    inf = _core.kHighsInf  # IEEE inf, so the callers' +-inf bounds pass as they are
+    n_ub = len(b_ub)
+    if A_eq is None:
+        A, b_eq = A_ub, np.zeros(0)
+    else:
+        A = np.vstack([A_ub, A_eq])
+    row_upper = np.concatenate([b_ub, b_eq])
+    row_lower = np.concatenate([np.full(n_ub, -inf), b_eq])
+    m, n = A.shape
+    # Column-wise sparse matrix: the nonzeros of A.T in row-major order.
+    At = A.T
+    nonzero = At != 0
+    value = At[nonzero]
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=start[1:])
+
+    highs = _core._Highs()
+    for option, setting in {
+        "presolve": "on",
+        "highs_debug_level": int(_core.HighsDebugLevel.kHighsDebugLevelNone),
+        "log_to_console": False,
+        "output_flag": False,
+        "simplex_strategy": int(
+            _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        ),
+        **(options or {}),
+    }.items():
+        highs.setOptionValue(option, setting)
+    for name, values, option in (
+        ("matrix entry", value, "large_matrix_value"),
+        ("bound", row_upper, "infinite_bound"),
+    ):
+        limit = highs.getOptionValue(option)[1]
+        beyond = ~(np.abs(values) < limit)
+        if beyond.any():
+            raise SolverLimitError(name, float(values[beyond][0]), option, limit)
+
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1].astype(np.int32)
+    lp.a_matrix_.value_ = value
+    lp.col_cost_ = c
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+
+    failed = _core.HighsStatus.kError
+    if highs.passModel(lp) == failed:
+        status = _core.HighsModelStatus.kModelError
+        detail = highs.modelStatusToString(status)
+    elif highs.run() == failed:
+        status = highs.getModelStatus()
+        detail = highs.modelStatusToString(status)
+    else:
+        status = highs.getModelStatus()
+        info = highs.getInfo()
+        if status == _core.HighsModelStatus.kOptimal:
+            solution = highs.getSolution()
+            x = np.array(solution.col_value)
+            fun = info.objective_function_value
+            slack = row_upper - solution.row_value
+            if _solution_holds(x, fun, lower, upper, slack[:n_ub], slack[n_ub:]):
+                return x, fun
+            raise MetagameError(
+                f"{what} LP failed: The solution does not satisfy the "
+                f"constraints within the required tolerance of {RESIDUAL_TOL:.2E}"
+            )
+        detail = (
+            f"model_status is {highs.modelStatusToString(status)}; primal_status"
+            f" is {highs.solutionStatusToString(info.primal_solution_status)}"
+        )
+    words = _STATUS_WORDS.get(status.name, "")
+    raise MetagameError(
+        f"{what} LP failed: {words}(HiGHS Status {int(status)}: {detail})"
+    )
 
 
 def _separating_direction(V: np.ndarray, target: np.ndarray):
@@ -172,13 +305,11 @@ def _separating_direction(V: np.ndarray, target: np.ndarray):
     # variables: d (k), s; minimize -d.target + s  s.t.  V d - s <= 0
     c = np.concatenate([-target, [1.0]])
     A_ub = np.hstack([V, -np.ones((N, 1))])
-    b_ub = np.zeros(N)
-    bounds = [(-1.0, 1.0)] * k + [(None, None)]
-    res = _highs(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-    if not res.success:
-        raise MetagameError(f"separating-direction LP failed: {res.message}")
-    d = res.x[:k]
-    gap = float(target @ d - res.x[k])
+    lower = np.append(np.full(k, -1.0), -np.inf)
+    upper = np.append(np.ones(k), np.inf)
+    x, _ = _highs("separating-direction", c, A_ub, np.zeros(N), lower, upper)
+    d = x[:k]
+    gap = float(target @ d - x[k])
     return d, gap
 
 
@@ -226,20 +357,22 @@ def _mixture_lp(A, b, maximize=False, t_lower=None, options=None):
     c[N] = sign
     A_eq = np.zeros((1, N + 1))
     A_eq[0, :N] = 1.0
-    res = _highs(
+    lower = np.zeros(N + 1)
+    lower[N] = -np.inf if t_lower is None else t_lower
+    x, _ = _highs(
+        "mixture",
         c,
-        A_ub=np.hstack([A, -sign * np.ones((n_rows, 1))]),
-        b_ub=b,
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * N + [(t_lower, None)],
-        options=options,
+        np.hstack([A, -sign * np.ones((n_rows, 1))]),
+        b,
+        lower,
+        np.full(N + 1, np.inf),
+        A_eq,
+        np.ones(1),
+        options,
     )
-    if not res.success:
-        raise MetagameError(f"mixture LP failed: {res.message}")
-    w = np.clip(res.x[:N], 0.0, None)
+    w = np.clip(x[:N], 0.0, None)
     w /= w.sum()
-    return w, float(res.x[N])
+    return w, float(x[N])
 
 
 def _closest_mixture(V: np.ndarray, target: np.ndarray, options=None):

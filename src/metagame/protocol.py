@@ -372,7 +372,9 @@ def derive_params(
     Each advisor's punishment is its :func:`best_pure_punishment`, searched
     over the payoff tensor that also gives the vertices.
     Raises :class:`InfeasibleTargetError` / :class:`NotIndividuallyRationalError`
-    when the target fails the preconditions.  The adjusted target moves the
+    when the target fails the preconditions, and :class:`ValidationError`
+    when epsilon or gamma is so small that no block length up to
+    ``MAX_BLOCK_LENGTH`` meets the block-length inequalities.  The adjusted target moves the
     target toward the hull point of largest margin above the punishment
     bounds, by at most the slack unit; the punishment ratio c and the probe
     rate follow from it, the block length T is the first power of two from
@@ -452,8 +454,9 @@ def derive_params(
         ):
             T *= 2
             if T > MAX_BLOCK_LENGTH:
-                raise MetagameError(
-                    "no block length satisfies the inequalities below the cap"
+                raise ValidationError(
+                    f"no block length up to {MAX_BLOCK_LENGTH} meets the block-length "
+                    f"inequalities at epsilon = {epsilon:g}, gamma = {gamma:g}"
                 )
     K = int(overrides.get("punish_length", math.ceil(c * T)))
 

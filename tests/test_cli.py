@@ -118,6 +118,15 @@ def test_folk_plan_rejects_non_ir_target(tmp_path):
     assert any(m <= 0 for m in results["margins"])
 
 
+def test_folk_plan_with_no_block_length_for_its_epsilon_exits_2(tmp_path, capsys):
+    cfg = _pd_config(tmp_path, epsilon=1e-300, overrides={})
+    code = run_command(
+        ["folk", "plan", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == EXIT_CONFIG
+    assert "no block length up to" in capsys.readouterr().err
+
+
 def test_folk_run_produces_artifacts(tmp_path):
     cfg = _pd_config(tmp_path)
     out = tmp_path / "out"
@@ -569,6 +578,18 @@ MALFORMED_CONFIGS = {
         "finite.clients_per_role",
         lambda d: d.update(finite={"clients_per_role": 10**30, "periods": 3}),
     ),
+    "folk.r at HiGHS's infinite_bound": (
+        "folk.r",
+        lambda d: d["folk"].update(r=[1e20, -0.4]),
+    ),
+    "game payoff beyond HiGHS's large_matrix_value": (
+        "game",
+        lambda d: d["game"]["params"].update(Z=-1e16),
+    ),
+    "game payoff far beyond HiGHS's large_matrix_value": (
+        "game",
+        lambda d: d["game"]["params"].update(Z=-1e19),
+    ),
     "inline bounded rule prize a string": (
         "game",
         lambda d: d.update(_inline_game(
@@ -902,8 +923,8 @@ _JSON_VALUES = st.recursive(
 
 
 @st.composite
-def _mutated_config(draw):
-    """A base config with one field dropped or replaced by a JSON value."""
+def _mutated_config(draw, values=_JSON_VALUES):
+    """A base config with one field dropped or replaced by one of ``values``."""
     doc = copy.deepcopy(MUTATED_BASES[draw(st.sampled_from(sorted(MUTATED_BASES)))])
     path = draw(st.sampled_from(list(_field_paths(doc))))
     parent = doc
@@ -912,7 +933,7 @@ def _mutated_config(draw):
     if draw(st.integers(0, 3)) == 0:
         del parent[path[-1]]
     else:
-        parent[path[-1]] = draw(_JSON_VALUES)
+        parent[path[-1]] = draw(values)
     return doc
 
 
@@ -926,5 +947,25 @@ def test_mutated_configs_never_exit_1(doc):
         with contextlib.redirect_stderr(err):
             code = run_command(
                 ["eval", "--config", str(path), "--out", str(Path(tmp) / "out"), "--quiet"]
+            )
+    assert code != EXIT_INTERNAL, err.getvalue()
+
+
+# The values above or, as often, a magnitude beyond a HiGHS limit: 1e15
+# (large_matrix_value) for a payoff, 1e20 (infinite_bound) for a target.
+_LP_JSON_VALUES = st.sampled_from([1e16, -1e16, 1e20, -1e20, 1e300]) | _JSON_VALUES
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_mutated_config(_LP_JSON_VALUES))
+def test_mutated_configs_never_exit_1_in_folk_plan(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_command(
+                ["folk", "plan", "--config", str(path), "--out", str(Path(tmp) / "out"),
+                 "--quiet"]
             )
     assert code != EXIT_INTERNAL, err.getvalue()

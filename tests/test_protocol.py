@@ -107,6 +107,14 @@ def test_infeasible_and_non_ir_targets_error(heist, heist_pop):
     assert exc.value.margins[0] <= 0
 
 
+@pytest.mark.parametrize("epsilon, gamma", [(1e-300, 0.5), (1.2, 1e-300)])
+def test_tolerances_no_block_length_can_meet_are_rejected(epsilon, gamma):
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    pop = scenario_population("pd")
+    with pytest.raises(ValidationError, match="no block length up to 17179869184"):
+        derive_params(pd, pop, (-3.6, -0.4), epsilon=epsilon, gamma=gamma)
+
+
 @pytest.mark.parametrize("target", [(-3.8575, -0.5175), (-4.3948, -0.1333)])
 def test_targets_outside_the_hull_are_infeasible(target):
     # Both lie just outside the PD hull. Checked on the adjusted target alone,
