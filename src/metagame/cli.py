@@ -565,6 +565,13 @@ def cmd_folk_run(args) -> int:
         k = pop.llm_count
         _require(0 <= adversary["llm"] < k, "adversary.llm", f"must lie in [0, {k})")
     trials = _flag(args.trials, "--trials", _positive_int, cfg["trials"])
+    if adversary is not None:
+        # The deviation gain's half-width needs a sample variance.
+        _require(
+            trials >= 2,
+            "trials" if args.trials is None else "--trials",
+            "must be at least 2 with an adversary",
+        )
     seed = _flag(args.seed, "--seed", _natural, cfg["seed"])
     out_dir = _out_dir(args)
     try:

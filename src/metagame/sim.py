@@ -4,9 +4,13 @@ accounting, and a finite-population mode.
 Each advisor owns an independent random stream; the public protocol state is
 a deterministic function of the observed aggregate stream, so every
 participant tracking it stays synchronized.  Continuum and finite mode share
-one per-period stepper and differ only in how instructions are realized, so
-deviation flags and block statistics are kept whenever protocol parameters
-are given.  The stepper interns each distinct joint instruction of a run
+one stepper and differ only in how instructions are realized, so deviation
+flags and block statistics are kept whenever protocol parameters are given.
+The stepper records a run of identical periods at a time: each strategy
+says how long it holds its instruction (a punishment or a prescription to
+the stretch's end, an honest reviewed advisor until its next probe), and a
+run lasts until the first hold ends; finite mode draws a fresh table every
+period, so its runs are single periods.  The stepper interns each distinct joint instruction of a run
 to a small integer, keeps the public state as the state at the start of the
 current stretch plus the periods elapsed since (a stretch ends at a block
 end, segment end or punishment end, so its length is known when it starts),
@@ -85,18 +89,20 @@ class _Stretch:
 
 
 class StepContext:
-    """What a strategy sees each period: the public protocol parameters, the
-    period, its own advisor index and its own random stream, and the public
-    protocol state (``None`` in a finite run without a protocol).
+    """What a strategy sees when it is asked: the public protocol parameters,
+    the period, its own advisor index and its own random stream, and the
+    public protocol state (``None`` in a finite run without a protocol).
 
-    ``stretch`` is the state at the first period of the current stretch, a
-    run of periods that ends at a block end, segment end or punishment end;
-    the stepper sets it when the stretch starts.  It agrees with ``state`` in
-    everything :func:`honest_step`, :func:`punishment_action` and
+    ``period`` is the first period of the run being asked for (the only one
+    for a strategy asked once per period).  ``stretch`` is the state at the
+    first period of the current stretch, a run of periods that ends at a
+    block end, segment end or punishment end; the stepper sets it when the
+    stretch starts.  It agrees with ``state`` in everything
+    :func:`honest_step`, :func:`punishment_action` and
     :func:`prescribed_instruction` read.  ``block_step`` is the position in
     the current block.  Neither costs anything per period; ``state`` is built
     on each read.  A run reuses one context per advisor, so a strategy reads
-    it during ``act`` only.
+    it during ``act`` or ``hold`` only.
     """
 
     __slots__ = ("params", "period", "llm", "rng", "stretch", "_public")
@@ -124,25 +130,72 @@ class StepContext:
 
 
 class Strategy:
-    """Base advisor behavior; subclasses override ``act``."""
+    """Base advisor behavior; subclasses override ``act`` or ``hold``.
+
+    ``hold(ctx, limit)`` returns an instruction and how many periods, from 1
+    to ``limit``, the strategy plays it, drawing nothing from its stream after
+    the first of them; ``limit`` never reaches past the current stretch or
+    the horizon.  The stepper plays the instruction for all of those periods
+    and asks again at the first period after them, while it may ask other
+    advisors in between.  A strategy whose ``act`` is defined below its
+    ``hold`` (any strategy that overrides ``act`` alone, a subclass of a
+    built-in one included) is asked through ``act`` once per period, so it
+    sees the exact ``ctx.state``.  ``last_probe`` flags a probe in what was
+    last returned.
+    """
 
     last_probe: bool = False
 
     def act(self, ctx: StepContext) -> InstructionProfile:
+        return self.hold(ctx, 1)[0]
+
+    def hold(self, ctx: StepContext, limit: int) -> tuple[InstructionProfile, int]:
         raise NotImplementedError
 
 
-class HonestStrategy(Strategy):
-    """Follow the protocol exactly: prescriptions, probes, punishments."""
+# A reviewed honest advisor looks for its next probe in bulk when the probe
+# rate expects at least this many quiet periods first and the run may last
+# as long.  Below that a bulk search (two stream-state copies and two array
+# draws) costs more than the periods it skips: on heist at T = 40 it paid at
+# p <= 0.15 and cost more at p >= 0.18.
+BULK_GAP = 8
+# A bulk search draws this many expected gaps' worth of uniforms at most.
+BULK_GAPS = 4
 
-    def act(self, ctx: StepContext) -> InstructionProfile:
-        stretch = ctx.stretch
+
+class HonestStrategy(Strategy):
+    """Follow the protocol exactly: prescriptions, probes, punishments.
+
+    Under review it draws one uniform per period from its stream (and a
+    probe's labels after a hit), as :func:`honest_step` does.  At a low probe
+    rate it finds its next probe by drawing uniforms in bulk (numpy's
+    ``random(n)`` gives the doubles of n scalar ``random()`` calls), then
+    restores its stream and redraws exactly the quiet ones before the probe,
+    so the stream is consumed as period by period, and holds its
+    prescription for those quiet periods.
+    """
+
+    def hold(self, ctx: StepContext, limit: int) -> tuple[InstructionProfile, int]:
+        self.last_probe = False
+        params, stretch, j = ctx.params, ctx.stretch, ctx.llm
         if stretch.mode == "punishment":
-            self.last_probe = False
-            return punishment_action(ctx.params, stretch, ctx.llm)
-        instruction, probed = honest_step(ctx.params, stretch, ctx.llm, ctx.rng)
-        self.last_probe = probed
-        return instruction
+            return punishment_action(params, stretch, j), limit
+        prescription, p = params.prescriptions[stretch.segment][j], params.probe_rate
+        if j != stretch.phase or p <= 0.0:
+            return prescription, limit
+        rng = ctx.rng
+        if p * BULK_GAP <= 1.0 and limit >= BULK_GAP:
+            state = rng.bit_generator.state
+            hits = rng.random(min(limit, math.ceil(BULK_GAPS / p))) < p
+            quiet = int(hits.argmax())
+            if not hits[quiet]:
+                return prescription, len(hits)
+            rng.bit_generator.state = state
+            if quiet:
+                rng.random(quiet)
+                return prescription, quiet
+        instruction, self.last_probe = honest_step(params, stretch, j, rng)
+        return instruction, 1
 
 
 class FixedProfileStrategy(Strategy):
@@ -153,12 +206,11 @@ class FixedProfileStrategy(Strategy):
         self._outcomes = list(action.outcomes)
         self._probs = [p for _, p in self._outcomes]
 
-    def act(self, ctx: StepContext) -> InstructionProfile:
-        self.last_probe = False
+    def hold(self, ctx: StepContext, limit: int) -> tuple[InstructionProfile, int]:
         if len(self._outcomes) == 1:
-            return self._outcomes[0][0]
+            return self._outcomes[0][0], limit
         idx = int(ctx.rng.choice(len(self._outcomes), p=self._probs))
-        return self._outcomes[idx][0]
+        return self._outcomes[idx][0], 1
 
 
 class MyopicBestResponse(Strategy):
@@ -192,9 +244,8 @@ class MyopicBestResponse(Strategy):
         self._last = (state, j, hit)
         return hit
 
-    def act(self, ctx: StepContext) -> InstructionProfile:
-        self.last_probe = False
-        return self._reply(ctx)
+    def hold(self, ctx: StepContext, limit: int) -> tuple[InstructionProfile, int]:
+        return self._reply(ctx), limit
 
 
 class BudgetedDeviator(Strategy):
@@ -208,14 +259,14 @@ class BudgetedDeviator(Strategy):
         self.periods_per_block = periods_per_block
         self._myopic = MyopicBestResponse(game, pop)
 
-    def act(self, ctx: StepContext) -> InstructionProfile:
-        self.last_probe = False
+    def hold(self, ctx: StepContext, limit: int) -> tuple[InstructionProfile, int]:
         stretch = ctx.stretch
         if stretch.mode == "punishment":
-            return punishment_action(ctx.params, stretch, ctx.llm)
-        if ctx.block_step < self.periods_per_block:
-            return self._myopic._reply(ctx)
-        return ctx.params.prescriptions[stretch.segment][ctx.llm]
+            return punishment_action(ctx.params, stretch, ctx.llm), limit
+        left = self.periods_per_block - ctx.block_step
+        if left > 0:
+            return self._myopic._reply(ctx), min(limit, left)
+        return ctx.params.prescriptions[stretch.segment][ctx.llm], limit
 
 
 ADVERSARY_KINDS = ("honest", "light", "heavy", "greedy_myopic")
@@ -502,28 +553,42 @@ def horizon_for(delta: float, tail_tol: float, payoff_cap: float) -> int:
     return max(1, math.ceil(math.log(tail_tol / bound) / math.log(delta)))
 
 
-class _Periods:
-    """Per-period bookkeeping shared by both simulators.
+def _asked_once_per_period(strategy: Strategy) -> bool:
+    """Whether ``strategy``'s ``act`` is defined below its ``hold``, so that
+    its ``hold`` may not say what its ``act`` does."""
+    mro = type(strategy).__mro__
+    act, hold = (
+        next(i for i, cls in enumerate(mro) if name in vars(cls))
+        for name in ("act", "hold")
+    )
+    return act < hold
 
-    ``act`` asks every strategy for its instruction and returns the run's id
-    of the realized tuple, ``realized[id]``.  Tuples are interned by value;
-    the role counts of a tuple's instructions are checked when it is first
-    seen.  After the caller realizes the tuple, ``observe`` appends the
-    period to the log's columns and advances the public state (when
-    ``params`` are given).
+
+class _Periods:
+    """Bookkeeping shared by both simulators, one run of periods at a time.
+
+    ``act(t, limit)`` asks each strategy whose last hold is over for its
+    instruction and how long it holds it (see :class:`Strategy`), sets
+    ``held`` to the periods until the first hold ends (at most ``limit`` and
+    what is left of the stretch) and returns the run's id of the realized
+    tuple, ``realized[id]``.  Tuples are interned by value; the role counts
+    of a tuple's instructions are checked when it is first seen.  After the
+    caller realizes the tuple, ``observe`` extends the log's columns by the
+    ``held`` periods from ``t`` and advances the public state (when
+    ``params`` are given).  With ``limit`` 1 this is one period.
 
     The public state (``public``) is a stretch start plus the periods
     elapsed since it.  Entering a stretch fixes its length (the periods to
     the block end or segment end in review, the punishment left otherwise).
-    Each period adds its review flags to the stretch's totals and, unless it
-    is the stretch's last, one to ``elapsed``; its deviation flags are
-    memoized per realized tuple within a stretch, and its review flags per
-    (segment, phase, table id) when the caller passes a table id (continuum
-    mode) or computed directly otherwise (finite mode draws a fresh table
-    every period).  The last period passes the start and the totals to
-    :func:`protocol._advance`, which builds the next stretch's
-    ``ProtocolState``; otherwise a state is built only when a strategy reads
-    ``ctx.state``.
+    Each run adds its review flags, times its length, to the stretch's
+    totals and its length to ``elapsed``, short of the stretch's last period;
+    its deviation flags are memoized per realized tuple within a stretch, and
+    its review flags per (segment, phase, table id) when the caller passes a
+    table id (continuum mode) or computed directly otherwise (finite mode
+    draws a fresh table every period).  A run that reaches the stretch's
+    last period passes the start and the totals to :func:`protocol._advance`,
+    which builds the next stretch's ``ProtocolState``; otherwise a state is
+    built only when a strategy reads ``ctx.state``.
     """
 
     def __init__(self, game, params, strategies, streams):
@@ -531,13 +596,23 @@ class _Periods:
         self.params = params
         self.strategies = strategies
         self.public = None if params is None else _Stretch(params)
+        # Per advisor: its strategy, the strategy's ``hold`` (None when it is
+        # asked through ``act``) and its context; ``_holding`` and ``_until``
+        # keep the instruction it holds and the period its hold ends.
         self._agents = [
-            (s, StepContext(params, j, streams[j], self.public))
+            (
+                s,
+                None if _asked_once_per_period(s) else s.hold,
+                StepContext(params, j, streams[j], self.public),
+            )
             for j, s in enumerate(strategies)
         ]
+        self._holding: list[InstructionProfile | None] = [None] * len(strategies)
+        self._until = [0] * len(strategies)
         self._ids: dict[tuple[InstructionProfile, ...], int] = {}
         self.realized: list[tuple[InstructionProfile, ...]] = []
         self._probe_mask = 0
+        self.held = 1
 
         self.instructions: list[tuple[InstructionProfile, ...]] = []
         self.aggregates: list[AggregateTable] = []
@@ -560,7 +635,7 @@ class _Periods:
         params, public = self.params, self.public
         public.start, public.elapsed = state, 0
         public.discrepancies, public.excess = 0, False
-        for _, ctx in self._agents:
+        for _, _, ctx in self._agents:
             ctx.stretch = state
         self._review = state.mode == "review"
         self._length = (
@@ -579,16 +654,37 @@ class _Periods:
         self._deviations: dict[int, int] = {}  # realized id -> deviation mask
         self.stretches.append((t, state.phase, state.mode, state.segment))
 
-    def act(self, t: int) -> int:
-        instructions = []
-        mask = 0
-        for j, (strategy, ctx) in enumerate(self._agents):
-            ctx.period = t
-            instructions.append(strategy.act(ctx))
-            if strategy.last_probe:
-                mask |= 1 << j
+    def act(self, t: int, limit: int = 1) -> int:
+        if limit > 1 and self.public is not None:
+            left = self._length - self.public.elapsed
+            if left < limit:
+                limit = left
+        holding, until = self._holding, self._until
+        end = t + limit
+        mask = self._probe_mask
+        changed = False
+        for j, (strategy, hold, ctx) in enumerate(self._agents):
+            held_to = until[j]
+            if held_to <= t:
+                ctx.period = t
+                if hold is None:
+                    instruction, n = strategy.act(ctx), 1
+                else:
+                    instruction, n = hold(ctx, limit)
+                held_to = until[j] = t + n
+                if instruction is not holding[j]:
+                    holding[j], changed = instruction, True
+                if strategy.last_probe:
+                    mask |= 1 << j
+                elif mask:
+                    mask &= ~(1 << j)
+            if held_to < end:
+                end = held_to
         self._probe_mask = mask
-        key = tuple(instructions)
+        self.held = end - t
+        if not changed:  # the same objects as the last run's tuple
+            return self._rid
+        key = tuple(holding)
         rid = self._ids.get(key)
         if rid is None:
             for j, instr in enumerate(key):
@@ -599,28 +695,38 @@ class _Periods:
                     )
             rid = self._ids[key] = len(self.realized)
             self.realized.append(key)
+        self._rid = rid
         return rid
 
     def observe(
         self, t: int, rid: int, table: AggregateTable, utilities, table_id=None
     ) -> None:
-        """Record period ``t`` and advance the state; ``table_id`` names
-        ``table`` among the run's distinct aggregates, when it has one."""
-        self.instructions.append(self.realized[rid])
-        self.aggregates.append(table)
-        self.utilities.append(utilities)
-        self.probes.append(self._probe_mask)
-        if self.params is None:
-            self.deviated.append(0)
-            return
-        deviated = self._deviations.get(rid)
+        """Record the ``held`` periods from ``t`` and advance the state;
+        ``table_id`` names ``table`` among the run's distinct aggregates,
+        when it has one."""
+        realized = self.realized[rid]
+        deviated = 0 if self.params is None else self._deviations.get(rid)
         if deviated is None:
             deviated = self._deviations[rid] = sum(
                 1 << j
-                for j, (a, b) in enumerate(zip(self.realized[rid], self._prescribed))
+                for j, (a, b) in enumerate(zip(realized, self._prescribed))
                 if a != b
             )
-        self.deviated.append(deviated)
+        n = self.held
+        if n == 1:
+            self.instructions.append(realized)
+            self.aggregates.append(table)
+            self.utilities.append(utilities)
+            self.probes.append(self._probe_mask)
+            self.deviated.append(deviated)
+        else:
+            self.instructions += [realized] * n
+            self.aggregates += [table] * n
+            self.utilities += [utilities] * n
+            self.probes += [self._probe_mask] * n
+            self.deviated += [deviated] * n
+        if self.params is None:
+            return
         public = self.public
         if self._review:
             flags = None if table_id is None else self._checked.get(table_id)
@@ -631,13 +737,14 @@ class _Periods:
                     self._checked[table_id] = flags
             discrepant, excess = flags
             if discrepant:
-                public.discrepancies += 1
+                public.discrepancies += n
             if excess:
                 public.excess = True
-        if public.elapsed + 1 < self._length:
-            public.elapsed += 1
+        if public.elapsed + n < self._length:
+            public.elapsed += n
         else:
-            self._boundary(t)
+            public.elapsed += n - 1
+            self._boundary(t + n - 1)
 
     def _boundary(self, t: int) -> None:
         """End the stretch at its last period ``t``."""
@@ -706,10 +813,11 @@ def run_repeated(
 
     The horizon truncates the discounted sum once the remaining tail is
     provably below ``tail_tol``; identical (seed, inputs) reproduce the log
-    byte-for-byte.  Strategies emit a few shared instruction profiles, so
-    the aggregate and the utilities are computed once per distinct realized
-    tuple and reused, and each distinct aggregate gets a table id for the
-    stepper's review-check memo.
+    byte-for-byte.  Each step records a run of periods in which no advisor's
+    instruction changes and no stream is drawn.  Strategies emit a few
+    shared instruction profiles, so the aggregate and the utilities are
+    computed once per distinct realized tuple and reused, and each distinct
+    aggregate gets a table id for the stepper's review-check memo.
     """
     k = pop.llm_count
     if len(strategies) != k:
@@ -724,8 +832,9 @@ def run_repeated(
     terms = _Terms(game)
     outcomes = []  # realized id -> (aggregate, utilities, table id)
     table_ids: dict[AggregateTable, int] = {}
-    for t in range(horizon):
-        rid = steps.act(t)
+    t = 0
+    while t < horizon:
+        rid = steps.act(t, horizon - t)
         if rid == len(outcomes):
             realized = steps.realized[rid]
             table = aggregate_mass(game, pop, realized)
@@ -737,6 +846,7 @@ def run_repeated(
                 )
             )
         steps.observe(t, rid, *outcomes[rid])
+        t += steps.held
     log = steps.log(key, delta, tail_tol, horizon)
     log.discounted = log.recompute_discounted()
     return log

@@ -397,6 +397,7 @@ MALFORMED_CONFIGS = {
     "trials negative": ("trials", lambda d: d.update(trials=-1)),
     "trials not whole": ("trials", lambda d: d.update(trials=2.5)),
     "trials a boolean": ("trials", lambda d: d.update(trials=True)),
+    "trials one with an adversary": ("trials", lambda d: d.update(trials=1)),
     "finite.periods zero": (
         "finite.periods",
         lambda d: d.update(finite={"clients_per_role": 10, "periods": 0}),
@@ -688,7 +689,8 @@ def test_bad_profile_exits_2_naming_it(tmp_path, capsys, case, command):
     assert "config field 'meta_profiles.main'" in capsys.readouterr().err
 
 
-def test_folk_run_runs_each_honest_trial_once(tmp_path, monkeypatch):
+def _count_runs(monkeypatch) -> list:
+    """The seed of every ``run_repeated`` call, honest or deviating."""
     calls = []
     original = metagame.sim.run_repeated
 
@@ -698,6 +700,11 @@ def test_folk_run_runs_each_honest_trial_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(metagame.cli, "run_repeated", counting)
     monkeypatch.setattr(metagame.sim, "run_repeated", counting)
+    return calls
+
+
+def test_folk_run_runs_each_honest_trial_once(tmp_path, monkeypatch):
+    calls = _count_runs(monkeypatch)
     trials = 3
     code = run_command(
         ["folk", "run", "--config", str(_pd_config(tmp_path, delta=0.9)),
@@ -728,6 +735,28 @@ def test_folk_run_trials_flag_below_one_exits_2(tmp_path, capsys, trials):
     )
     assert code == EXIT_CONFIG
     assert "config field '--trials'" in capsys.readouterr().err
+
+
+def test_folk_run_one_trial_with_an_adversary_exits_2_before_running(
+    tmp_path, capsys, monkeypatch
+):
+    calls = _count_runs(monkeypatch)
+    code = run_command(
+        ["folk", "run", "--config", str(_pd_config(tmp_path)), "--out",
+         str(tmp_path / "out"), "--quiet", "--trials", "1"]
+    )
+    assert code == EXIT_CONFIG
+    assert "config field '--trials'" in capsys.readouterr().err
+    assert calls == []
+    # Without an adversary one trial runs.
+    doc = json.loads(_pd_config(tmp_path, delta=0.9).read_text())
+    del doc["adversary"]
+    path = tmp_path / "honest.json"
+    path.write_text(json.dumps({**doc, "trials": 1}))
+    code = run_command(
+        ["folk", "run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == EXIT_OK and calls == [(7, 0)]
 
 
 def _finite_config(tmp_path, **changes):
