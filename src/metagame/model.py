@@ -488,19 +488,9 @@ def _role_value(
         for r in range(terms.game.role_count)
     ]
     terms.spend(math.prod(len(x) for x in per_role))
-    # Weight product and memo lookup inline, not through games._weighted and
-    # _Terms.payoff: routed through them, heist best replies ran 5-7% slower.
-    memo, game = terms.memo, terms.game
     total = 0.0
-    for combo in itertools.product(*per_role):
-        w = 1.0
-        for _, wi in combo:
-            w *= wi
-        key = tuple(label for label, _ in combo)
-        pay = memo.get(key)
-        if pay is None:
-            pay = memo[key] = game.payoff(key)
-        total += w * pay[role]
+    for w, key in _weighted(per_role):
+        total += w * terms.payoff(key)[role]
     return total
 
 
@@ -535,15 +525,8 @@ def _realization_utilities(
                 break
             joint.append(ai)
         else:
-            # Memo and count inline, not through _Terms.payoff and spend: this
-            # runs once per realization, 64,000 times in a bounded10 eval.
-            key = tuple(joint)
-            pay = terms.memo.get(key)
-            if pay is None:
-                pay = terms.memo[key] = terms.game.payoff(key)
-            terms.used += 1
-            if terms.used > terms.budget:
-                raise BudgetExceededError(terms.used, terms.budget)
+            pay = terms.payoff(tuple(joint))
+            terms.spend(1)
             return [
                 sum(shares[i][j] * pay[i] for i in range(m) if shares[i][j] > 0.0)
                 for j in range(k)

@@ -14,7 +14,7 @@ period, so its runs are single periods.  The stepper interns each distinct joint
 to a small integer, keeps the public state as the state at the start of the
 current stretch plus the periods elapsed since (a stretch ends at a block
 end, segment end or punishment end, so its length is known when it starts),
-and stores the log by column.  A run realizes each distinct joint
+and stores the log as its runs.  A run realizes each distinct joint
 instruction once: its continuum aggregate (and, in continuum mode, its
 utilities) is memoized per run, and so are the review checks of each
 aggregate per (segment, phase).  A deviation-gain estimate pairs each honest
@@ -25,7 +25,7 @@ law of per-client draws and uniform matching: aggregates are the counts'
 marginals, utilities count-weighted payoffs (exact for integer payoffs,
 otherwise a client-by-client sum up to float rounding).  Runs are
 reproducible byte-for-byte from (seed, inputs), and a log's JSON lines
-serialize each shared value once.
+format each distinct run once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -305,7 +305,7 @@ def make_adversary(
 
 class PeriodRecord(NamedTuple):
     """One period of a run, as :meth:`RunLog.iter_records` builds it from the
-    log's columns."""
+    log's runs."""
 
     period: int
     phase: int
@@ -361,21 +361,31 @@ class PunishmentStat:
     end: int  # inclusive
 
 
-def _bit_counts(masks: Sequence[int], k: int) -> tuple[int, ...]:
-    return tuple(sum(m >> j & 1 for m in masks) for j in range(k))
+@lru_cache(maxsize=None)
+def _flags(mask: int, k: int) -> tuple[bool, ...]:
+    """Bit j of ``mask`` for each of ``k`` advisors."""
+    return tuple(bool(mask >> j & 1) for j in range(k))
+
+
+def _flag_counts(runs, slot: int, k: int) -> tuple[int, ...]:
+    """Per advisor j, the periods of ``runs`` whose mask in ``slot`` has bit j."""
+    return tuple(sum(run[0] for run in runs if run[slot] >> j & 1) for j in range(k))
 
 
 @dataclass
 class RunLog:
-    """One repeated run, stored by column, plus derived statistics.
+    """One repeated run, stored as the stepper's runs, plus derived statistics.
 
-    Per period: the realized instructions, the aggregate and the utilities
-    (shared objects, one per distinct value in continuum mode), and the
-    probe and deviation flags as bit masks (bit j for advisor j).  ``events``
-    maps a period to the event fired at its end, and ``stretches`` lists
+    ``runs`` lists each run of identical periods, in order, as ``(length,
+    instructions, aggregate, utilities, probes, deviated)``: the realized
+    instructions, the aggregate and the utilities (shared objects, one per
+    distinct value in continuum mode), and the probe and deviation flags as
+    bit masks (bit j for advisor j).  ``events`` maps a period to the event
+    fired at its end, always a run's last period, and ``stretches`` lists
     ``(first period, phase, mode, segment)`` for each run of periods that
-    starts at a boundary of the public state.  ``records`` builds the
-    per-period :class:`PeriodRecord` view on first use.
+    starts at a boundary of the public state; no run crosses one.
+    ``records`` builds the per-period :class:`PeriodRecord` view on first
+    use.
     """
 
     seed_key: tuple
@@ -384,35 +394,30 @@ class RunLog:
     horizon: int
     block_stats: list[BlockStat]
     punishment_stats: list[PunishmentStat]
-    instructions: list[tuple[InstructionProfile, ...]]
-    aggregates: list[AggregateTable]
-    utilities: list[tuple[float, ...]]
-    probes: list[int]
-    deviated: list[int]
+    runs: list[tuple]
     events: dict[int, ProtocolEvent]
     stretches: list[tuple[int, int, str, int]]
     discounted: tuple[float, ...] = field(default=())
 
+    def _spans(self):
+        """Each run with its first period and its stretch's (phase, mode,
+        segment)."""
+        starts = {s[0]: s[1:] for s in self.stretches}
+        t, stretch = 0, None
+        for run in self.runs:
+            stretch = starts.get(t, stretch)
+            yield t, stretch, run
+            t += run[0]
+
     def iter_records(self) -> Iterator[PeriodRecord]:
-        k = len(self.utilities[0]) if self.utilities else 0
-        flags = {  # bit mask -> one flag per advisor
-            m: tuple(bool(m >> j & 1) for j in range(k))
-            for m in set(self.probes) | set(self.deviated)
-        }
-        ends = [s[0] for s in self.stretches[1:]] + [len(self.utilities)]
-        for (start, phase, mode, segment), end in zip(self.stretches, ends):
-            for t in range(start, end):
-                event = self.events.get(t)
+        for t, stretch, run in self._spans():
+            k = len(run[3])
+            shared = (*stretch, *run[1:4], _flags(run[4], k), _flags(run[5], k))
+            for period in range(t, t + run[0]):
+                event = self.events.get(period)
                 yield PeriodRecord(
-                    t,
-                    phase,
-                    mode,
-                    segment,
-                    self.instructions[t],
-                    self.aggregates[t],
-                    self.utilities[t],
-                    flags[self.probes[t]],
-                    flags[self.deviated[t]],
+                    period,
+                    *shared,
                     event.kind if event else None,
                     event.llm if event else None,
                 )
@@ -422,15 +427,17 @@ class RunLog:
         return list(self.iter_records())
 
     def recompute_discounted(self) -> tuple[float, ...]:
-        k = len(self.utilities[0])
+        delta = self.delta
         out = []
-        for j in range(k):
+        for j in range(len(self.runs[0][3])):
             total = 0.0
             w = 1.0
-            for u in self.utilities:
-                total += w * u[j]
-                w *= self.delta
-            out.append((1.0 - self.delta) * total)
+            for n, _, _, u, _, _ in self.runs:
+                x = u[j]
+                for _ in range(n):
+                    total += w * x
+                    w *= delta
+            out.append((1.0 - delta) * total)
         return tuple(out)
 
     def event_counts(self, llm: int) -> dict[str, int]:
@@ -449,9 +456,9 @@ class RunLog:
 
     def to_jsonl(self) -> str:
         """A header line, then ``json.dumps(record.to_dict(), sort_keys=True)``
-        for each period.  The columns share one object per distinct value, so
-        each value's JSON text is made once and kept by identity (with the
-        object, so that its id stays unique)."""
+        for each period.  The periods of a run differ only in ``t`` and in
+        the event at the run's last period, so the text around them is made
+        once per distinct run content and stretch."""
         lines = [
             json.dumps(
                 {
@@ -464,37 +471,37 @@ class RunLog:
                 sort_keys=True,
             )
         ]
-        texts: dict[int, tuple[object, str]] = {}
-
-        def text(value, to_json=None) -> str:
-            hit = texts.get(id(value))
+        dumps = json.dumps
+        parts: dict[tuple, tuple[str, str, str]] = {}  # (stretch, run) -> text
+        for t, stretch, run in self._spans():
+            key = (stretch, run[1:])
+            hit = parts.get(key)
             if hit is None:
-                doc = value if to_json is None else to_json(value)
-                hit = texts[id(value)] = (value, json.dumps(doc, sort_keys=True))
-            return hit[1]
-
-        def instructions(profiles):
-            return [ip.to_dict() for ip in profiles]
-
-        for rec in self.iter_records():
-            lines.append(
-                '{"aggregate": %s, "deviated": %s, "event": %s, "event_llm": %s, '
-                '"instructions": %s, "mode": %s, "phase": %d, "probes": %s, '
-                '"segment": %d, "t": %d, "utilities": %s}'
-                % (
-                    text(rec.aggregate, AggregateTable.to_dict),
-                    text(rec.deviated, list),
-                    text(rec.event),
-                    text(rec.event_llm),
-                    text(rec.instructions, instructions),
-                    text(rec.mode),
-                    rec.phase,
-                    text(rec.probes, list),
-                    rec.segment,
-                    rec.period,
-                    text(rec.utilities, list),
+                phase, mode, segment = stretch
+                _, instructions, aggregate, utilities, probes, deviated = run
+                k = len(utilities)
+                hit = parts[key] = (
+                    '{"aggregate": %s, "deviated": %s, "event": '
+                    % (dumps(aggregate.to_dict()), dumps(_flags(deviated, k))),
+                    ', "instructions": %s, "mode": %s, "phase": %d, "probes": %s, '
+                    '"segment": %d, "t": '
+                    % (
+                        dumps([ip.to_dict() for ip in instructions], sort_keys=True),
+                        dumps(mode),
+                        phase,
+                        dumps(_flags(probes, k)),
+                        segment,
+                    ),
+                    ', "utilities": %s}' % dumps(list(utilities)),
                 )
-            )
+            head, middle, tail = hit
+            last = t + run[0] - 1
+            body = f'{head}null, "event_llm": null{middle}'
+            lines += [f"{body}{p}{tail}" for p in range(t, last)]
+            event = self.events.get(last)
+            if event is not None:
+                body = f'{head}{dumps(event.kind)}, "event_llm": {event.llm}{middle}'
+            lines.append(f"{body}{last}{tail}")
         return "\n".join(lines) + "\n"
 
     def save_jsonl(self, path) -> None:
@@ -503,13 +510,13 @@ class RunLog:
 
     def summary_rows(self) -> list[dict]:
         rows = []
-        for j in range(len(self.utilities[0])):
+        for j, value in enumerate(self.discounted):
             counts = self.event_counts(j)
             rows.append(
                 {
                     "seed": "-".join(str(s) for s in self.seed_key),
                     "llm": j,
-                    "discounted_utility": self.discounted[j],
+                    "discounted_utility": value,
                     "events_excess": counts[EXCESS],
                     "events_frequency": counts[FREQUENCY],
                     "mean_d": self.mean_block_discrepancy(),
@@ -573,8 +580,8 @@ class _Periods:
     what is left of the stretch) and returns the run's id of the realized
     tuple, ``realized[id]``.  Tuples are interned by value; the role counts
     of a tuple's instructions are checked when it is first seen.  After the
-    caller realizes the tuple, ``observe`` extends the log's columns by the
-    ``held`` periods from ``t`` and advances the public state (when
+    caller realizes the tuple, ``observe`` appends the run of ``held``
+    periods from ``t`` to ``runs`` and advances the public state (when
     ``params`` are given).  With ``limit`` 1 this is one period.
 
     The public state (``public``) is a stretch start plus the periods
@@ -614,16 +621,13 @@ class _Periods:
         self._probe_mask = 0
         self.held = 1
 
-        self.instructions: list[tuple[InstructionProfile, ...]] = []
-        self.aggregates: list[AggregateTable] = []
-        self.utilities: list[tuple[float, ...]] = []
-        self.probes: list[int] = []
-        self.deviated: list[int] = []
+        self.runs: list[tuple] = []  # see RunLog
         self.events: dict[int, ProtocolEvent] = {}
         self.stretches: list[tuple[int, int, str, int]] = []
         self.block_stats: list[BlockStat] = []
         self.punishment_stats: list[PunishmentStat] = []
-        self._start = 0  # first period of the current block or punishment
+        # The first period and the first run of the current block or punishment.
+        self._start = self._first = 0
         if params is None:
             self.stretches.append((0, -1, "none", -1))
             return
@@ -713,18 +717,7 @@ class _Periods:
                 if a != b
             )
         n = self.held
-        if n == 1:
-            self.instructions.append(realized)
-            self.aggregates.append(table)
-            self.utilities.append(utilities)
-            self.probes.append(self._probe_mask)
-            self.deviated.append(deviated)
-        else:
-            self.instructions += [realized] * n
-            self.aggregates += [table] * n
-            self.utilities += [utilities] * n
-            self.probes += [self._probe_mask] * n
-            self.deviated += [deviated] * n
+        self.runs.append((n, realized, table, utilities, self._probe_mask, deviated))
         if self.params is None:
             return
         public = self.public
@@ -759,25 +752,26 @@ class _Periods:
             self.punishment_stats.append(
                 PunishmentStat(punished=start.punished, start=self._start, end=t)
             )
-            self._start = t + 1
+            self._start, self._first = t + 1, len(self.runs)
         elif start.block_step + public.elapsed + 1 == self.params.block_length:
             self._close_block(
                 t, start.phase, start.discrepancies + public.discrepancies, event
             )
-            self._start = t + 1
+            self._start, self._first = t + 1, len(self.runs)
         self._enter(state, t + 1)
 
     def _close_block(self, t, phase: int, discrepancies: int, event) -> None:
-        """Record the review block that ends at period ``t``."""
-        k = len(self.strategies)
+        """Record the review block that ends at period ``t``; no run crosses
+        a block end."""
+        k, runs = len(self.strategies), self.runs[self._first :]
         self.block_stats.append(
             BlockStat(
                 phase=phase,
                 start=self._start,
                 end=t,
                 discrepancies=discrepancies,
-                deviation_counts=_bit_counts(self.deviated[self._start :], k),
-                probe_counts=_bit_counts(self.probes[self._start :], k),
+                deviation_counts=_flag_counts(runs, 5, k),
+                probe_counts=_flag_counts(runs, 4, k),
                 event=event.kind if event else None,
             )
         )
@@ -790,11 +784,7 @@ class _Periods:
             horizon=horizon,
             block_stats=self.block_stats,
             punishment_stats=self.punishment_stats,
-            instructions=self.instructions,
-            aggregates=self.aggregates,
-            utilities=self.utilities,
-            probes=self.probes,
-            deviated=self.deviated,
+            runs=self.runs,
             events=self.events,
             stretches=self.stretches,
         )
@@ -1088,7 +1078,9 @@ def finite_population_run(
         steps.observe(t, rid, table, tuple((utilities / N).tolist()))
 
     log = steps.log(key, 0.0, 0.0, periods)
-    log.discounted = tuple(sum(u[j] for u in log.utilities) / periods for j in range(k))
+    log.discounted = tuple(
+        sum(n * u[j] for n, _, _, u, _, _ in log.runs) / periods for j in range(k)
+    )
     report = FiniteRunReport(
         clients_per_role=N,
         periods=periods,

@@ -219,11 +219,15 @@ def test_readme_pd_asks_strategies_once_per_hold(readme_pd, monkeypatch, kind):
     game, pop, params = *GAMES["pd"][:2], readme_pd
     honest = _count(monkeypatch, HonestStrategy, "hold")
     deviator = _count(monkeypatch, BudgetedDeviator, "hold")
+    observed = _count(monkeypatch, sim._Periods, "observe")
     strategies = [HonestStrategy(), make_adversary(game, pop, params, kind)]
     log = run_repeated(game, pop, params, strategies, 0.995, 1e-6, seed=(5, 0))
     monkeypatch.undo()
     assert log.horizon == 3289 and len(log.stretches) == 1
-    probes = sum(mask & 1 for mask in log.probes)
+    # The log keeps one entry per run the stepper recorded.
+    assert len(log.runs) == len(observed) == 23
+    assert sum(run[0] for run in log.runs) == log.horizon
+    probes = sum(rec.probes[0] for rec in log.records)
     assert 0 < probes < 30
     m = math.ceil(BULK_GAPS / params.probe_rate)
     advisors = [ctx.llm for _, ctx, _ in honest + deviator]

@@ -370,17 +370,31 @@ RUNLOG_SHA256 = {
     "heavy": "8ee489003939a7ecc3e35be3ab3b3e4f934c73d995cc2d02dd1172c31603db03",
     "greedy_myopic": "8ee489003939a7ecc3e35be3ab3b3e4f934c73d995cc2d02dd1172c31603db03",
     "finite": "3f4284f25c2934992f988405c9a6bcec24933d16dd3890b4d7e23ed96f24df94",
+    # README PD with advisor 1 honest or a heavy deviator, seed (5, 0) and
+    # delta 0.995: 3,289 periods in a few dozen runs of identical periods.
+    "readme_pd_honest": "8b1c85e6c5e73d9100dd24c784ab6308555576b76a1231e710c0995556650654",
+    "readme_pd_heavy": "23db32bdbfb2c500591cb8c23d8bcf7b60b36a11214d8ef841a8b874684596db",
 }
 
 
-@pytest.mark.parametrize("kind", ["honest", "light", "heavy", "greedy_myopic"])
+@pytest.mark.parametrize(
+    "kind",
+    ["honest", "light", "heavy", "greedy_myopic", "readme_pd_honest", "readme_pd_heavy"],
+)
 def test_run_repeated_log_bytes_pinned(heist, heist_pop, small_params, kind):
-    strategies = [make_adversary(heist, heist_pop, small_params, kind),
-                  HonestStrategy(), HonestStrategy()]
-    log = run_repeated(
-        heist, heist_pop, small_params, strategies, delta=0.95, tail_tol=1e-3,
-        seed=17,
-    )
+    if kind.startswith("readme_pd_"):
+        game = make_scenario("pd", X=-2, Y=-4, Z=-5)
+        pop = scenario_population("pd")
+        params = derive_params(game, pop, (-3.6, -0.4), 1.2, 0.5)
+        adversary = make_adversary(game, pop, params, kind[len("readme_pd_"):])
+        strategies = [HonestStrategy(), adversary]
+        run = {"delta": 0.995, "tail_tol": 1e-6, "seed": (5, 0)}
+    else:
+        game, pop, params = heist, heist_pop, small_params
+        strategies = [make_adversary(game, pop, params, kind),
+                      HonestStrategy(), HonestStrategy()]
+        run = {"delta": 0.95, "tail_tol": 1e-3, "seed": 17}
+    log = run_repeated(game, pop, params, strategies, **run)
     digest = hashlib.sha256(log.to_jsonl().encode()).hexdigest()
     assert digest == RUNLOG_SHA256[kind]
 
@@ -666,15 +680,16 @@ HEIST_FINITE_PINNED = json.loads(
 @pytest.mark.parametrize("n", [7, 333, 5000])
 def test_finite_heist_matches_per_client_realization(heist, heist_pop, n, monkeypatch):
     log, report, expanded = _heist_per_client_run(heist, heist_pop, n, monkeypatch)
-    assert len(expanded) == len(log.utilities) == 30
-    for (actions, utilities), table, got in zip(expanded, log.aggregates, log.utilities):
-        assert [[c / n for c in row] for row in actions] == table.to_dict()
-        assert got == pytest.approx(utilities, abs=1e-12, rel=0)
+    # Finite mode draws a fresh table every period: one run per period.
+    assert len(log.runs) == len(expanded) == len(log.records) == 30
+    for (actions, utilities), rec in zip(expanded, log.records):
+        assert [[c / n for c in row] for row in actions] == rec.aggregate.to_dict()
+        assert rec.utilities == pytest.approx(utilities, abs=1e-12, rel=0)
     pinned = HEIST_FINITE_PINNED[str(n)]
     assert report.per_period_gap == pinned["gaps"]
-    assert [t.to_dict() for t in log.aggregates] == pinned["masses"]
-    assert len(log.utilities) == len(pinned["utilities"])
-    for got, want in zip(log.utilities, pinned["utilities"]):
+    assert [r.aggregate.to_dict() for r in log.records] == pinned["masses"]
+    assert len(log.records) == len(pinned["utilities"])
+    for got, want in zip((r.utilities for r in log.records), pinned["utilities"]):
         assert got == pytest.approx(want, abs=1e-12, rel=0)
 
 

@@ -267,9 +267,9 @@ def test_strategy_reading_state_gets_the_exact_state():
         game, pop, params, [Reader(), HonestStrategy()], 0.95, 1e-3, seed=3
     )
     state = initial_state(params)
-    for t, table in enumerate(log.aggregates):
+    for t, rec in enumerate(log.records):
         assert seen[t] == state
-        state, _ = observe_and_update(params, state, table)
+        state, _ = observe_and_update(params, state, rec.aggregate)
 
 
 FLAG_PAIRS = [(False, False), (True, False), (True, True)]
