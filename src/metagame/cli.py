@@ -39,9 +39,8 @@ from .model import (
 )
 from .oneshot import check_equilibrium
 from .feasibility import (
-    _correlated_lower_bound,
+    _certificate,
     _vertex_set,
-    certificate_from_punishment,
     decompose_target,
     minmax,
     payoff_vertices,
@@ -745,9 +744,7 @@ def cmd_report(args) -> int:
     heist = make_scenario("heist")
     hpop = scenario_population("heist")
     U = _payoff_tensor(heist, hpop, DEFAULT_TERM_BUDGET)
-    cert = certificate_from_punishment(
-        heist, hpop, 0, heist_punishment(0), lower_bound=_correlated_lower_bound(U, 0)
-    )
+    cert = _certificate(heist, U, 0, heist_punishment(0))
     vertices = _vertex_set(heist, U)
     cycle = decompose_target(vertices, (0.0, 0.0, 0.0))
     results["heist"] = {

@@ -35,10 +35,10 @@ deterministic, so the result is the one fresh solves would give.
 
 One payoff tensor ``U[a_1, ..., a_k, j]`` per (game, population), advisor j's
 utility when each advisor q instructs pure profile ``a_q``, backs the
-vertices, the punishment matrices, the correlated bound and (in
-:mod:`metagame.protocol`) the best pure punishments.  Every command built on
-it raises :class:`BudgetExceededError` when n^k (n pure profiles, k
-advisors) exceeds the term budget, before enumerating anything.
+vertices, the punishment matrices, the correlated bound, every certificate's
+best reply and (in :mod:`metagame.protocol`) the best pure punishments.  Each
+command built on it raises :class:`BudgetExceededError` when n^k (n pure
+profiles, k advisors) exceeds the term budget, before enumerating anything.
 """
 
 from __future__ import annotations
@@ -61,10 +61,12 @@ from .model import (
     MetaAction,
     MetaProfile,
     Population,
+    _check_advisor,
+    _check_advisors,
     _payoff_tensor,
     _pure_instruction,
+    reduce_role_homogeneous,
 )
-from .oneshot import best_response
 
 RECOMBINE_TOL = 1e-9
 MINMAX_ROUNDS = 500  # alternating-minimization rounds per start
@@ -450,20 +452,43 @@ def _uj_matrix(U, j, row_llm, fixed_actions, index):
     plays pure profile b and every other advisor q follows the mixture over
     pure profiles ``fixed_actions[q]`` (j's and ``row_llm``'s entries, if
     any, are ignored); ``index`` maps a profile to its axis position in the
-    payoff tensor ``U``."""
+    payoff tensor ``U``.  With ``row_llm=None`` every advisor but j follows
+    its mixture and the result is j's reply vector C[a]."""
     k = U.ndim - 1
-    others = [fixed_actions[q].outcomes for q in range(k) if q not in (j, row_llm)]
-    # Axes: row_llm, j, then the remaining advisors in index order.
-    Uj = np.moveaxis(U[..., j], (row_llm, j), (0, 1))
-    C = np.zeros(Uj.shape[:2])
+    front = [j] if row_llm is None else [row_llm, j]
+    others = [fixed_actions[q].outcomes for q in range(k) if q not in front]
+    # Axes: row_llm (if any), j, then the remaining advisors in index order.
+    Uj = np.moveaxis(U[..., j], front, range(len(front)))
+    C = np.zeros(Uj.shape[: len(front)])
     for w, profs in _weighted(others):
         C += w * Uj[(Ellipsis, *(index[prof.pure_profile] for prof in profs))]
     return C
 
 
-def _check_advisor(pop: Population, j: int) -> None:
-    if not 0 <= j < pop.llm_count:
-        raise ValidationError(f"advisor j = {j} must lie in [0, {pop.llm_count})")
+def _certificate(game, U, j, punishment, lower_bound=None) -> MinmaxCertificate:
+    """Advisor j's certificate against ``punishment`` on the payoff tensor
+    ``U``: j's best reply is the first maximum in ``game.profiles()`` order,
+    bit for bit :func:`metagame.oneshot.best_response`'s when every punisher
+    outcome is a pure profile (a punisher with another outcome counts as its
+    :func:`reduce_role_homogeneous` equivalent).  The lower bound defaults to
+    the correlated-punishers LP, or ``inf`` for a lone advisor."""
+    profiles = list(game.profiles())
+    pure = [
+        a if a is None or a.is_role_homogeneous() else reduce_role_homogeneous(a)
+        for a in punishment
+    ]
+    reply = _uj_matrix(U, j, None, pure, {p: i for i, p in enumerate(profiles)})
+    best = int(np.argmax(reply))
+    value = float(reply[best])
+    if lower_bound is None:
+        lower_bound = _correlated_lower_bound(U, j) if U.ndim > 2 else math.inf
+    return MinmaxCertificate(
+        llm=j,
+        lower_bound=min(lower_bound, value),
+        upper_bound=value,
+        punishment=tuple(punishment),
+        best_response=profiles[best],
+    )
 
 
 def certificate_from_punishment(
@@ -478,21 +503,18 @@ def certificate_from_punishment(
 
     The upper bound is the punished advisor's exact best-response value; any
     punisher profile certifies one.  When no lower bound is supplied the
-    correlated-punishers LP provides it.
+    correlated-punishers LP provides it.  Both are read off the payoff
+    tensor (see :func:`_certificate`), whose n^k entries ``budget`` bounds.
     """
     _check_advisor(pop, j)
     if len(punishment) != pop.llm_count or punishment[j] is not None:
         raise ValidationError("punishment must leave exactly slot j empty")
-    br = best_response(game, pop, punishment, j, budget=budget)
-    if lower_bound is None:
-        lower_bound = _correlated_lower_bound(_payoff_tensor(game, pop, budget), j)
-    return MinmaxCertificate(
-        llm=j,
-        lower_bound=min(lower_bound, br.value),
-        upper_bound=br.value,
-        punishment=tuple(punishment),
-        best_response=br.profile,
-    )
+    _check_advisors(game, pop, punishment, skip=j)
+    U = _payoff_tensor(game, pop, budget)
+    for a in filter(None, punishment):
+        for prof, _ in reduce_role_homogeneous(a).outcomes:
+            game.payoff(prof.pure_profile)  # raises on a label the game lacks
+    return _certificate(game, U, j, punishment, lower_bound)
 
 
 def _punishment_matrix(U: np.ndarray, j: int) -> np.ndarray:
@@ -503,8 +525,6 @@ def _punishment_matrix(U: np.ndarray, j: int) -> np.ndarray:
 
 def _correlated_lower_bound(U: np.ndarray, j: int) -> float:
     """Value when punishers may correlate: a relaxation, hence a lower bound."""
-    if U.ndim == 2:
-        raise ValidationError("no punishers to correlate")
     value, _ = _matrix_game_min_value(_punishment_matrix(U, j))
     return value
 
@@ -519,18 +539,19 @@ def minmax(
 ) -> MinmaxCertificate:
     """Certified bracket on advisor ``j``'s guaranteed (minmax) payoff.
 
-    A lone advisor faces no punishers: both bounds are its exact best
-    reply, the certificate of the empty punishment ``(None,)``.  With two
-    advisors the lower bound is the correlated-punishers LP on
-    :func:`_punishment_matrix`, exact for one punisher.  With three or
-    more, each of ``starts`` alternating minimizations begins at
-    flat-Dirichlet punisher mixtures drawn from ``seed`` and stops once the
-    value moves by less than ``MINMAX_TOL``, or after ``MINMAX_ROUNDS``
-    rounds; the best start's punishers are re-scored by an exact best reply.
-    Punisher mixtures are kept as meta-actions.  Each distinct punisher
-    matrix game is solved once per call and its (value, meta-action) reused
-    by later rounds and starts; since the matrix is all the LP reads, the
-    certificate is the one fresh solves would give.
+    The upper bound is j's exact best reply to the punishers, read off the
+    payoff tensor by :func:`_certificate`.  A lone advisor faces no
+    punishers: both bounds are that reply's value.  With two advisors the
+    lower bound is the correlated-punishers LP on :func:`_punishment_matrix`,
+    exact for one punisher.  With three or more it is a relaxation, and each
+    of ``starts`` alternating minimizations begins at flat-Dirichlet punisher
+    mixtures drawn from ``seed`` and stops once the value moves by less than
+    ``MINMAX_TOL``, or after ``MINMAX_ROUNDS`` rounds; the best start's
+    punishers are re-scored by the best reply.  Punisher mixtures are kept
+    as meta-actions.  Each distinct punisher matrix game is solved once per
+    call and its (value, meta-action) reused by later rounds and starts;
+    since the matrix is all the LP reads, the certificate is the one fresh
+    solves would give.
     Raises :class:`ValidationError` unless ``0 <= j < k`` and
     ``starts >= 1``.
     """
@@ -538,54 +559,42 @@ def minmax(
     if starts < 1:
         raise ValidationError(f"starts = {starts} must be at least 1")
     k = pop.llm_count
-    if k == 1:  # no punishers: the best reply's value is exact
-        return certificate_from_punishment(
-            game, pop, j, (None,), budget=budget, lower_bound=math.inf
-        )
-
     U = _payoff_tensor(game, pop, budget)
     profiles = list(game.profiles())
+    punishment: list[MetaAction | None] = [None] * k
+    lower = None  # the correlated-punishers LP, or inf for a lone advisor
     if k == 2:
-        value, y = _matrix_game_min_value(_punishment_matrix(U, j))
-        punishment: list[MetaAction | None] = [None, None]
+        lower, y = _matrix_game_min_value(_punishment_matrix(U, j))
         punishment[1 - j] = _mixture_meta_action(profiles, y)
-        return certificate_from_punishment(
-            game, pop, j, tuple(punishment), budget=budget, lower_bound=value
-        )
-
-    lower = _correlated_lower_bound(U, j)
-    n = len(profiles)
-    index = {p: i for i, p in enumerate(profiles)}
-    punishers = [q for q in range(k) if q != j]
-    rng = np.random.default_rng(seed)
-    # C.tobytes() -> (value, the row punisher's mixture as a meta-action)
-    solved: dict[bytes, tuple[float, MetaAction]] = {}
-
-    candidates: list[tuple[float, int, dict]] = []
-    for s_idx in range(starts):
-        actions = {
-            q: _mixture_meta_action(profiles, rng.dirichlet(np.ones(n)))
-            for q in punishers
-        }
-        value_prev = math.inf
-        for _ in range(MINMAX_ROUNDS):
-            for q in punishers:
-                C = _uj_matrix(U, j, q, actions, index)
-                key = C.tobytes()
-                if key not in solved:
-                    value, y = _matrix_game_min_value(C)
-                    solved[key] = value, _mixture_meta_action(profiles, y)
-                value, actions[q] = solved[key]
-            if abs(value_prev - value) < MINMAX_TOL:
-                break
-            value_prev = value
-        candidates.append((value, s_idx, actions))
-
-    best = min(candidates, key=lambda t: t[:2])[2]
-    return certificate_from_punishment(
-        game, pop, j, tuple(best.get(q) for q in range(k)), budget=budget,
-        lower_bound=lower,
-    )
+    elif k > 2:
+        n = len(profiles)
+        index = {p: i for i, p in enumerate(profiles)}
+        punishers = [q for q in range(k) if q != j]
+        rng = np.random.default_rng(seed)
+        # C.tobytes() -> (value, the row punisher's mixture as a meta-action)
+        solved: dict[bytes, tuple[float, MetaAction]] = {}
+        candidates: list[tuple[float, int, dict]] = []
+        for s_idx in range(starts):
+            actions = {
+                q: _mixture_meta_action(profiles, rng.dirichlet(np.ones(n)))
+                for q in punishers
+            }
+            value_prev = math.inf
+            for _ in range(MINMAX_ROUNDS):
+                for q in punishers:
+                    C = _uj_matrix(U, j, q, actions, index)
+                    key = C.tobytes()
+                    if key not in solved:
+                        value, y = _matrix_game_min_value(C)
+                        solved[key] = value, _mixture_meta_action(profiles, y)
+                    value, actions[q] = solved[key]
+                if abs(value_prev - value) < MINMAX_TOL:
+                    break
+                value_prev = value
+            candidates.append((value, s_idx, actions))
+        best = min(candidates, key=lambda t: t[:2])[2]
+        punishment = [best.get(q) for q in range(k)]
+    return _certificate(game, U, j, punishment, lower)
 
 
 def check_strict_ir(target, certificates) -> StrictIrReport:

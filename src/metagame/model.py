@@ -390,6 +390,12 @@ class AggregateTable:
         return [list(row) for row in self.masses]
 
 
+def _check_advisor(pop: Population, j: int) -> None:
+    """Raise :class:`ValidationError` unless ``0 <= j < k``."""
+    if not 0 <= j < pop.llm_count:
+        raise ValidationError(f"advisor j = {j} must lie in [0, {pop.llm_count})")
+
+
 def _check_advisors(
     game: BaseGame, pop: Population, advisors: Sequence, skip: int | None = None
 ) -> None:
@@ -437,10 +443,7 @@ def aggregate_mass(
 ) -> AggregateTable:
     """Public aggregate action masses induced by one realized instruction per
     advisor; an action the game lacks raises :class:`InvalidProfileError`."""
-    if len(realization) != pop.llm_count:
-        raise ValidationError("one realized instruction per advisor is required")
-    if pop.role_count != game.role_count:
-        raise ValidationError("population and game disagree on role count")
+    _check_advisors(game, pop, realization)
     rows = []
     for i, masses in enumerate(_role_masses(pop, realization)):
         row = [0.0] * len(game.actions[i])
@@ -834,6 +837,7 @@ def average_utility(
     llm: int,
 ) -> float:
     """Per-client average utility of advisor ``llm``."""
+    _check_advisor(pop, llm)
     mass = pop.governed_mass(llm)
     if mass <= 0.0:
         raise UndefinedAverageError(f"advisor {llm} governs zero client mass")

@@ -36,6 +36,7 @@ from .model import (
     MetaProfile,
     Population,
     _block_utilities,
+    _check_advisor,
     _check_advisors,
     _grid,
     _payoff_tensor,
@@ -217,6 +218,7 @@ def best_response(
     outcomes are scored in numpy blocks (see :mod:`metagame.model`), with
     the same value and profile to the last bit.
     """
+    _check_advisor(pop, j)
     if symmetry not in (None, "rotation"):
         raise ValidationError(f"unknown symmetry reduction {symmetry!r}")
     actions = profile.actions if isinstance(profile, MetaProfile) else tuple(profile)

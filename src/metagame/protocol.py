@@ -42,6 +42,7 @@ from .model import (
     MetaAction,
     Population,
     aggregate_mass,
+    _check_advisor,
     _payoff_tensor,
     _pure_instruction,
     _role_masses,
@@ -49,11 +50,9 @@ from .model import (
 from .feasibility import (
     CycleDecomposition,
     MinmaxCertificate,
-    certificate_from_punishment,
     check_strict_ir,
     decompose_target,
-    minmax,
-    _correlated_lower_bound,
+    _certificate,
     _mixture_lp,
     _punishment_matrix,
     _vertex_set,
@@ -304,29 +303,23 @@ def best_pure_punishment(
     minimizes j's exact best-response value, so punishment blocks stay
     deterministic.
     """
-    U = _payoff_tensor(game, pop, budget)
-    return _best_pure_punishment(game, pop, j, U, budget)
+    _check_advisor(pop, j)
+    return _best_pure_punishment(game, _payoff_tensor(game, pop, budget), j)
 
 
-def _best_pure_punishment(game, pop, j, U, budget) -> MinmaxCertificate:
+def _best_pure_punishment(game, U, j) -> MinmaxCertificate:
     """:func:`best_pure_punishment` on the payoff tensor ``U`` of (game, pop).
     Each punisher's instruction is the shared :func:`_pure_instruction`
     object."""
-    k = pop.llm_count
-    if k == 1:
-        return minmax(game, pop, j, budget=budget)
     # First minimizer in product order of the punished advisor's best reply.
     worst_reply = _punishment_matrix(U, j).max(axis=1)
-    combo = np.unravel_index(int(np.argmin(worst_reply)), U.shape[: k - 1])
+    combo = np.unravel_index(int(np.argmin(worst_reply)), U.shape[:-2])
     profiles = list(game.profiles())
     punishment: list[MetaAction | None] = [
         MetaAction.deterministic(_pure_instruction(profiles[bi])) for bi in combo
     ]
     punishment.insert(j, None)
-    return certificate_from_punishment(
-        game, pop, j, tuple(punishment), budget=budget,
-        lower_bound=_correlated_lower_bound(U, j),
-    )
+    return _certificate(game, U, j, punishment)
 
 
 def _segment_lengths(weights, T: int) -> tuple[int, ...]:
@@ -396,7 +389,7 @@ def derive_params(
     vertices = _vertex_set(game, U)
     V = vertices.matrix
 
-    certs = [_best_pure_punishment(game, pop, j, U, budget) for j in range(k)]
+    certs = [_best_pure_punishment(game, U, j) for j in range(k)]
     ir_upper = [c.upper_bound for c in certs]
 
     # Not a duplicate of the decomposition below: that one decomposes the

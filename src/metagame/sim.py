@@ -47,6 +47,7 @@ from .model import (
     MetaAction,
     Population,
     aggregate_mass,
+    _check_advisor,
     _pure_instruction,
     _realization_utilities,
     _Terms,
@@ -860,6 +861,7 @@ def estimate_deviation_gain(
     horizon differs from its deviating run's was made under other
     parameters and raises ``ValidationError``.
     """
+    _check_advisor(pop, llm)
     if len(honest_logs) < 2:
         raise ValidationError("need at least two honest logs")
     gains = []

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metagame import feasibility
+from metagame import feasibility, protocol
 from metagame.errors import InfeasibleTargetError, ValidationError
-from metagame.model import MetaAction, MetaProfile, Population, llm_utility
+from metagame.model import (
+    MetaAction,
+    MetaProfile,
+    Population,
+    average_utility,
+    llm_utility,
+)
 from metagame.feasibility import (
     RECOMBINE_TOL,
     certificate_from_punishment,
@@ -16,12 +22,15 @@ from metagame.feasibility import (
     minmax,
     payoff_vertices,
 )
+from metagame.oneshot import best_response
+from metagame.protocol import best_pure_punishment
 from metagame.scenarios import (
     blame_cycle,
     heist_punishment,
     make_scenario,
     scenario_population,
 )
+from metagame.sim import estimate_deviation_gain
 
 from oracles import random_game, random_population
 
@@ -312,7 +321,7 @@ def _no_enumeration(monkeypatch):
         raise AssertionError("enumerated before checking the advisor index")
 
     monkeypatch.setattr(feasibility, "_payoff_tensor", fail)
-    monkeypatch.setattr(feasibility, "best_response", fail)
+    monkeypatch.setattr(protocol, "_payoff_tensor", fail)
 
 
 @pytest.mark.parametrize(
@@ -327,10 +336,18 @@ def test_advisor_index_out_of_range_is_rejected_first(monkeypatch, scenario, pop
     game, k = make_scenario(scenario), pop.llm_count
     _no_enumeration(monkeypatch)
     for j in (-1, k, k + 3):
-        with pytest.raises(ValidationError, match=rf"must lie in \[0, {k}\)"):
-            minmax(game, pop, j)
-        with pytest.raises(ValidationError, match=rf"must lie in \[0, {k}\)"):
-            certificate_from_punishment(game, pop, j, (None,) * k)
+        calls = [
+            lambda: minmax(game, pop, j),
+            lambda: certificate_from_punishment(game, pop, j, (None,) * k),
+            lambda: best_pure_punishment(game, pop, j),
+            # Nothing past the index check takes these placeholder inputs.
+            lambda: best_response(game, pop, (None,) * k, j),
+            lambda: average_utility(game, pop, None, j),
+            lambda: estimate_deviation_gain(game, pop, None, j, "heavy", ()),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=rf"must lie in \[0, {k}\)"):
+                call()
 
 
 @pytest.mark.parametrize("starts", [0, -2])

@@ -351,3 +351,9 @@ def test_model_objects_reject_non_finite_numbers(build, bad):
 def test_llm_utility_rejects_instructions_for_another_role_count(pd, pd_pop, profile):
     with pytest.raises(ValidationError, match="roles"):
         llm_utility(pd, pd_pop, profile)
+
+
+@pytest.mark.parametrize("labels", [("C",), ("C", "C", "C")], ids=["one role", "three roles"])
+def test_aggregate_mass_rejects_instructions_for_another_role_count(pd, pd_pop, labels):
+    with pytest.raises(ValidationError, match="roles"):
+        aggregate_mass(pd, pd_pop, [InstructionProfile.pure(labels)] * 2)

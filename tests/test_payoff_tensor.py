@@ -1,6 +1,8 @@
 """The payoff tensor ``U[a_1..a_k, j]`` against the brute-force oracle and
 against the per-realization loops it replaced, which are kept below as
-references.  The arithmetic is unchanged, so the comparisons are exact."""
+references.  The arithmetic is unchanged, so the comparisons are exact.
+Every certificate's best reply, read off the tensor, is checked against the
+reply of ``oneshot.best_response``, which never builds it."""
 
 import itertools
 import math
@@ -10,10 +12,12 @@ import time
 import numpy as np
 import pytest
 
+import metagame.feasibility as feasibility
 import metagame.model as model
 import metagame.oneshot as oneshot
 from metagame.errors import BudgetExceededError
 from metagame.feasibility import (
+    MinmaxCertificate,
     PayoffVertexSet,
     Vertex,
     _correlated_lower_bound,
@@ -32,11 +36,17 @@ from metagame.model import (
     _realization_utilities,
     _Terms,
 )
-from metagame.oneshot import meta_bimatrix
+from metagame.oneshot import best_response, meta_bimatrix
 from metagame.protocol import best_pure_punishment
 from metagame.scenarios import make_scenario, scenario_population
 
-from oracles import governance_realization_utilities, random_game, random_population
+from oracles import (
+    governance_realization_utilities,
+    random_game,
+    random_meta_action,
+    random_population,
+)
+from test_tensor_blocks import _random_instances
 
 BUDGET = 10**7
 
@@ -130,10 +140,9 @@ def loop_best_pure_punishment(game, pop, j):
     punishers = [q for q in range(pop.llm_count) if q != j]
     for q, bi in zip(punishers, best[1]):
         punishment[q] = MetaAction.from_pure(profiles[bi])
-    return certificate_from_punishment(
-        game, pop, j, tuple(punishment),
-        lower_bound=loop_correlated_lower_bound(game, pop, j),
-    )
+    br = best_response(game, pop, punishment, j)
+    lower = loop_correlated_lower_bound(game, pop, j)
+    return MinmaxCertificate(j, min(lower, br.value), br.value, tuple(punishment), br.profile)
 
 
 def loop_meta_bimatrix(game, pop):
@@ -208,25 +217,67 @@ def test_tensor_reads_equal_the_loops(game, pop):
 def test_heist_minmax_builds_the_tensor_once(monkeypatch):
     game = make_scenario("heist")
     pop = scenario_population("heist")
-    calls = [0]
-    original = model._realization_utilities
+    builds, realizations = [0], [0]
+    build, realize = feasibility._payoff_tensor, model._realization_utilities
 
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
+    def counting_build(*args):
+        builds[0] += 1
+        return build(*args)
 
-    monkeypatch.setattr(model, "_realization_utilities", counting)
-    monkeypatch.setattr(oneshot, "_realization_utilities", counting)
-    cert = minmax(game, pop, 0, starts=2)
-    minmax_calls = calls[0]
-    calls[0] = 0
-    certificate_from_punishment(
-        game, pop, 0, cert.punishment, lower_bound=cert.lower_bound
-    )
-    best_response_calls = calls[0]
-    assert game.num_profiles ** pop.llm_count == 512
-    assert best_response_calls > 0
-    assert minmax_calls <= 512 + best_response_calls
+    def counting_realize(*args):
+        realizations[0] += 1
+        return realize(*args)
+
+    monkeypatch.setattr(feasibility, "_payoff_tensor", counting_build)
+    monkeypatch.setattr(model, "_realization_utilities", counting_realize)
+    monkeypatch.setattr(oneshot, "_realization_utilities", counting_realize)
+    for j in range(pop.llm_count):
+        minmax(game, pop, j, starts=2)
+        assert (builds[0], realizations[0]) == (j + 1, 0)
+
+
+# ------------------------------------------------- best replies off the tensor
+
+
+def scalar_reply(game, pop, j, punishment):
+    """The reference reply: ``best_response``'s value and profile."""
+    br = best_response(game, pop, punishment, j)
+    return br.value, br.profile
+
+
+CERTIFIED = [
+    (make_scenario("heist"), scenario_population("heist")),
+    (make_scenario("pd", X=-2, Y=-4, Z=-5), scenario_population("pd")),
+    (make_scenario("majority3"), scenario_population("majority3")),
+    *_random_instances(48, 7),
+]
+CERTIFIED_IDS = ["heist", "pd", "majority3", *(f"random-{i}" for i in range(48))]
+
+
+@pytest.mark.parametrize("game,pop", CERTIFIED, ids=CERTIFIED_IDS)
+def test_certificates_equal_the_scalar_best_reply(game, pop):
+    for j in range(pop.llm_count):
+        for cert in (minmax(game, pop, j), best_pure_punishment(game, pop, j)):
+            assert (cert.upper_bound, cert.best_response) == scalar_reply(
+                game, pop, j, cert.punishment
+            )
+
+
+@pytest.mark.parametrize("game,pop", CERTIFIED[:6], ids=CERTIFIED_IDS[:6])
+def test_split_and_mixed_punishers_match_the_scalar_best_reply(game, pop):
+    rng = random.Random(29)
+    k = pop.llm_count
+    for j in range(k):
+        for _ in range(4):
+            punishment = [
+                None if q == j else random_meta_action(rng, game, max_outcomes=3)
+                for q in range(k)
+            ]
+            cert = certificate_from_punishment(game, pop, j, tuple(punishment))
+            value, profile = scalar_reply(game, pop, j, punishment)
+            assert abs(cert.upper_bound - value) <= 1e-12
+            assert cert.best_response == profile
+            assert cert.punishment == tuple(punishment)
 
 
 def test_budget_fails_before_enumerating():
