@@ -9,23 +9,24 @@ flags and block statistics are kept whenever protocol parameters are given.
 The stepper records a run of identical periods at a time: each strategy
 says how long it holds its instruction (a punishment or a prescription to
 the stretch's end, an honest reviewed advisor until its next probe), and a
-run lasts until the first hold ends; finite mode draws a fresh table every
-period, so its runs are single periods.  The stepper interns each distinct joint instruction of a run
-to a small integer, keeps the public state as the state at the start of the
-current stretch plus the periods elapsed since (a stretch ends at a block
-end, segment end or punishment end, so its length is known when it starts),
-and stores the log as its runs.  A run realizes each distinct joint
-instruction once: its continuum aggregate (and, in continuum mode, its
-utilities) is memoized per run, and so are the review checks of each
-aggregate per (segment, phase).  A deviation-gain estimate pairs each honest
-run its caller made with one deviating run at the same seed.  Finite mode
+run lasts until the first hold ends.  The stepper interns each distinct
+joint instruction of a run to a small integer, keeps the public state as the
+state at the start of the current stretch plus the periods elapsed since (a
+stretch ends at a block end, segment end or punishment end, so its length is
+known when it starts), and stores the log as its runs.  A run realizes each
+distinct joint instruction once: its continuum aggregate (and, in continuum
+mode, its utilities) is memoized per run, and so are the review checks of
+each aggregate per (segment, phase).  A deviation-gain estimate pairs each
+honest run its caller made with one deviating run at the same seed.  Finite mode
 samples each period's counts of occupied (advisor, action) cells directly,
 by multinomial draws per client group and hypergeometric matching, with the
 law of per-client draws and uniform matching: aggregates are the counts'
 marginals, utilities count-weighted payoffs (exact for integer payoffs,
-otherwise a client-by-client sum up to float rounding).  Runs are
-reproducible byte-for-byte from (seed, inputs), and a log's JSON lines
-format each distinct run once.
+otherwise a client-by-client sum up to float rounding).  The periods of a
+held run are i.i.d., so a long one is drawn in one vectorized call per
+chunk, and each of its periods is still logged as a one-period run with its
+own table.  Runs are reproducible byte-for-byte from (seed, inputs), and a
+log's JSON lines format each distinct run once.
 """
 
 from __future__ import annotations
@@ -373,6 +374,10 @@ def _flag_counts(runs, slot: int, k: int) -> tuple[int, ...]:
     return tuple(sum(run[0] for run in runs if run[slot] >> j & 1) for j in range(k))
 
 
+# RunLog.recompute_discounted expands at most this many periods at a time.
+DISCOUNT_CHUNK = 1 << 16
+
+
 @dataclass
 class RunLog:
     """One repeated run, stored as the stepper's runs, plus derived statistics.
@@ -428,18 +433,29 @@ class RunLog:
         return list(self.iter_records())
 
     def recompute_discounted(self) -> tuple[float, ...]:
+        """Per advisor, ``(1 - delta)`` times the sum over periods t of
+        ``delta**t`` times its utility.  The weights are running products and
+        the sum a running sum, both by numpy's ``accumulate``, which works in
+        order, so the result is bit for bit that of adding period by period;
+        the periods are expanded ``DISCOUNT_CHUNK`` at a time."""
         delta = self.delta
-        out = []
-        for j in range(len(self.runs[0][3])):
-            total = 0.0
-            w = 1.0
-            for n, _, _, u, _, _ in self.runs:
-                x = u[j]
-                for _ in range(n):
-                    total += w * x
-                    w *= delta
-            out.append((1.0 - delta) * total)
-        return tuple(out)
+        values = np.array([run[3] for run in self.runs], dtype=float)
+        lengths = np.array([run[0] for run in self.runs])
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        w, total = 1.0, np.zeros((1, values.shape[1]))
+        for a in range(0, int(ends[-1]), DISCOUNT_CHUNK):
+            b = min(a + DISCOUNT_CHUNK, int(ends[-1]))
+            # The runs holding periods a to b - 1, cut to them.
+            first, last = np.searchsorted(ends, [a, b - 1], side="right")
+            cut = np.minimum(ends[first : last + 1], b) - np.maximum(
+                starts[first : last + 1], a
+            )
+            weights = np.multiply.accumulate(np.r_[w, np.full(b - a, delta)])
+            x = np.repeat(values[first : last + 1], cut, axis=0)
+            total = np.add.accumulate(np.vstack([total, weights[:-1, None] * x]))[-1:]
+            w = weights[-1]
+        return tuple(((1.0 - delta) * total[0]).tolist())
 
     def event_counts(self, llm: int) -> dict[str, int]:
         counts = {EXCESS: 0, FREQUENCY: 0}
@@ -583,7 +599,9 @@ class _Periods:
     of a tuple's instructions are checked when it is first seen.  After the
     caller realizes the tuple, ``observe`` appends the run of ``held``
     periods from ``t`` to ``runs`` and advances the public state (when
-    ``params`` are given).  With ``limit`` 1 this is one period.
+    ``params`` are given); ``observe_each`` records them instead as ``held``
+    one-period runs, each with its own table (finite mode, which draws a
+    table per period).  With ``limit`` 1 this is one period.
 
     The public state (``public``) is a stretch start plus the periods
     elapsed since it.  Entering a stretch fixes its length (the periods to
@@ -592,8 +610,8 @@ class _Periods:
     totals and its length to ``elapsed``, short of the stretch's last period;
     its deviation flags are memoized per realized tuple within a stretch, and
     its review flags per (segment, phase, table id) when the caller passes a
-    table id (continuum mode) or computed directly otherwise (finite mode
-    draws a fresh table every period).  A run that reaches the stretch's
+    table id (continuum mode, and finite tables drawn by the run sampler) or
+    computed directly otherwise.  A run that reaches the stretch's
     last period passes the start and the totals to :func:`protocol._advance`,
     which builds the next stretch's ``ProtocolState``; otherwise a state is
     built only when a strategy reads ``ctx.state``.
@@ -706,9 +724,21 @@ class _Periods:
     def observe(
         self, t: int, rid: int, table: AggregateTable, utilities, table_id=None
     ) -> None:
-        """Record the ``held`` periods from ``t`` and advance the state;
-        ``table_id`` names ``table`` among the run's distinct aggregates,
-        when it has one."""
+        """Record the ``held`` periods from ``t`` as one run and advance the
+        state; ``table_id`` names ``table`` among the run's distinct
+        aggregates, when it has one."""
+        self._record(t, self.held, rid, table, utilities, table_id)
+
+    def observe_each(self, t: int, rid: int, outcomes) -> None:
+        """Record the ``held`` periods from ``t`` one by one, each as a
+        one-period run with its own ``(table, utilities, table_id)`` taken
+        from ``outcomes``, which holds one per period, as the period is
+        recorded."""
+        for period, outcome in zip(range(t, t + self.held), outcomes, strict=True):
+            self._record(period, 1, rid, *outcome)
+
+    def _record(self, t, n, rid, table, utilities, table_id) -> None:
+        """Append the run of ``n`` periods from ``t`` and advance the state."""
         realized = self.realized[rid]
         deviated = 0 if self.params is None else self._deviations.get(rid)
         if deviated is None:
@@ -717,7 +747,6 @@ class _Periods:
                 for j, (a, b) in enumerate(zip(realized, self._prescribed))
                 if a != b
             )
-        n = self.held
         self.runs.append((n, realized, table, utilities, self._probe_mask, deviated))
         if self.params is None:
             return
@@ -947,8 +976,23 @@ def _group_plan(game, counts, realized):
 
 # numpy's multivariate_hypergeometric (its default "marginals" method, which
 # fixes the random stream) needs fewer than 10**9 items in the urn, and
-# ``_sample_table``'s first urn for a role holds all N of its clients.
+# ``_sample_table``'s first urn for a role holds all N of its clients; the
+# univariate hypergeometric draws of ``_sample_run`` need fewer than 10**9
+# good and fewer than 10**9 bad items, which N clients never reach.
 CLIENT_CEILING = 10**9
+# A held run of at least RUN_MIN periods is drawn by ``_sample_run``, at most
+# RUN_CHUNK periods per call, when its plan has at most RUN_CELLS possible
+# joint cells; shorter runs and larger plans draw each period by
+# ``_sample_table``.  A call has a fixed cost of one broadcast draw per
+# (prefix cell, colour).  Timing whole held runs both ways on a 2-vCPU Xeon
+# (numpy 2.4.6) at N = 10**3 and 10**4, the run sampler was as fast from 2-5
+# periods on with pure instructions on PD and heist (16 and 27 joint cells),
+# 4-6 with client-level mixing on PD (16) and 10-14 on heist (729).  The
+# count matrices hold at most RUN_CHUNK * RUN_CELLS entries, whatever the
+# run's length.
+RUN_MIN = 8
+RUN_CHUNK = 1024
+RUN_CELLS = 1024
 
 
 def _sample_table(plan, world: np.random.Generator):
@@ -977,6 +1021,164 @@ def _sample_table(plan, world: np.random.Generator):
     return cells, sizes
 
 
+def _support(plan) -> list[np.ndarray]:
+    """Per role, the cells that some client of ``plan`` may occupy."""
+    out = []
+    for fixed, draws in plan:
+        possible = fixed > 0
+        for _, _, cells in draws:
+            possible[cells] = True
+        out.append(np.flatnonzero(possible))
+    return out
+
+
+def _joint_cells(supports) -> list[np.ndarray]:
+    """Every joint cell of the per-role ``supports``, an index array per role,
+    in lexicographic order."""
+    return [grid.reshape(-1) for grid in np.meshgrid(*supports, indexing="ij")]
+
+
+def _sample_run(plan, world: np.random.Generator, n: int):
+    """``n`` i.i.d. periods of :func:`_sample_table`'s law in one vectorized
+    draw: the plan's possible joint cells (an index array per role, in
+    lexicographic order) and an ``(n, cells)`` matrix of their client counts,
+    zero where a cell is empty.  Each group's counts for all n periods come
+    from one ``multinomial`` call.  The matching splits each multivariate
+    hypergeometric draw of a prefix cell's partners into its successive
+    univariate marginals (Johnson, Kotz & Balakrishnan 1997, *Discrete
+    Multivariate Distributions*, ch. 39): one ``hypergeometric`` call per
+    (prefix cell, colour), broadcast over the n periods, the last colour and
+    the last prefix cell taking the rest."""
+    supports = _support(plan)
+    margins = []
+    for (fixed, draws), support in zip(plan, supports):
+        counts = np.tile(fixed, (n, 1))
+        for g, weights, cells in draws:
+            counts[:, cells] += world.multinomial(g, weights, size=n)
+        margins.append(counts[:, support])
+    sizes = margins[0]
+    for pool in margins[1:]:
+        rows, colours = sizes.shape[1], pool.shape[1]
+        parts = np.empty((n, rows, colours), dtype=np.int64)
+        for r in range(rows - 1):
+            need = sizes[:, r].copy()
+            bad = pool.sum(axis=1)
+            for c in range(colours - 1):
+                bad -= pool[:, c]
+                got = world.hypergeometric(pool[:, c], bad, need)
+                parts[:, r, c] = got
+                pool[:, c] -= got
+                need -= got
+            parts[:, r, -1] = need
+            pool[:, -1] -= need
+        parts[:, -1] = pool
+        sizes = parts.reshape(n, rows * colours)
+    return _joint_cells(supports), sizes
+
+
+def _cell_maps(game: BaseGame, terms: _Terms, cells, k: int):
+    """For joint cells (an index array per role): the 0/1 matrix from each
+    cell to its action in every role (one column per (role, action), role by
+    role), and each advisor's payoff per client of the cell, summed over the
+    roles it owns, so that counts times them give action counts and
+    utilities."""
+    ns = [len(labels) for labels in game.actions]
+    pays = np.array(
+        [
+            terms.payoff(tuple(labels[c % n] for labels, c, n in zip(game.actions, cell, ns)))
+            for cell in zip(*(c.tolist() for c in cells))
+        ]
+    )
+    rows = np.arange(len(pays))
+    actions = np.zeros((len(rows), sum(ns)))
+    payoffs = np.zeros((len(rows), k))
+    offset = 0
+    for i, (c, n) in enumerate(zip(cells, ns)):
+        actions[rows, offset + c % n] = 1.0
+        np.add.at(payoffs, (rows, c // n), pays[:, i])
+        offset += n
+    return actions, payoffs
+
+
+class _Realizer:
+    """Finite mode's periods for a run's joint instructions.  ``plan`` builds
+    a joint instruction's continuum aggregate and sampling plan once;
+    ``periods`` yields ``(table, utilities, table id)`` for each of a held
+    run's periods and appends each period's gap to the continuum aggregate to
+    ``gaps``.  A run of ``RUN_MIN`` periods or more is drawn by
+    :func:`_sample_run` a chunk at a time; its tables are interned by value
+    across the run, so each distinct one is built and review-checked once.
+    Shorter runs draw each period by :func:`_sample_table`, with no table id.
+    """
+
+    def __init__(self, game: BaseGame, pop: Population, counts, world):
+        self.game, self.pop, self.counts, self.world = game, pop, counts, world
+        self.N, self.k = sum(counts[0]), pop.llm_count
+        self.ns = [len(labels) for labels in game.actions]
+        self.terms = _Terms(game)
+        self.gaps: list[float] = []
+        self._tables: dict[tuple, tuple[AggregateTable, int]] = {}
+        ends = np.cumsum(self.ns).tolist()
+        self._spans = list(zip([0] + ends[:-1], ends))
+
+    def plan(self, realized):
+        """``(continuum aggregate, _group_plan, run maps)``; the run maps are
+        ``None`` when the plan has more than ``RUN_CELLS`` joint cells."""
+        continuum = aggregate_mass(self.game, self.pop, realized)
+        plan = _group_plan(self.game, self.counts, realized)
+        supports = _support(plan)
+        if math.prod(len(s) for s in supports) > RUN_CELLS:
+            return continuum, plan, None
+        cells = _joint_cells(supports)
+        actions, payoffs = _cell_maps(self.game, self.terms, cells, self.k)
+        flat = np.concatenate(continuum.masses)
+        return continuum, plan, (actions, payoffs, flat)
+
+    def periods(self, entry, n: int):
+        continuum, plan, maps = entry
+        if maps is None or n < RUN_MIN:
+            for _ in range(n):
+                yield self._one(continuum, plan)
+            return
+        actions, payoffs, flat = maps
+        N = self.N
+        for start in range(0, n, RUN_CHUNK):
+            sizes = _sample_run(plan, self.world, min(RUN_CHUNK, n - start))[1].astype(float)
+            shares = sizes @ actions / N
+            self.gaps += np.abs(shares - flat).max(axis=1).tolist()
+            for row, u in zip(shares.tolist(), (sizes @ payoffs / N).tolist()):
+                table, table_id = self._table(tuple(row))
+                yield table, tuple(u), table_id
+
+    def _table(self, row: tuple[float, ...]) -> tuple[AggregateTable, int]:
+        hit = self._tables.get(row)
+        if hit is None:
+            table = AggregateTable(tuple(row[a:b] for a, b in self._spans))
+            hit = self._tables[row] = (table, len(self._tables))
+        return hit
+
+    def _one(self, continuum, plan):
+        """One period drawn by :func:`_sample_table`."""
+        game, ns, N, k = self.game, self.ns, self.N, self.k
+        cells, size = _sample_table(plan, self.world)
+        actions = [c % n for c, n in zip(cells, ns)]
+        table = AggregateTable(
+            tuple(np.bincount(a, weights=size, minlength=n) / N for a, n in zip(actions, ns))
+        )
+        pays = size[:, None] * np.array(
+            [
+                self.terms.payoff(tuple(labels[a] for labels, a in zip(game.actions, profile)))
+                for profile in zip(*(a.tolist() for a in actions))
+            ]
+        )
+        utilities = sum(
+            np.bincount(c // n, weights=pays[:, i], minlength=k)
+            for i, (c, n) in enumerate(zip(cells, ns))
+        )
+        self.gaps.append(table.max_diff(continuum))
+        return table, tuple((utilities / N).tolist()), None
+
+
 def finite_population_run(
     clients_per_role: int,
     game: BaseGame,
@@ -1001,7 +1203,17 @@ def finite_population_run(
     count-weighted payoff of the roles it owns, over N, with one
     ``game.payoff`` call per distinct action profile (exact for integer
     payoffs, else within 2.2e-16 of a per-client sum in the pinned heist
-    runs).  With protocol ``params`` the public machine runs on the
+    runs).
+
+    The strategies are asked for runs of periods, as in
+    :func:`run_repeated`; while every advisor holds its instruction the
+    periods are i.i.d.  A held run of ``RUN_MIN`` periods or more is drawn
+    by ``_sample_run``, at most ``RUN_CHUNK`` periods per call, and its
+    aggregates, gaps and utilities are products of the ``(periods, cells)``
+    count matrix with an action map and a payoff matrix built once per
+    joint instruction; shorter runs draw each period by ``_sample_table``.
+    Either way each period is logged as its own one-period run with its own
+    table.  With protocol ``params`` the public machine runs on the
     empirical aggregates, its discrepancy tolerance widened to the sampling
     band 3*sqrt(log(N)/N); the log carries the deviation flags and block and
     punishment statistics (the protocol's guarantees hold in continuum mode
@@ -1046,43 +1258,22 @@ def finite_population_run(
     streams = [np.random.Generator(np.random.PCG64(c)) for c in children[:k]]
     world = np.random.Generator(np.random.PCG64(children[k]))
 
-    ns = [len(labels) for labels in game.actions]
     steps = _Periods(game, run_params, strategies, streams)
-    gaps: list[float] = []
-    terms = _Terms(game)
-    plans: dict = {}  # realized id -> (continuum aggregate, _group_plan)
-
-    for t in range(periods):
-        rid = steps.act(t)
+    realizer = _Realizer(game, pop, counts, world)
+    plans: dict = {}  # realized id -> _Realizer.plan
+    t = 0
+    while t < periods:
+        rid = steps.act(t, periods - t)
         if rid not in plans:
-            realized = steps.realized[rid]
-            plans[rid] = (
-                aggregate_mass(game, pop, realized),
-                _group_plan(game, counts, realized),
-            )
-        continuum, plan = plans[rid]
-        cells, size = _sample_table(plan, world)
-        actions = [c % n for c, n in zip(cells, ns)]
-        table = AggregateTable(
-            tuple(np.bincount(a, weights=size, minlength=n) / N for a, n in zip(actions, ns))
-        )
-        pays = size[:, None] * np.array(
-            [
-                terms.payoff(tuple(labels[a] for labels, a in zip(game.actions, profile)))
-                for profile in zip(*(a.tolist() for a in actions))
-            ]
-        )
-        utilities = sum(
-            np.bincount(c // n, weights=pays[:, i], minlength=k)
-            for i, (c, n) in enumerate(zip(cells, ns))
-        )
-        gaps.append(table.max_diff(continuum))
-        steps.observe(t, rid, table, tuple((utilities / N).tolist()))
+            plans[rid] = realizer.plan(steps.realized[rid])
+        steps.observe_each(t, rid, realizer.periods(plans[rid], steps.held))
+        t += steps.held
 
     log = steps.log(key, 0.0, 0.0, periods)
     log.discounted = tuple(
         sum(n * u[j] for n, _, _, u, _, _ in log.runs) / periods for j in range(k)
     )
+    gaps = realizer.gaps
     report = FiniteRunReport(
         clients_per_role=N,
         periods=periods,

@@ -233,3 +233,26 @@ def test_readme_pd_asks_strategies_once_per_hold(readme_pd, monkeypatch, kind):
     advisors = [ctx.llm for _, ctx, _ in honest + deviator]
     assert advisors.count(1) == 1
     assert advisors.count(0) <= 2 * probes + log.horizon // m + 1
+
+
+@pytest.mark.parametrize("kind", ["honest", "heavy", "light"])
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_finite_runs_equal_the_per_period_loop_on_the_table_sampler(
+    monkeypatch, name, kind
+):
+    """``finite_population_run`` asks for held runs; with every period drawn
+    by ``_sample_table``, the world's stream is used as period by period, so
+    the log is the per-period loop's byte for byte."""
+    monkeypatch.setattr(sim, "RUN_MIN", math.inf)
+    game, pop, _ = GAMES[name]
+    params = T40[name, 0.25]
+
+    def run(strategies):
+        log, report = sim.finite_population_run(
+            300, game, pop, strategies, periods=200, seed=4, params=params
+        )
+        return log.to_jsonl(), log.block_stats, report.to_dict()
+
+    held = run(_strategies(game, pop, params, 1, kind))
+    assert held == run([_per_period(s) for s in _strategies(game, pop, params, 1, kind)])
+    assert held[1]

@@ -29,10 +29,12 @@ from metagame.scenarios import (
     scenario_population,
 )
 from metagame.sim import (
+    ADVERSARY_KINDS,
     FixedProfileStrategy,
     HonestStrategy,
     Strategy,
     _group_plan,
+    _sample_run,
     _sample_table,
     estimate_deviation_gain,
     finite_population_run,
@@ -360,8 +362,9 @@ def test_finite_run_with_params_flags_deviations_and_blocks(pd_small_params):
     ]
 
 
-# sha256 of to_jsonl(); any change to the per-period stepper, the seeding or
-# the record format must keep these bytes.
+# sha256 of to_jsonl(); any change to the stepper, the seeding or the record
+# format must keep these bytes.  The finite bytes also follow the sampler's
+# random stream: its 20 periods are one held run, drawn by _sample_run.
 RUNLOG_SHA256 = {
     "honest": "1ecc1ef5f5f3ee7f08df56f0cce324ed73e275b2ee69ec5674cff4d4b2d68067",
     "light": "1773f1dd842a9a3c1168ff82af756c02e0cafa7a16fd9af7c28ab95a9ff04745",
@@ -369,7 +372,7 @@ RUNLOG_SHA256 = {
     # so heavy and greedy_myopic play the same 156 periods here.
     "heavy": "8ee489003939a7ecc3e35be3ab3b3e4f934c73d995cc2d02dd1172c31603db03",
     "greedy_myopic": "8ee489003939a7ecc3e35be3ab3b3e4f934c73d995cc2d02dd1172c31603db03",
-    "finite": "3f4284f25c2934992f988405c9a6bcec24933d16dd3890b4d7e23ed96f24df94",
+    "finite": "b22fc18b0be983910debdfa51343bf5f2238a11356f9e41b41c3818c6a80d8ab",
     # README PD with advisor 1 honest or a heavy deviator, seed (5, 0) and
     # delta 0.995: 3,289 periods in a few dozen runs of identical periods.
     "readme_pd_honest": "8b1c85e6c5e73d9100dd24c784ab6308555576b76a1231e710c0995556650654",
@@ -415,6 +418,71 @@ def test_finite_log_bytes_pinned():
     log, _ = finite_population_run(500, pd, pop, strategies, periods=20, seed=(4, 2))
     digest = hashlib.sha256(log.to_jsonl().encode()).hexdigest()
     assert digest == RUNLOG_SHA256["finite"]
+
+
+def _loop_discounted(log):
+    """The discounted utilities summed period by period: the reference for
+    ``RunLog.recompute_discounted``."""
+    out = []
+    for j in range(len(log.runs[0][3])):
+        total, w = 0.0, 1.0
+        for n, _, _, u, _, _ in log.runs:
+            for _ in range(n):
+                total += w * u[j]
+                w *= log.delta
+        out.append((1.0 - log.delta) * total)
+    return tuple(out)
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.fixture(scope="module")
+def readme_pd_logs():
+    """README PD runs for each adversary kind on advisor 1, seeds (0..9, 0)."""
+    game = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    pop = scenario_population("pd")
+    params = derive_params(game, pop, (-3.6, -0.4), 1.2, 0.5)
+    return [
+        run_repeated(
+            game, pop, params, [HonestStrategy(), make_adversary(game, pop, params, kind)],
+            delta=0.995, tail_tol=1e-6, seed=(seed, 0),
+        )
+        for kind in ADVERSARY_KINDS
+        for seed in range(10)
+    ]
+
+
+def test_recompute_discounted_is_the_per_period_sum(
+    readme_pd_logs, heist, heist_pop, monkeypatch
+):
+    params = derive_params(
+        heist, heist_pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5,
+        overrides={"probe_rate": 1.0, "block_length": 40},
+    )
+    heist_log = run_repeated(
+        heist, heist_pop, params, [HonestStrategy() for _ in range(3)],
+        delta=0.999, tail_tol=1e-6, seed=3,
+    )
+    assert len(heist_log.runs) > 1000  # probes every period: one-period runs
+    for log in [*readme_pd_logs, heist_log]:
+        assert _bits(log.recompute_discounted()) == _bits(_loop_discounted(log))
+        assert log.discounted == log.recompute_discounted()
+    # Every term -0.0: the sum starts at +0.0, so the result is +0.0.
+    log = readme_pd_logs[0]
+    zero = dataclasses.replace(
+        log, runs=[(n, i, a, (-0.0, -0.0), p, d) for n, i, a, _, p, d in log.runs]
+    )
+    assert _bits(zero.recompute_discounted()) == _bits(_loop_discounted(zero)) == _bits(
+        (0.0, 0.0)
+    )
+    # Runs cut by chunk boundaries; the weight and the total carry across.
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(metagame.sim, "DISCOUNT_CHUNK", chunk)
+        for log in (readme_pd_logs[5], readme_pd_logs[25], heist_log):
+            assert log.horizon > chunk
+            assert _bits(log.recompute_discounted()) == _bits(_loop_discounted(log))
 
 
 def _count_calls(monkeypatch, name):
@@ -519,10 +587,12 @@ def test_finite_run_needs_a_period():
             )
 
 
-def test_finite_run_clients_below_the_sampler_ceiling():
-    # numpy's multivariate_hypergeometric takes fewer than 10**9 items; at
-    # the ceiling the run used to end in a ValueError, and beyond int64 in an
-    # OverflowError.
+def test_finite_run_clients_below_the_sampler_ceiling(monkeypatch):
+    # numpy's multivariate_hypergeometric takes fewer than 10**9 items, and
+    # its hypergeometric fewer than 10**9 good and bad ones; at the ceiling
+    # the run used to end in a ValueError, and beyond int64 in an
+    # OverflowError.  Two periods draw by _sample_table, a held run of
+    # RUN_MIN periods by _sample_run.
     pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
     mixed = InstructionProfile.homogeneous(
         (
@@ -533,8 +603,11 @@ def test_finite_run_clients_below_the_sampler_ceiling():
     strategies = [FixedProfileStrategy(MetaAction.deterministic(mixed))] * 2
     pop = scenario_population("pd")
     N = metagame.sim.CLIENT_CEILING - 1
-    _, report = finite_population_run(N, pd, pop, strategies, periods=2, seed=0)
-    assert report.clients_per_role == N and report.max_gap < 1e-3
+    calls = _sampler_calls(monkeypatch)
+    for periods in (2, metagame.sim.RUN_MIN):
+        _, report = finite_population_run(N, pd, pop, strategies, periods=periods, seed=0)
+        assert report.clients_per_role == N and report.max_gap < 1e-3
+    assert calls == {"table": 2, "run": [(metagame.sim.RUN_MIN, (metagame.sim.RUN_MIN, 16))]}
     for N in (metagame.sim.CLIENT_CEILING, 10**30):
         with pytest.raises(ValidationError, match="sampler"):
             finite_population_run(N, pd, pop, strategies, periods=2, seed=0)
@@ -761,21 +834,46 @@ def _heist_case():
     return heist, pop, realized, 2
 
 
+def _plan(game, pop, realized, N):
+    counts = tuple(tuple(largest_remainder_counts(N, row)) for row in pop.shares)
+    return _group_plan(game, counts, realized)
+
+
+def _run_keys(cells, sizes):
+    """The ``_table_key`` of each period of a ``_sample_run`` draw."""
+    cells = list(zip(*(c.tolist() for c in cells)))
+    return [
+        frozenset((cells[c], size) for c, size in enumerate(row) if size)
+        for row in sizes.tolist()
+    ]
+
+
 @pytest.mark.parametrize("case", [_pd_split_case, _heist_case], ids=["pd", "heist"])
 def test_sampled_tables_have_the_per_client_distribution(case):
     # 20,000 seeded tables against the exact law of per-client draws and
     # uniform matching; tables expected fewer than 5 times share one bin.
     # The test fails at level 0.001.
     game, pop, realized, N = case()
+    plan, world = _plan(game, pop, realized, N), np.random.default_rng(20260)
+    _assert_exact_law(
+        case, [_table_key(*_sample_table(plan, world)) for _ in range(20_000)]
+    )
+
+
+@pytest.mark.parametrize("case", [_pd_split_case, _heist_case], ids=["pd", "heist"])
+def test_run_tables_have_the_per_client_distribution(case):
+    # The same check on 20,000 periods drawn by one _sample_run call.
+    game, pop, realized, N = case()
+    world = np.random.default_rng(20261)
+    _assert_exact_law(case, _run_keys(*_sample_run(_plan(game, pop, realized, N), world, 20_000)))
+
+
+def _assert_exact_law(case, keys):
+    game, pop, realized, N = case()
     exact = _exact_tables(game, pop, realized, N)
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
-    counts = tuple(tuple(largest_remainder_counts(N, row)) for row in pop.shares)
-    plan = _group_plan(game, counts, realized)
-    world = np.random.default_rng(20260)
-    draws = 20_000
-    seen = collections.Counter(
-        _table_key(*_sample_table(plan, world)) for _ in range(draws)
-    )
+    draws = len(keys)
+    seen = collections.Counter(keys)
     assert set(seen) <= set(exact)
     rare = [t for t in exact if exact[t] * draws < 5]
     bins = [[t] for t in exact if exact[t] * draws >= 5] + ([rare] if rare else [])
@@ -850,6 +948,149 @@ def test_sampled_table_keeps_every_group_count(scenario, N, data):
         for j in range(k):
             assert margin[j * n : (j + 1) * n].sum() == counts[i][j]
     assert next(draws, None) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scenario=st.sampled_from(["pd", "heist"]),
+    N=st.integers(1, 400),
+    n=st.integers(1, 40),
+    data=st.data(),
+)
+def test_run_keeps_every_group_count_in_every_period(scenario, N, n, data):
+    # test_sampled_table_keeps_every_group_count for each period of a run:
+    # each role's marginal is the sum of its groups' counts, each group's
+    # multinomial draw sums to its size on its own cells, and every role
+    # matches all N clients.
+    game = make_scenario(scenario)
+    m, k = len(game.actions), 2 if scenario == "pd" else 3
+    unit = st.floats(0.05, 1.0)
+    shares = [data.draw(st.lists(unit, min_size=k, max_size=k)) for _ in range(m)]
+    pop = Population(tuple(tuple(w / sum(r) for w in r) for r in shares))
+
+    def strategy(i):
+        labels = game.actions[i]
+        pure = data.draw(st.sampled_from([None, *labels]))
+        if pure is not None:
+            return MixedStrategy.point_mass(i, pure)
+        q = data.draw(st.floats(0.05, 0.95))
+        return _mixed(i, {labels[0]: q, labels[1]: 1.0 - q})
+
+    def assignment(i):
+        fractions = data.draw(st.lists(unit, min_size=1, max_size=3))
+        return tuple((strategy(i), f / sum(fractions)) for f in fractions)
+
+    realized = tuple(
+        InstructionProfile(tuple(assignment(i) for i in range(m))) for _ in range(k)
+    )
+    counts = tuple(tuple(largest_remainder_counts(N, row)) for row in pop.shares)
+    multinomials = []
+
+    class Recording:
+        def __init__(self, seed):
+            self.world = np.random.default_rng(seed)
+
+        def multinomial(self, g, weights, size):
+            multinomials.append((g, size, self.world.multinomial(g, weights, size=size)))
+            return multinomials[-1][2]
+
+        def hypergeometric(self, good, bad, sample):
+            return self.world.hypergeometric(good, bad, sample)
+
+    cells, sizes = _sample_run(
+        _group_plan(game, counts, realized),
+        Recording(data.draw(st.integers(0, 2**32 - 1))),
+        n,
+    )
+    assert sizes.shape == (n, len(cells[0])) and sizes.min() >= 0
+    assert (sizes.sum(axis=1) == N).all()
+    expect = []
+    draws = iter(multinomials)
+    for i, groups in enumerate(_groups(game, pop, realized, N)):
+        role = np.zeros((n, k * len(game.actions[i])), dtype=np.int64)
+        for g, group_cells, _ in groups:
+            if len(group_cells) == 1:
+                role[:, group_cells[0]] += g
+            else:
+                size, periods, drawn = next(draws)
+                assert size == g and periods == n and drawn.shape == (n, len(group_cells))
+                assert (drawn.sum(axis=1) == g).all()
+                role[:, group_cells] += drawn
+        expect.append(role)
+    assert next(draws, None) is None
+    for p in range(n):
+        for i, labels in enumerate(game.actions):
+            margin = np.bincount(cells[i], weights=sizes[p], minlength=k * len(labels))
+            assert margin.tolist() == expect[i][p].tolist()
+            for j in range(k):
+                assert margin[j * len(labels) : (j + 1) * len(labels)].sum() == counts[i][j]
+
+
+def _sampler_calls(monkeypatch):
+    """Count ``_sample_table`` calls and record the period count and matrix
+    shape of each ``_sample_run`` call."""
+    calls = {"table": 0, "run": []}
+    table, run = metagame.sim._sample_table, metagame.sim._sample_run
+
+    def counting_table(plan, world):
+        calls["table"] += 1
+        return table(plan, world)
+
+    def recording_run(plan, world, n):
+        cells, sizes = run(plan, world, n)
+        calls["run"].append((n, sizes.shape))
+        return cells, sizes
+
+    monkeypatch.setattr(metagame.sim, "_sample_table", counting_table)
+    monkeypatch.setattr(metagame.sim, "_sample_run", recording_run)
+    return calls
+
+
+def _held_heist_strategies():
+    """The first two of ``_heist_finite_strategies`` and a pure blame cycle:
+    every advisor holds its instruction for the whole run."""
+    held = _heist_finite_strategies()[:2]
+    cycle = MetaAction.deterministic(InstructionProfile.pure(blame_cycle()))
+    return held + [FixedProfileStrategy(cycle)]
+
+
+@pytest.mark.parametrize("chunk", [None, 32])
+def test_a_held_run_makes_one_sampler_call_per_chunk(heist, heist_pop, monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(metagame.sim, "RUN_CHUNK", chunk)
+    calls = _sampler_calls(monkeypatch)
+    log, report = finite_population_run(
+        500, heist, heist_pop, _held_heist_strategies(), periods=100, seed=1
+    )
+    step = chunk or metagame.sim.RUN_CHUNK
+    lengths = [min(step, 100 - start) for start in range(0, 100, step)]
+    assert [n for n, _ in calls["run"]] == lengths and calls["table"] == 0
+    # The count matrices hold a chunk of periods, never the whole run.
+    cells = calls["run"][0][1][1]
+    assert [shape for _, shape in calls["run"]] == [(n, cells) for n in lengths]
+    assert cells <= metagame.sim.RUN_CELLS
+    # Each period is still its own run, with its own table and gap.
+    assert [run[0] for run in log.runs] == [1] * 100
+    assert len(report.per_period_gap) == 100
+    assert len({rec.aggregate for rec in log.records}) > 1
+
+
+def test_plans_past_the_cell_cap_stay_on_the_table_sampler(heist, heist_pop, monkeypatch):
+    monkeypatch.setattr(metagame.sim, "RUN_CELLS", 8)
+    calls = _sampler_calls(monkeypatch)
+    finite_population_run(500, heist, heist_pop, _held_heist_strategies(), periods=100, seed=1)
+    assert calls == {"table": 100, "run": []}
+
+
+def test_one_period_runs_stay_on_the_table_sampler(heist, heist_pop, monkeypatch):
+    # The third heist advisor mixes two outcomes, so it is asked every
+    # period and every run lasts one period.
+    calls = _sampler_calls(monkeypatch)
+    log, _ = finite_population_run(
+        333, heist, heist_pop, _heist_finite_strategies(), periods=100, seed=2
+    )
+    assert calls == {"table": 100, "run": []}
+    assert len(log.runs) == 100
 
 
 @pytest.mark.parametrize("kind", ["heavy", "greedy_myopic", "light"])

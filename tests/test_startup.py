@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import metagame
+import metagame.sim
 
 SRC = str(Path(metagame.__file__).resolve().parent.parent)
 
@@ -37,6 +38,14 @@ PD = {
     "finite": {"clients_per_role": 50, "periods": 3},
     "trials": 1,
     "seed": 0,
+}
+# Both advisors tell every client to flip a fair C/D coin, held for enough
+# periods that each finite run is drawn by sim._sample_run.
+COIN = [[{"weights": {"C": 0.5, "D": 0.5}, "fraction": 1.0}]] * 2
+PD_RUNS = {
+    **PD,
+    "meta_profiles": {"main": {"llms": [[{"probability": 1.0, "instruction": COIN}]] * 2}},
+    "finite": {"clients_per_role": 50, "periods": 20},
 }
 HEIST = {
     "schema": 1,
@@ -75,11 +84,17 @@ def _sweep(run, axis, values):
         (PD, _sweep("eval", "population.params.p", "0.6,0.9"), 0),
         (PD, _sweep("equilibrium", "population.params.p", "0.6,0.9"), 0),
         (PD, _sweep("finite", "finite.clients_per_role", "50,100"), 0),
+        (PD_RUNS, _sweep("finite", "finite.clients_per_role", "50,100"), 0),
         ({**PD, "trials": "x"}, ["eval"], 2),
     ],
-    ids=["eval", "equilibrium", "sweep-eval", "sweep-equilibrium", "sweep-finite", "malformed"],
+    ids=[
+        "eval", "equilibrium", "sweep-eval", "sweep-equilibrium", "sweep-finite",
+        "sweep-finite-runs", "malformed",
+    ],
 )
 def test_commands_without_an_lp_never_load_scipy(tmp_path, doc, args, code):
+    if doc is PD_RUNS:
+        assert doc["finite"]["periods"] >= metagame.sim.RUN_MIN
     assert _probe(_command(tmp_path, doc, *args)) == [code, []]
 
 
