@@ -609,6 +609,12 @@ def cmd_folk_run(args) -> int:
         "honest_worst_gap": honest_worst,
         "gamma": folk["gamma"],
         "honest_within_gamma": all(g <= folk["gamma"] for g in honest_worst),
+        "warnings": [] if logs[0].block_stats else [
+            f"the honest runs complete no review block: the horizon of "
+            f"{logs[0].horizon} periods is shorter than the block length "
+            f"{params.block_length}, so no review rule was applied and the "
+            f"gamma and epsilon checks do not test the protocol"
+        ],
     }
     if adversary is not None:
         mean, hw = estimate_deviation_gain(

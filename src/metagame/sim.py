@@ -13,10 +13,11 @@ run lasts until the first hold ends.  The stepper interns each distinct
 joint instruction of a run to a small integer, keeps the public state as the
 state at the start of the current stretch plus the periods elapsed since (a
 stretch ends at a block end, segment end or punishment end, so its length is
-known when it starts), and stores the log as its runs.  A run realizes each
-distinct joint instruction once: its continuum aggregate (and, in continuum
-mode, its utilities) is memoized per run, and so are the review checks of
-each aggregate per (segment, phase).  A deviation-gain estimate pairs each
+known when it starts), and stores the log as its maximal runs: the longest
+stretches of identical periods, the same however the holds split them.  A
+run realizes each distinct joint instruction once: its continuum aggregate
+(and, in continuum mode, its utilities) is memoized per run, and so are the
+review checks of each aggregate per (segment, phase).  A deviation-gain estimate pairs each
 honest run its caller made with one deviating run at the same seed.  Finite mode
 samples each period's counts of occupied (advisor, action) cells directly,
 by multinomial draws per client group and hypergeometric matching, with the
@@ -24,9 +25,9 @@ law of per-client draws and uniform matching: aggregates are the counts'
 marginals, utilities count-weighted payoffs (exact for integer payoffs,
 otherwise a client-by-client sum up to float rounding).  The periods of a
 held run are i.i.d., so a long one is drawn in one vectorized call per
-chunk, and each of its periods is still logged as a one-period run with its
-own table.  Runs are reproducible byte-for-byte from (seed, inputs), and a
-log's JSON lines format each distinct run once.
+chunk, and each of its periods is recorded with its own table.  Runs are
+reproducible byte-for-byte from (seed, inputs); a log's discounted sum adds
+one term per run, and its JSON lines hold one line per run.
 """
 
 from __future__ import annotations
@@ -321,21 +322,6 @@ class PeriodRecord(NamedTuple):
     event: str | None
     event_llm: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.period,
-            "phase": self.phase,
-            "mode": self.mode,
-            "segment": self.segment,
-            "aggregate": self.aggregate.to_dict(),
-            "utilities": list(self.utilities),
-            "probes": list(self.probes),
-            "deviated": list(self.deviated),
-            "event": self.event,
-            "event_llm": self.event_llm,
-            "instructions": [ip.to_dict() for ip in self.instructions],
-        }
-
 
 @dataclass(frozen=True)
 class BlockStat:
@@ -374,24 +360,20 @@ def _flag_counts(runs, slot: int, k: int) -> tuple[int, ...]:
     return tuple(sum(run[0] for run in runs if run[slot] >> j & 1) for j in range(k))
 
 
-# RunLog.recompute_discounted expands at most this many periods at a time.
-DISCOUNT_CHUNK = 1 << 16
-
-
 @dataclass
 class RunLog:
-    """One repeated run, stored as the stepper's runs, plus derived statistics.
+    """One repeated run, stored as its maximal runs, plus derived statistics.
 
-    ``runs`` lists each run of identical periods, in order, as ``(length,
-    instructions, aggregate, utilities, probes, deviated)``: the realized
-    instructions, the aggregate and the utilities (shared objects, one per
-    distinct value in continuum mode), and the probe and deviation flags as
-    bit masks (bit j for advisor j).  ``events`` maps a period to the event
-    fired at its end, always a run's last period, and ``stretches`` lists
-    ``(first period, phase, mode, segment)`` for each run of periods that
-    starts at a boundary of the public state; no run crosses one.
-    ``records`` builds the per-period :class:`PeriodRecord` view on first
-    use.
+    ``runs`` lists each maximal run of identical periods, in order, as
+    ``(length, instructions, aggregate, utilities, probes, deviated)``: the
+    realized instructions, the aggregate and the utilities (shared objects,
+    one per distinct value in continuum mode), and the probe and deviation
+    flags as bit masks (bit j for advisor j).  ``stretches`` lists ``(first
+    period, phase, mode, segment)`` for each run of periods that starts at a
+    boundary of the public state; no run crosses one, and neighbouring runs
+    of one stretch differ in content.  ``events`` maps a period to the event
+    fired at its end, always a stretch's last period.  ``records`` builds
+    the per-period :class:`PeriodRecord` view on first use.
     """
 
     seed_key: tuple
@@ -434,28 +416,18 @@ class RunLog:
 
     def recompute_discounted(self) -> tuple[float, ...]:
         """Per advisor, ``(1 - delta)`` times the sum over periods t of
-        ``delta**t`` times its utility.  The weights are running products and
-        the sum a running sum, both by numpy's ``accumulate``, which works in
-        order, so the result is bit for bit that of adding period by period;
-        the periods are expanded ``DISCOUNT_CHUNK`` at a time."""
+        ``delta**t`` times its utility: a run of n periods from period a adds
+        its utility times ``delta**a * (1 - delta**n)``, the second factor by
+        ``expm1``, which keeps its precision for short runs at delta near 1.
+        Each advisor's terms are added by ``math.fsum``, correctly rounded
+        whatever their order."""
         delta = self.delta
-        values = np.array([run[3] for run in self.runs], dtype=float)
         lengths = np.array([run[0] for run in self.runs])
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        w, total = 1.0, np.zeros((1, values.shape[1]))
-        for a in range(0, int(ends[-1]), DISCOUNT_CHUNK):
-            b = min(a + DISCOUNT_CHUNK, int(ends[-1]))
-            # The runs holding periods a to b - 1, cut to them.
-            first, last = np.searchsorted(ends, [a, b - 1], side="right")
-            cut = np.minimum(ends[first : last + 1], b) - np.maximum(
-                starts[first : last + 1], a
-            )
-            weights = np.multiply.accumulate(np.r_[w, np.full(b - a, delta)])
-            x = np.repeat(values[first : last + 1], cut, axis=0)
-            total = np.add.accumulate(np.vstack([total, weights[:-1, None] * x]))[-1:]
-            w = weights[-1]
-        return tuple(((1.0 - delta) * total[0]).tolist())
+        weights = delta ** (np.cumsum(lengths) - lengths) * -np.expm1(
+            lengths * math.log(delta)
+        )
+        terms = weights[:, None] * np.array([run[3] for run in self.runs], dtype=float)
+        return tuple(math.fsum(column) for column in terms.T.tolist())
 
     def event_counts(self, llm: int) -> dict[str, int]:
         counts = {EXCESS: 0, FREQUENCY: 0}
@@ -472,10 +444,12 @@ class RunLog:
         )
 
     def to_jsonl(self) -> str:
-        """A header line, then ``json.dumps(record.to_dict(), sort_keys=True)``
-        for each period.  The periods of a run differ only in ``t`` and in
-        the event at the run's last period, so the text around them is made
-        once per distinct run content and stretch."""
+        """A header line, then one line per run: ``t`` (its first period),
+        ``periods``, the ``event`` and ``event_llm`` of its last period
+        (``null`` when none), then the other :class:`PeriodRecord` fields in
+        key order, which each of its periods has; only the last has the
+        event.  The text after the event is made once per distinct stretch
+        and content."""
         lines = [
             json.dumps(
                 {
@@ -488,37 +462,33 @@ class RunLog:
                 sort_keys=True,
             )
         ]
-        dumps = json.dumps
-        parts: dict[tuple, tuple[str, str, str]] = {}  # (stretch, run) -> text
+        bodies: dict[tuple, str] = {}  # (stretch, run content) -> text
         for t, stretch, run in self._spans():
             key = (stretch, run[1:])
-            hit = parts.get(key)
-            if hit is None:
+            body = bodies.get(key)
+            if body is None:
                 phase, mode, segment = stretch
                 _, instructions, aggregate, utilities, probes, deviated = run
                 k = len(utilities)
-                hit = parts[key] = (
-                    '{"aggregate": %s, "deviated": %s, "event": '
-                    % (dumps(aggregate.to_dict()), dumps(_flags(deviated, k))),
-                    ', "instructions": %s, "mode": %s, "phase": %d, "probes": %s, '
-                    '"segment": %d, "t": '
-                    % (
-                        dumps([ip.to_dict() for ip in instructions], sort_keys=True),
-                        dumps(mode),
-                        phase,
-                        dumps(_flags(probes, k)),
-                        segment,
-                    ),
-                    ', "utilities": %s}' % dumps(list(utilities)),
-                )
-            head, middle, tail = hit
-            last = t + run[0] - 1
-            body = f'{head}null, "event_llm": null{middle}'
-            lines += [f"{body}{p}{tail}" for p in range(t, last)]
-            event = self.events.get(last)
-            if event is not None:
-                body = f'{head}{dumps(event.kind)}, "event_llm": {event.llm}{middle}'
-            lines.append(f"{body}{last}{tail}")
+                body = bodies[key] = json.dumps(
+                    {
+                        "phase": phase,
+                        "mode": mode,
+                        "segment": segment,
+                        "aggregate": aggregate.to_dict(),
+                        "utilities": list(utilities),
+                        "probes": _flags(probes, k),
+                        "deviated": _flags(deviated, k),
+                        "instructions": [ip.to_dict() for ip in instructions],
+                    },
+                    sort_keys=True,
+                )[1:]
+            event = self.events.get(t + run[0] - 1)
+            kind, llm = (json.dumps(event.kind), event.llm) if event else ("null", "null")
+            lines.append(
+                f'{{"t": {t}, "periods": {run[0]}, "event": {kind}, '
+                f'"event_llm": {llm}, {body}'
+            )
         return "\n".join(lines) + "\n"
 
     def save_jsonl(self, path) -> None:
@@ -597,11 +567,13 @@ class _Periods:
     what is left of the stretch) and returns the run's id of the realized
     tuple, ``realized[id]``.  Tuples are interned by value; the role counts
     of a tuple's instructions are checked when it is first seen.  After the
-    caller realizes the tuple, ``observe`` appends the run of ``held``
-    periods from ``t`` to ``runs`` and advances the public state (when
-    ``params`` are given); ``observe_each`` records them instead as ``held``
-    one-period runs, each with its own table (finite mode, which draws a
-    table per period).  With ``limit`` 1 this is one period.
+    caller realizes the tuple, ``observe`` records the ``held`` periods
+    from ``t`` with one table and advances the public state (when ``params``
+    are given); ``observe_each`` records them one by one, each with its own
+    table (finite mode, which draws a table per period).  With ``limit`` 1
+    this is one period.  A record extends the last run when it is in the
+    same stretch with the same content (realized tuple, table, utilities,
+    probe mask), so ``runs`` holds the maximal runs whatever the holds were.
 
     The public state (``public``) is a stretch start plus the periods
     elapsed since it.  Entering a stretch fixes its length (the periods to
@@ -641,6 +613,7 @@ class _Periods:
         self.held = 1
 
         self.runs: list[tuple] = []  # see RunLog
+        self._content = None  # the last run's (rid, table, ...) in this stretch
         self.events: dict[int, ProtocolEvent] = {}
         self.stretches: list[tuple[int, int, str, int]] = []
         self.block_stats: list[BlockStat] = []
@@ -675,6 +648,7 @@ class _Periods:
             for j in range(len(self.strategies))
         )
         self._deviations: dict[int, int] = {}  # realized id -> deviation mask
+        self._content = None
         self.stretches.append((t, state.phase, state.mode, state.segment))
 
     def act(self, t: int, limit: int = 1) -> int:
@@ -724,21 +698,22 @@ class _Periods:
     def observe(
         self, t: int, rid: int, table: AggregateTable, utilities, table_id=None
     ) -> None:
-        """Record the ``held`` periods from ``t`` as one run and advance the
-        state; ``table_id`` names ``table`` among the run's distinct
+        """Record the ``held`` periods from ``t`` with one table and advance
+        the state; ``table_id`` names ``table`` among the run's distinct
         aggregates, when it has one."""
         self._record(t, self.held, rid, table, utilities, table_id)
 
     def observe_each(self, t: int, rid: int, outcomes) -> None:
-        """Record the ``held`` periods from ``t`` one by one, each as a
-        one-period run with its own ``(table, utilities, table_id)`` taken
-        from ``outcomes``, which holds one per period, as the period is
-        recorded."""
+        """Record the ``held`` periods from ``t`` one by one, each with its
+        own ``(table, utilities, table_id)`` taken from ``outcomes``, which
+        holds one per period, as the period is recorded."""
         for period, outcome in zip(range(t, t + self.held), outcomes, strict=True):
             self._record(period, 1, rid, *outcome)
 
     def _record(self, t, n, rid, table, utilities, table_id) -> None:
-        """Append the run of ``n`` periods from ``t`` and advance the state."""
+        """Record the ``n`` periods from ``t``, extending the last run when
+        it is in the same stretch with the same content, and advance the
+        state."""
         realized = self.realized[rid]
         deviated = 0 if self.params is None else self._deviations.get(rid)
         if deviated is None:
@@ -747,7 +722,16 @@ class _Periods:
                 for j, (a, b) in enumerate(zip(realized, self._prescribed))
                 if a != b
             )
-        self.runs.append((n, realized, table, utilities, self._probe_mask, deviated))
+        # Realized tuples are interned, so their ids compare them, and within
+        # a stretch the id fixes the deviation mask.
+        mask = self._probe_mask
+        content = (rid, table, utilities, mask)
+        if content == self._content:
+            last = self.runs[-1]
+            self.runs[-1] = (last[0] + n, *last[1:])
+        else:
+            self._content = content
+            self.runs.append((n, realized, table, utilities, mask, deviated))
         if self.params is None:
             return
         public = self.public
@@ -1212,13 +1196,14 @@ def finite_population_run(
     aggregates, gaps and utilities are products of the ``(periods, cells)``
     count matrix with an action map and a payoff matrix built once per
     joint instruction; shorter runs draw each period by ``_sample_table``.
-    Either way each period is logged as its own one-period run with its own
-    table.  With protocol ``params`` the public machine runs on the
-    empirical aggregates, its discrepancy tolerance widened to the sampling
-    band 3*sqrt(log(N)/N); the log carries the deviation flags and block and
-    punishment statistics (the protocol's guarantees hold in continuum mode
-    only), and a warning names each advisor whose largest role share is
-    within the band, since its deviations cannot exceed the tolerance.
+    Either way each period is recorded with its own table, and equal
+    neighbouring periods share a run.  With protocol ``params`` the public
+    machine runs on the empirical aggregates, its discrepancy tolerance
+    widened to the sampling band 3*sqrt(log(N)/N); the log carries the
+    deviation flags and block and punishment statistics (the protocol's
+    guarantees hold in continuum mode only), and a warning names each
+    advisor whose largest role share is within the band, since its
+    deviations cannot exceed the tolerance.
     """
     N = clients_per_role
     k = pop.llm_count

@@ -127,7 +127,15 @@ def test_folk_plan_with_no_block_length_for_its_epsilon_exits_2(tmp_path, capsys
     assert "no block length up to" in capsys.readouterr().err
 
 
-def test_folk_run_produces_artifacts(tmp_path):
+def test_folk_run_produces_artifacts(tmp_path, monkeypatch):
+    honest = []  # the honest runs' logs
+    original = metagame.cli.run_repeated
+
+    def recording(*args, **kwargs):
+        honest.append(original(*args, **kwargs))
+        return honest[-1]
+
+    monkeypatch.setattr(metagame.cli, "run_repeated", recording)
     cfg = _pd_config(tmp_path)
     out = tmp_path / "out"
     code = run_command(
@@ -139,11 +147,31 @@ def test_folk_run_produces_artifacts(tmp_path):
     assert results["ran"] is True
     assert results["honest_within_gamma"] is True
     assert results["adversary"]["within_epsilon"] is True
-    assert (out / "runlog.jsonl").exists()
+    assert results["warnings"] == []
+    # One line per run of the first honest log, after the header.
+    lines = (out / "runlog.jsonl").read_text().splitlines()
+    assert len(lines) == len(honest[0].runs) + 1
+    assert sum(json.loads(line)["periods"] for line in lines[1:]) == results["horizon"]
     with open(out / "summary.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert {row["llm"] for row in rows} == {"0", "1"}
     assert all("discounted_utility" in row for row in rows)
+
+
+def test_folk_run_warns_when_no_review_block_completes(tmp_path):
+    """The README PD config derives T = 262,144, and at delta 0.995 its
+    horizon is 3,289 periods: no block is reviewed, so the gamma and epsilon
+    checks pass without testing the protocol."""
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps({**MUTATED_BASES["readme-pd"], "trials": 2}))
+    out = tmp_path / "out"
+    code = run_command(["folk", "run", "--config", str(path), "--out", str(out), "--quiet"])
+    assert code == EXIT_OK
+    results = _results(out)
+    assert results["horizon"] == 3289 and results["adversary"]["within_epsilon"] is True
+    (warning,) = results["warnings"]
+    assert "complete no review block" in warning and "262144" in warning
+    assert (out / "runlog.jsonl").stat().st_size < 50_000
 
 
 def test_feasible_membership(tmp_path):

@@ -365,18 +365,20 @@ def test_finite_run_with_params_flags_deviations_and_blocks(pd_small_params):
 # sha256 of to_jsonl(); any change to the stepper, the seeding or the record
 # format must keep these bytes.  The finite bytes also follow the sampler's
 # random stream: its 20 periods are one held run, drawn by _sample_run.
+# Every entry was regenerated when the log went to one line per maximal run
+# and the header's discounted sum to one term per run.
 RUNLOG_SHA256 = {
-    "honest": "1ecc1ef5f5f3ee7f08df56f0cce324ed73e275b2ee69ec5674cff4d4b2d68067",
-    "light": "1773f1dd842a9a3c1168ff82af756c02e0cafa7a16fd9af7c28ab95a9ff04745",
+    "honest": "82ae3f08ed1dfab43e096f2e35a16164ca1d8e91e95e33b24fe47c6e45e684c8",
+    "light": "4c52e7ae7165e5f4f5f7546a8ebbfd6c7b16c6075dd3bae2a4a21f83648ee6b2",
     # In punishment the punished advisor's prescription is its best reply,
     # so heavy and greedy_myopic play the same 156 periods here.
-    "heavy": "8ee489003939a7ecc3e35be3ab3b3e4f934c73d995cc2d02dd1172c31603db03",
-    "greedy_myopic": "8ee489003939a7ecc3e35be3ab3b3e4f934c73d995cc2d02dd1172c31603db03",
-    "finite": "b22fc18b0be983910debdfa51343bf5f2238a11356f9e41b41c3818c6a80d8ab",
+    "heavy": "2e14813964254cc23289efa62b12471e07eb333e70e48e93770433997f39e755",
+    "greedy_myopic": "2e14813964254cc23289efa62b12471e07eb333e70e48e93770433997f39e755",
+    "finite": "7d4104c415601ff7d491ae6a7c2fd72511ed8fd7070cc8335c2785fdf70cc771",
     # README PD with advisor 1 honest or a heavy deviator, seed (5, 0) and
-    # delta 0.995: 3,289 periods in a few dozen runs of identical periods.
-    "readme_pd_honest": "8b1c85e6c5e73d9100dd24c784ab6308555576b76a1231e710c0995556650654",
-    "readme_pd_heavy": "23db32bdbfb2c500591cb8c23d8bcf7b60b36a11214d8ef841a8b874684596db",
+    # delta 0.995: 3,289 periods in 23 maximal runs.
+    "readme_pd_honest": "06b94abc9d35751fa5bf996949bd6c3dbf4af811aede9d1af0d73ff1d93a0f3a",
+    "readme_pd_heavy": "ca39e32bbf6842d23b4b9c02534ea520c19bcbdaf2cf8f16ceb1fcc0a0ad6a71",
 }
 
 
@@ -422,7 +424,7 @@ def test_finite_log_bytes_pinned():
 
 def _loop_discounted(log):
     """The discounted utilities summed period by period: the reference for
-    ``RunLog.recompute_discounted``."""
+    ``RunLog.recompute_discounted``, which sums them run by run."""
     out = []
     for j in range(len(log.runs[0][3])):
         total, w = 0.0, 1.0
@@ -454,9 +456,7 @@ def readme_pd_logs():
     ]
 
 
-def test_recompute_discounted_is_the_per_period_sum(
-    readme_pd_logs, heist, heist_pop, monkeypatch
-):
+def test_recompute_discounted_is_the_per_period_sum(readme_pd_logs, heist, heist_pop):
     params = derive_params(
         heist, heist_pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5,
         overrides={"probe_rate": 1.0, "block_length": 40},
@@ -465,11 +465,20 @@ def test_recompute_discounted_is_the_per_period_sum(
         heist, heist_pop, params, [HonestStrategy() for _ in range(3)],
         delta=0.999, tail_tol=1e-6, seed=3,
     )
-    assert len(heist_log.runs) > 1000  # probes every period: one-period runs
-    for log in [*readme_pd_logs, heist_log]:
-        assert _bits(log.recompute_discounted()) == _bits(_loop_discounted(log))
+    assert len(heist_log.runs) > 1000  # probes every period: short runs
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    pop = scenario_population("pd")
+    pd_params = derive_params(pd, pop, (-3.6, -0.4), 1.2, 0.5)
+    long_log = run_repeated(
+        pd, pop, pd_params, [HonestStrategy(), HonestStrategy()],
+        delta=0.9999, tail_tol=1e-6, seed=(5, 0),
+    )
+    assert long_log.horizon == 164_820
+    for log in [*readme_pd_logs, heist_log, long_log]:
+        want = _loop_discounted(log)
+        assert log.recompute_discounted() == pytest.approx(want, rel=1e-12, abs=0)
         assert log.discounted == log.recompute_discounted()
-    # Every term -0.0: the sum starts at +0.0, so the result is +0.0.
+    # Every term -0.0: the sum is +0.0, as the loop's, which starts at +0.0.
     log = readme_pd_logs[0]
     zero = dataclasses.replace(
         log, runs=[(n, i, a, (-0.0, -0.0), p, d) for n, i, a, _, p, d in log.runs]
@@ -477,12 +486,6 @@ def test_recompute_discounted_is_the_per_period_sum(
     assert _bits(zero.recompute_discounted()) == _bits(_loop_discounted(zero)) == _bits(
         (0.0, 0.0)
     )
-    # Runs cut by chunk boundaries; the weight and the total carry across.
-    for chunk in (1, 7, 1000):
-        monkeypatch.setattr(metagame.sim, "DISCOUNT_CHUNK", chunk)
-        for log in (readme_pd_logs[5], readme_pd_logs[25], heist_log):
-            assert log.horizon > chunk
-            assert _bits(log.recompute_discounted()) == _bits(_loop_discounted(log))
 
 
 def _count_calls(monkeypatch, name):
@@ -533,10 +536,13 @@ def test_finite_run_realizes_each_distinct_tuple_once(pd_small_params, monkeypat
 
 # (mean, half_width) on PD at target (-3.6, -0.4), T = 40, p = 0.1, K = 20,
 # advisor 1, honest runs at seeds (3, 0..3), delta 0.95, tail_tol 1e-4, as
-# computed when the estimator still made its own honest runs.
+# computed when the estimator still made its own honest runs.  Re-pinned
+# when the discounted sum went to one term per run: the light mean moved
+# from 0.06750793721575662, the heavy one from 0.29797720076114553 (the
+# half-widths from 0.002614080888202886 and 0.012441054370747473).
 PINNED_GAINS = {
-    "light": (0.06750793721575662, 0.002614080888202886),
-    "heavy": (0.29797720076114553, 0.012441054370747473),
+    "light": (0.06750793721575682, 0.0026140808882030337),
+    "heavy": (0.2979772007611457, 0.012441054370747402),
 }
 
 
@@ -613,7 +619,25 @@ def test_finite_run_clients_below_the_sampler_ceiling(monkeypatch):
             finite_population_run(N, pd, pop, strategies, periods=2, seed=0)
 
 
-def test_to_jsonl_lines_are_the_records():
+def _record_doc(rec) -> dict:
+    """A period's record as its run's JSON line gives it."""
+    doc = {
+        "t": rec.period,
+        "event": rec.event,
+        "event_llm": rec.event_llm,
+        "phase": rec.phase,
+        "mode": rec.mode,
+        "segment": rec.segment,
+        "aggregate": rec.aggregate.to_dict(),
+        "utilities": rec.utilities,
+        "probes": rec.probes,
+        "deviated": rec.deviated,
+        "instructions": [ip.to_dict() for ip in rec.instructions],
+    }
+    return json.loads(json.dumps(doc))
+
+
+def test_to_jsonl_lines_are_the_records(pd_small_params):
     pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
     overrides = {"block_length": 40, "probe_rate": 0.1, "punish_length": 20}
     pop = scenario_population("pd")
@@ -621,9 +645,35 @@ def test_to_jsonl_lines_are_the_records():
     heavy = [HonestStrategy(), make_adversary(pd, pop, params, "heavy")]
     log = run_repeated(pd, pop, params, heavy, delta=0.99, tail_tol=1e-3, seed=2)
     assert log.events and log.punishment_stats
-    lines = log.to_jsonl().splitlines()
-    assert len(lines) == 1 + len(log.records)
-    assert lines[1:] == [json.dumps(r.to_dict(), sort_keys=True) for r in log.records]
+    # A finite run records its periods one by one, each with its own table.
+    _, _, finite_params = pd_small_params
+    finite, _ = finite_population_run(
+        300, pd, pop, [HonestStrategy(), make_adversary(pd, pop, finite_params, "heavy")],
+        periods=90, seed=6, params=finite_params,
+    )
+    for log in (log, finite):
+        lines = log.to_jsonl().splitlines()
+        assert len(lines) == 1 + len(log.runs) < len(log.records)
+        starts = {s[0] for s in log.stretches}
+        expanded, previous = [], None
+        for line in lines[1:]:
+            doc = json.loads(line)
+            head = ["t", "periods", "event", "event_llm"]
+            assert list(doc) == head + sorted(set(doc) - set(head))
+            n = doc.pop("periods")
+            assert n >= 1
+            t, event = doc["t"], (doc["event"], doc["event_llm"])
+            expanded += [
+                {**doc, "t": t + i, "event": None, "event_llm": None} for i in range(n - 1)
+            ]
+            expanded.append({**doc, "t": t + n - 1})
+            # Two neighbouring runs of one stretch differ in content.
+            content = {key: doc[key] for key in doc if key not in head}
+            assert t in starts or content != previous
+            previous = content
+            assert event == (None, None) or t + n - 1 in log.events
+        assert expanded == [_record_doc(rec) for rec in log.records]
+        assert any(n > 1 for n, *_ in log.runs)
 
 
 def _pd_rule(X, Y, Z):

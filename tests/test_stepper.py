@@ -33,6 +33,8 @@ from metagame.sim import (
 )
 
 T40 = {"probe_rate": 0.1, "block_length": 40}
+# The discount factor of the replayed logs.
+DELTA = 0.97
 
 
 def _heist():
@@ -107,7 +109,7 @@ def _replay(name, stream, memo):
     for t, idx in enumerate(stream):
         table = pool[idx]
         rid = steps.act(t)
-        steps.observe(t, rid, table, (0.0,) * k, idx if memo else None)
+        steps.observe(t, rid, table, (float(idx),) * k, idx if memo else None)
         prev = state
         state, event = observe_and_update(params, prev, table)
         assert steps.public.state == state, t
@@ -143,7 +145,7 @@ def _replay(name, stream, memo):
         assert steps.block_stats == block_stats
         assert steps.punishment_stats == punishment_stats
 
-    log = steps.log((0,), 0.0, 0.0, len(stream))
+    log = steps.log((0,), DELTA, 0.0, len(stream))
     replayed = initial_state(params)
     for t, rec in enumerate(log.iter_records()):
         assert (rec.phase, rec.mode, rec.segment) == (
@@ -170,7 +172,42 @@ def _replay(name, stream, memo):
 def test_stepper_replays_observe_and_update(name, memo, runs):
     pool = POOLS[name]
     stream = [idx % len(pool) for idx, n in runs for _ in range(n)]
-    _replay(name, stream, memo)
+    log = _replay(name, stream, memo)
+    # The same periods recorded in held runs give the same maximal runs.
+    for each in (False, True):
+        held = _held(name, runs, memo, each)
+        assert held.runs == log.runs
+        assert held.to_jsonl() == log.to_jsonl()
+        assert _bits(held.recompute_discounted()) == _bits(log.recompute_discounted())
+
+
+def _held(name, runs, memo, each):
+    """The stepper fed each ``(idx, n)`` pair of ``runs`` as ``n`` periods of
+    one pool table, asking honest strategies for the periods they hold; a
+    held run is recorded through ``observe``, or period by period through
+    ``observe_each`` as finite mode records it."""
+    game, pop, params = SCENARIOS[name]
+    pool = POOLS[name]
+    k = pop.llm_count
+    streams = [np.random.default_rng([7, j]) for j in range(k)]
+    steps = _Periods(game, params, [HonestStrategy() for _ in range(k)], streams)
+    t = 0
+    for idx, n in runs:
+        idx %= len(pool)
+        outcome = (pool[idx], (float(idx),) * k, idx if memo else None)
+        end = t + n
+        while t < end:
+            rid = steps.act(t, end - t)
+            if each:
+                steps.observe_each(t, rid, [outcome] * steps.held)
+            else:
+                steps.observe(t, rid, *outcome)
+            t += steps.held
+    return steps.log((0,), DELTA, 0.0, t)
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
 
 
 def _first(name, flags, segment=0, phase=0):
