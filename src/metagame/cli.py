@@ -39,17 +39,15 @@ from .model import (
 )
 from .oneshot import check_equilibrium
 from .feasibility import (
-    _certificate,
     _vertex_set,
     decompose_target,
     minmax,
     payoff_vertices,
 )
-from .protocol import derive_params, validate_params
+from .protocol import _best_pure_punishment, derive_params, validate_params
 from .scenarios import (
     bounded10_equilibrium_profile,
     heist_blame_profile,
-    heist_punishment,
     make_scenario,
     scenario_population,
 )
@@ -750,7 +748,7 @@ def cmd_report(args) -> int:
     heist = make_scenario("heist")
     hpop = scenario_population("heist")
     U = _payoff_tensor(heist, hpop, DEFAULT_TERM_BUDGET)
-    cert = _certificate(heist, U, 0, heist_punishment(0))
+    cert = _best_pure_punishment(heist, U, 0)
     vertices = _vertex_set(heist, U)
     cycle = decompose_target(vertices, (0.0, 0.0, 0.0))
     results["heist"] = {

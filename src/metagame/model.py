@@ -15,7 +15,7 @@ against the population-average action mass of every other role.
 of governance vectors.
 
 Every exact evaluation (a utility, a payoff tensor, a best reply, a
-simulated run) creates one ``_Terms``: its payoff memo, the number of
+finite-population run) creates one ``_Terms``: its payoff memo, the number of
 payoff terms summed so far and the budget that number may not pass.
 
 When every role has exactly one governing advisor, every outcome read is a

@@ -25,7 +25,7 @@ rounding, concentration, and per-period-impact inequalities all hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,6 +98,8 @@ class ProtocolParams:
     degenerate: bool = False
     overridden: bool = False
     discrepancy_tol: float = 1e-9
+    # Derived: the payoff tensor the vertices and punishments were read off.
+    payoff_tensor: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def llm_count(self) -> int:
@@ -486,6 +488,7 @@ def derive_params(
         certificates=tuple(certs),
         degenerate=degenerate,
         overridden=overridden,
+        payoff_tensor=U,
     )
     if not overridden and not degenerate:
         problems = validate_params(game, pop, params)

@@ -17,8 +17,10 @@ known when it starts), and stores the log as its maximal runs: the longest
 stretches of identical periods, the same however the holds split them.  A
 run realizes each distinct joint instruction once: its continuum aggregate
 (and, in continuum mode, its utilities) is memoized per run, and so are the
-review checks of each aggregate per (segment, phase).  A deviation-gain estimate pairs each
-honest run its caller made with one deviating run at the same seed.  Finite mode
+review checks of each aggregate per (segment, phase).  Pure realizations and
+myopic replies are read off the protocol's payoff tensor.  A deviation-gain
+estimate pairs each honest run its caller made with one deviating run at the
+same seed.  Finite mode
 samples each period's counts of occupied (advisor, action) cells directly,
 by multinomial draws per client group and hypergeometric matching, with the
 law of per-client draws and uniform matching: aggregates are the counts'
@@ -42,6 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import MetagameError, ValidationError
+from .feasibility import _certificate
 from .games import BaseGame
 from .model import (
     AggregateTable,
@@ -49,12 +52,11 @@ from .model import (
     MetaAction,
     Population,
     aggregate_mass,
+    llm_utility,
     _check_advisor,
     _pure_instruction,
-    _realization_utilities,
     _Terms,
 )
-from .oneshot import best_response
 from .protocol import (
     EXCESS,
     FREQUENCY,
@@ -217,35 +219,29 @@ class FixedProfileStrategy(Strategy):
 
 
 class MyopicBestResponse(Strategy):
-    """Best-respond each period to what the others are prescribed to play.
-
-    The prescriptions change only between stretches, so the reply is kept
-    for the stretch it was computed in."""
+    """Best-respond each period to what the others are prescribed to play:
+    the first maximum in ``game.profiles()`` order on the protocol's payoff
+    tensor, as :func:`feasibility._certificate` finds it, memoized per tuple
+    of the others' prescriptions."""
 
     def __init__(self, game: BaseGame, pop: Population):
         self.game = game
         self.pop = pop
-        self._cache: dict = {}
-        self._last = (None, None, None)  # (stretch, advisor, reply)
+        self._replies: dict = {}  # the others' prescriptions -> reply
 
     def _reply(self, ctx: StepContext) -> InstructionProfile:
         params, state, j = ctx.params, ctx.stretch, ctx.llm
-        last_state, last_j, last_reply = self._last
-        if state is last_state and j == last_j:
-            return last_reply
         others = tuple(
-            prescribed_instruction(params, state, q) if q != j else None
+            None if q == j else prescribed_instruction(params, state, q)
             for q in range(self.pop.llm_count)
         )
-        hit = self._cache.get(others)
-        if hit is None:
-            opponents = [None if o is None else MetaAction.deterministic(o)
-                         for o in others]
-            br = best_response(self.game, self.pop, opponents, j)
-            hit = _pure_instruction(tuple(br.profile))
-            self._cache[others] = hit
-        self._last = (state, j, hit)
-        return hit
+        reply = self._replies.get(others)
+        if reply is None:
+            fixed = [None if o is None else MetaAction.deterministic(o)
+                     for o in others]
+            cert = _certificate(self.game, params.payoff_tensor, j, fixed, math.inf)
+            reply = self._replies[others] = _pure_instruction(cert.best_response)
+        return reply
 
     def hold(self, ctx: StepContext, limit: int) -> tuple[InstructionProfile, int]:
         return self._reply(ctx), limit
@@ -462,9 +458,9 @@ class RunLog:
                 sort_keys=True,
             )
         ]
-        bodies: dict[tuple, str] = {}  # (stretch, run content) -> text
+        bodies: dict[tuple, str] = {}  # (stretch, shared objects' ids, masks) -> text
         for t, stretch, run in self._spans():
-            key = (stretch, run[1:])
+            key = (stretch, id(run[1]), id(run[2]), id(run[3]), run[4], run[5])
             body = bodies.get(key)
             if body is None:
                 phase, mode, segment = stretch
@@ -821,7 +817,10 @@ def run_repeated(
     instruction changes and no stream is drawn.  Strategies emit a few
     shared instruction profiles, so the aggregate and the utilities are
     computed once per distinct realized tuple and reused, and each distinct
-    aggregate gets a table id for the stepper's review-check memo.
+    aggregate gets a table id for the stepper's review-check memo.  A pure
+    tuple's utilities are read off ``params.payoff_tensor`` (so ``params``
+    must be derived for ``game`` and ``pop``), any other's from
+    :func:`llm_utility`, both bit for bit the scalar path's.
     """
     k = pop.llm_count
     if len(strategies) != k:
@@ -833,7 +832,7 @@ def run_repeated(
         for child in np.random.SeedSequence(list(key)).spawn(k)
     ]
     steps = _Periods(game, params, strategies, streams)
-    terms = _Terms(game)
+    U, index = params.payoff_tensor, {p: i for i, p in enumerate(game.profiles())}
     outcomes = []  # realized id -> (aggregate, utilities, table id)
     table_ids: dict[AggregateTable, int] = {}
     t = 0
@@ -842,13 +841,13 @@ def run_repeated(
         if rid == len(outcomes):
             realized = steps.realized[rid]
             table = aggregate_mass(game, pop, realized)
-            outcomes.append(
-                (
-                    table,
-                    tuple(_realization_utilities(terms, pop, realized)),
-                    table_ids.setdefault(table, len(table_ids)),
-                )
+            pures = [ip.pure_profile for ip in realized]
+            utilities = (
+                llm_utility(game, pop, realized, math.inf) if None in pures
+                else tuple(U[tuple(index[p] for p in pures)].tolist())
             )
+            table_id = table_ids.setdefault(table, len(table_ids))
+            outcomes.append((table, utilities, table_id))
         steps.observe(t, rid, *outcomes[rid])
         t += steps.held
     log = steps.log(key, delta, tail_tol, horizon)

@@ -1,8 +1,10 @@
+import collections
 import contextlib
 import copy
 import csv
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -956,6 +958,28 @@ MUTATED_BASES = {
         "seed": 0,
     },
 }
+
+
+def test_warm_readme_pd_folk_run_makes_no_scalar_call(tmp_path, monkeypatch):
+    """Runs read pure realizations and myopic replies off the payoff tensor:
+    once warm, a README-PD ``folk run`` with its heavy adversary makes no
+    scalar realization call and no ``best_response`` call."""
+    path = tmp_path / "readme-pd.json"
+    path.write_text(json.dumps({**MUTATED_BASES["readme-pd"], "trials": 10, "seed": 7}))
+    argv = ["folk", "run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
+    assert run_command(argv) == EXIT_OK
+    calls = collections.Counter()
+    for module in [m for name, m in sys.modules.items() if name.startswith("metagame")]:
+        for name in ("_realization_utilities", "best_response"):
+            original = getattr(module, name, None)
+            if original is not None:
+                def counting(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+    assert run_command(argv) == EXIT_OK
+    assert calls == {}
 
 
 def _field_paths(node, prefix=()):

@@ -14,12 +14,14 @@ from metagame.errors import (
 )
 from metagame.games import BaseGame
 from metagame.model import (
+    DEFAULT_TERM_BUDGET,
     AggregateTable,
     InstructionProfile,
     MetaProfile,
     Population,
     aggregate_mass,
     llm_utility,
+    _payoff_tensor,
 )
 from metagame.feasibility import certificate_from_punishment
 from metagame.protocol import (
@@ -80,6 +82,18 @@ def test_heist_derivation_golden(heist, heist_pop, heist_params):
         assert action.outcomes[0][0].pure_profile == blame_cycle()
     assert p.punish_length == math.ceil(p.punish_ratio * p.block_length)
     assert validate_params(heist, heist_pop, p) == []
+
+
+def test_params_keep_the_payoff_tensor_outside_eq_hash_and_repr(
+    heist, heist_pop, heist_params
+):
+    again = derive_params(heist, heist_pop, (0.0, 0.0, 0.0), epsilon=1.2, gamma=0.5)
+    assert again.payoff_tensor is not heist_params.payoff_tensor
+    assert again == heist_params and hash(again) == hash(heist_params)
+    assert repr(again) == repr(heist_params) and "payoff_tensor" not in repr(again)
+    U = _payoff_tensor(heist, heist_pop, DEFAULT_TERM_BUDGET)
+    assert np.array_equal(heist_params.payoff_tensor, U)
+    assert replace(heist_params, punish_length=1).payoff_tensor is heist_params.payoff_tensor
 
 
 def test_pd_derivation_validates():

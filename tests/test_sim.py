@@ -11,6 +11,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+import metagame.model
 import metagame.sim
 from metagame.errors import MetagameError, ValidationError
 from metagame.games import BaseGame, MixedStrategy, register_payoff_rule
@@ -488,17 +489,17 @@ def test_recompute_discounted_is_the_per_period_sum(readme_pd_logs, heist, heist
     )
 
 
-def _count_calls(monkeypatch, name):
-    """Record the third argument of every call to ``metagame.sim.<name>``
-    (the realization, or the protocol parameters of ``run_repeated``)."""
+def _count_calls(monkeypatch, name, module=metagame.sim):
+    """Record the third argument of every call to ``module.<name>`` (the
+    realization, or the protocol parameters of ``run_repeated``)."""
     calls = []
-    original = getattr(metagame.sim, name)
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args[2])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(metagame.sim, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -507,7 +508,7 @@ def test_run_repeated_realizes_each_distinct_tuple_once(
     heist, heist_pop, small_params, monkeypatch, kind
 ):
     aggregates = _count_calls(monkeypatch, "aggregate_mass")
-    utilities = _count_calls(monkeypatch, "_realization_utilities")
+    scalar = _count_calls(monkeypatch, "_realization_utilities", metagame.model)
     strategies = [make_adversary(heist, heist_pop, small_params, kind),
                   HonestStrategy(), HonestStrategy()]
     log = run_repeated(
@@ -516,14 +517,52 @@ def test_run_repeated_realizes_each_distinct_tuple_once(
     )
     distinct = {rec.instructions for rec in log.records}
     assert len(log.records) > len(distinct)
-    assert aggregates == utilities
     assert len(aggregates) == len(distinct) and set(aggregates) == distinct
+    # Every tuple is pure, so its utilities are read off the payoff tensor.
+    assert scalar == []
+    for rec in log.records:
+        assert rec.utilities == llm_utility(heist, heist_pop, rec.instructions)
+
+
+@pytest.mark.parametrize(
+    "instruction",
+    [
+        # Client-level mixing: every client of both roles flips a fair coin.
+        InstructionProfile.homogeneous(
+            [MixedStrategy.from_weights(i, {"C": 0.5, "D": 0.5}) for i in range(2)]
+        ),
+        # A within-role split: 30% of the role-0 clients play C, 70% play D.
+        InstructionProfile(
+            (
+                ((MixedStrategy.point_mass(0, "C"), 0.3),
+                 (MixedStrategy.point_mass(0, "D"), 0.7)),
+                ((MixedStrategy.point_mass(1, "D"), 1.0),),
+            )
+        ),
+    ],
+    ids=["client_mix", "within_role_split"],
+)
+def test_run_repeated_evaluates_mixed_and_split_tuples_exactly(
+    pd_small_params, monkeypatch, instruction
+):
+    pd, pop, params = pd_small_params
+    scalar = _count_calls(monkeypatch, "_realization_utilities", metagame.model)
+    strategies = [FixedProfileStrategy(MetaAction.deterministic(instruction)),
+                  HonestStrategy()]
+    log = run_repeated(pd, pop, params, strategies, delta=0.9, tail_tol=1e-3, seed=5)
+    distinct = {rec.instructions for rec in log.records}
+    assert any(ip.pure_profile is None for tup in distinct for ip in tup)
+    # One scalar evaluation per distinct tuple with a mixed or split instruction.
+    assert len(scalar) == len(distinct)
+    for rec in log.records:
+        want = llm_utility(pd, pop, rec.instructions)
+        assert [v.hex() for v in rec.utilities] == [v.hex() for v in want]
 
 
 def test_finite_run_realizes_each_distinct_tuple_once(pd_small_params, monkeypatch):
     pd, pop, params = pd_small_params
     aggregates = _count_calls(monkeypatch, "aggregate_mass")
-    utilities = _count_calls(monkeypatch, "_realization_utilities")
+    utilities = _count_calls(monkeypatch, "_realization_utilities", metagame.model)
     strategies = [HonestStrategy(), make_adversary(pd, pop, params, "heavy")]
     log, _ = finite_population_run(
         200, pd, pop, strategies, periods=2 * params.block_length, seed=3,
