@@ -49,7 +49,7 @@ from .model import (
 
 REGRET_TOL = 1e-9
 SUPPORT_TOL = 1e-9  # sign and best-reply slack of support enumeration
-ROTATION_SAMPLES = 100  # sampled profiles when checking a rule game's symmetry
+ROTATION_SAMPLES = 100  # sampled profiles of a rule game's symmetry check, one block
 BR_ITERATION_ROUNDS = 50
 
 
@@ -126,7 +126,7 @@ def meta_actions_close(a: MetaAction, b: MetaAction) -> bool:
 
 def _common_labels(game: BaseGame) -> tuple[str, ...]:
     labels = game.actions[0]
-    if any(acts != labels for acts in game.actions):
+    if any(set(acts) != set(labels) for acts in game.actions):
         raise ValidationError(
             "label-rotation reduction needs a common action set across roles"
         )
@@ -134,7 +134,8 @@ def _common_labels(game: BaseGame) -> tuple[str, ...]:
 
 
 def rotation_mapping(game: BaseGame) -> dict[str, str]:
-    """Cyclic shift of the common label set (a relabeling-group generator)."""
+    """Cyclic shift of the common label set, in role 0's order (a
+    relabeling-group generator); other roles may list the set in any order."""
     labels = _common_labels(game)
     return {labels[i]: labels[(i + 1) % len(labels)] for i in range(len(labels))}
 
@@ -145,25 +146,36 @@ def verify_rotation_symmetry(
     """Check that the game and every opponent of j are rotation-invariant.
 
     Tabular games are checked exhaustively; rule-backed games on
-    ``ROTATION_SAMPLES`` profiles drawn from a fixed seed.  Raises
-    ``ValidationError`` on any violation.
+    ``ROTATION_SAMPLES`` profiles of role 0's labels drawn from a fixed
+    seed.  A rule with a block form scores the samples and their rotations
+    in one :meth:`~metagame.games.BaseGame.payoff_block` call each, every
+    label at its index in each role's own list.  Raises ``ValidationError``
+    on any violation.
     """
     mapping = rotation_mapping(game)
-    if game.table is not None:
-        for prof in game.profiles():
-            permuted = tuple(mapping[a] for a in prof)
-            if game.payoff(permuted) != game.payoff(prof):
-                raise ValidationError("game payoffs are not rotation-invariant")
+    labels = game.actions[0]
+    drawn = np.random.default_rng(0).integers(
+        len(labels), size=(ROTATION_SAMPLES, game.role_count)
+    )
+    if game.table is None and game.has_payoff_block:
+        # at[a, i]: role i's index of role 0's a-th label, whose rotation is
+        # role 0's (a + 1)-th.
+        at = np.array([[acts.index(x) for acts in game.actions] for x in labels])
+        roles = np.arange(game.role_count)
+        invariant = np.array_equal(
+            game.payoff_block(at[(drawn + 1) % len(labels), roles]),
+            game.payoff_block(at[drawn, roles]),
+        )
     else:
-        rng = np.random.default_rng(0)
-        labels = game.actions[0]
-        for _ in range(ROTATION_SAMPLES):
-            prof = tuple(
-                labels[rng.integers(len(labels))] for _ in range(game.role_count)
-            )
-            permuted = tuple(mapping[a] for a in prof)
-            if game.payoff(permuted) != game.payoff(prof):
-                raise ValidationError("game payoffs are not rotation-invariant")
+        profiles = game.profiles() if game.table is not None else (
+            tuple(labels[a] for a in row) for row in drawn.tolist()
+        )
+        invariant = all(
+            game.payoff(tuple(mapping[a] for a in prof)) == game.payoff(prof)
+            for prof in profiles
+        )
+    if not invariant:
+        raise ValidationError("game payoffs are not rotation-invariant")
     actions = profile.actions if isinstance(profile, MetaProfile) else profile
     for q, action in enumerate(actions):
         if q == j:

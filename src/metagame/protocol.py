@@ -98,8 +98,10 @@ class ProtocolParams:
     degenerate: bool = False
     overridden: bool = False
     discrepancy_tol: float = 1e-9
-    # Derived: the payoff tensor the vertices and punishments were read off.
+    # Derived: the payoff tensor the vertices and punishments were read off,
+    # and the population it was built for.
     payoff_tensor: np.ndarray | None = field(default=None, compare=False, repr=False)
+    population: Population | None = field(default=None, compare=False, repr=False)
 
     @property
     def llm_count(self) -> int:
@@ -489,6 +491,7 @@ def derive_params(
         degenerate=degenerate,
         overridden=overridden,
         payoff_tensor=U,
+        population=pop,
     )
     if not overridden and not degenerate:
         problems = validate_params(game, pop, params)

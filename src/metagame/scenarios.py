@@ -77,9 +77,13 @@ def _bounded_block(
 ):
     """:func:`_bounded_rule` on a ``(B, m)`` block of action indices.  Labels
     are compared through one integer code per distinct label, so roles with
-    different action lists count alike only on equal labels.  Raises
-    :class:`ValidationError` unless the game has ``n_roles`` roles and
-    ``prize`` is finite (``TypeError`` when it is not a number)."""
+    different action lists count alike only on equal labels.  The block is
+    worked role-major: an ``(m, B)`` array of codes, whose group sizes are
+    summed by m row comparisons into the smallest unsigned type that holds
+    m, so no ``(B, m, m)`` cube is built.  The counts are integers, so every
+    payoff is the rule's float.  Raises :class:`ValidationError` unless the
+    game has ``n_roles`` roles and ``prize`` is finite (``TypeError`` when
+    it is not a number)."""
     if len(actions) != n_roles or not math.isfinite(prize):
         raise ValidationError(
             f"bounded_group_prize needs {len(actions)} roles and a finite prize, "
@@ -90,15 +94,16 @@ def _bounded_block(
         np.array([codes.setdefault(a, len(codes)) for a in labels])
         for labels in actions
     ]
+    count_type = np.min_scalar_type(n_roles)
 
     def payoff(index):
-        label = np.stack([per_role[i][index[:, i]] for i in range(len(actions))], 1)
-        counts = (label[:, :, None] == label[:, None, :]).sum(axis=2)
+        label = np.stack([per_role[i][index[:, i]] for i in range(n_roles)])
+        counts = np.zeros(label.shape, count_type)
+        for row in label:
+            counts += label == row
         win = counts == group_size
-        winners = win.sum(axis=1)
-        share = prize / np.maximum(winners, 1)
-        pay = np.where(win, share[:, None], 0.0)
-        return pay[:, :n_roles]
+        share = prize / np.maximum(win.sum(axis=0), 1)
+        return np.where(win, share, 0.0).T
 
     return payoff
 

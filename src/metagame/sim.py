@@ -818,10 +818,13 @@ def run_repeated(
     shared instruction profiles, so the aggregate and the utilities are
     computed once per distinct realized tuple and reused, and each distinct
     aggregate gets a table id for the stepper's review-check memo.  A pure
-    tuple's utilities are read off ``params.payoff_tensor`` (so ``params``
-    must be derived for ``game`` and ``pop``), any other's from
-    :func:`llm_utility`, both bit for bit the scalar path's.
+    tuple's utilities are read off ``params.payoff_tensor``, any other's
+    from :func:`llm_utility`, both bit for bit the scalar path's.  Raises
+    :class:`ValidationError` unless ``params`` were derived for ``pop`` and
+    for ``game``'s action sets.
     """
+    if game.actions != params.action_sets or pop != params.population:
+        raise ValidationError("params were derived for another game or population")
     k = pop.llm_count
     if len(strategies) != k:
         raise ValidationError("one strategy per advisor is required")
@@ -871,7 +874,8 @@ def estimate_deviation_gain(
     Each is paired with one deviating run at the log's own seed, ``delta``
     and ``tail_tol``, so the two runs draw from the same streams.  A log whose
     horizon differs from its deviating run's was made under other
-    parameters and raises ``ValidationError``.
+    parameters and raises ``ValidationError``, as do ``params`` derived for
+    another population or other action sets (:func:`run_repeated`).
     """
     _check_advisor(pop, llm)
     if len(honest_logs) < 2:

@@ -350,6 +350,23 @@ def test_bad_configs_exit_2(tmp_path):
     )
 
 
+def test_run_command_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    builds = []
+    build = metagame.cli.build_parser
+    monkeypatch.setattr(metagame.cli, "_PARSER", None)
+    monkeypatch.setattr(
+        metagame.cli, "build_parser", lambda: builds.append(1) or build()
+    )
+    cfg = str(_pd_config(tmp_path))
+    for out in ("a", "b"):
+        argv = ["eval", "--config", cfg, "--out", str(tmp_path / out), "--quiet"]
+        assert run_command(argv) == EXIT_OK
+        assert run_command(["eval", "--config", cfg, "--bogus"]) == EXIT_CONFIG
+    assert run_command(["--version-of-nothing"]) == EXIT_CONFIG
+    assert len(builds) == 1
+    assert _results(tmp_path / "a") == _results(tmp_path / "b")
+
+
 def test_report_quick(tmp_path):
     out = tmp_path / "out"
     code = run_command(["report", "--quick", "--out", str(out), "--quiet"])

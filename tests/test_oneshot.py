@@ -1,9 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
 from metagame.errors import BudgetExceededError, NotSingleRoleError, ValidationError
-from metagame.games import BaseGame, MixedStrategy, StrategyProfile, expected_payoff
+from metagame.games import (
+    BaseGame,
+    MixedStrategy,
+    StrategyProfile,
+    expected_payoff,
+    register_payoff_rule,
+)
 from metagame.model import (
     InstructionProfile,
     MetaAction,
@@ -292,6 +299,63 @@ def test_rotation_symmetry_verification():
     skew = profile.replace(2, MetaAction.from_pure(("1",) * 10))
     with pytest.raises(ValidationError):
         verify_rotation_symmetry(game, skew, 1)
+
+
+def _label_one_prize(n_roles):
+    # 1.0 to each role naming label "1": not invariant under a rotation.
+    return lambda profile: tuple(float(a == "1") for a in profile)
+
+
+def _label_one_block(actions, n_roles):
+    ones = [np.array([float(a == "1") for a in labels]) for labels in actions]
+    return lambda index: np.stack(
+        [one[index[:, i]] for i, one in enumerate(ones)], axis=1
+    )
+
+
+register_payoff_rule("test_label_one_prize", _label_one_prize)
+register_payoff_rule("test_label_one_block", _label_one_prize, _label_one_block)
+
+
+@pytest.mark.parametrize("rule", ["test_label_one_prize", "test_label_one_block"])
+def test_rotation_check_rejects_a_rule_game_that_is_not_invariant(rule):
+    labels = tuple(str(a + 1) for a in range(6))
+    game = BaseGame.from_rule((labels,) * 10, rule, n_roles=10)
+    assert game.has_payoff_block == (rule == "test_label_one_block")
+    profile = bounded10_equilibrium_profile(make_scenario("bounded10", n_actions=6))
+    with pytest.raises(ValidationError, match="game payoffs"):
+        verify_rotation_symmetry(game, profile, 1)
+
+
+@pytest.mark.parametrize("order", ["rotated", "shuffled"])
+def test_rotation_check_maps_labels_to_each_roles_own_index(order):
+    # Role 0 lists the labels in the order the profile rotates them; role i
+    # lists them in its own order, so a label's index differs from role to
+    # role.  A check that read role 0's indices as every role's would, on
+    # shuffled lists, compare profiles that are not rotations of each other,
+    # and reject this invariant game.
+    labels = [str(a + 1) for a in range(6)]
+    if order == "rotated":
+        actions = [labels[i % 6 :] + labels[: i % 6] for i in range(10)]
+    else:
+        actions = [labels] + [random.Random(i).sample(labels, 6) for i in range(1, 10)]
+    game = BaseGame.from_rule(actions, "bounded_group_prize")
+    profile = bounded10_equilibrium_profile(make_scenario("bounded10", n_actions=6))
+    verify_rotation_symmetry(game, profile, 1)  # passes
+
+
+def test_rotation_equilibrium_check_makes_no_scalar_payoff_call(monkeypatch):
+    game = make_scenario("bounded10", n_actions=6)
+    pop = scenario_population("bounded10")
+    profile = bounded10_equilibrium_profile(game)
+    calls = []
+    payoff = BaseGame.payoff
+    monkeypatch.setattr(
+        BaseGame, "payoff", lambda self, p: calls.append(p) or payoff(self, p)
+    )
+    report = check_equilibrium(game, pop, profile, 1e-9, symmetry="rotation")
+    assert report.is_epsilon_equilibrium
+    assert calls == []
 
 
 def test_rotation_reduction_matches_full_enumeration():

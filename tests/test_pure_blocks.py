@@ -14,6 +14,7 @@ import pytest
 from metagame.errors import InvalidProfileError
 from metagame.games import BaseGame, MixedStrategy, _weighted
 from metagame.model import (
+    BLOCK_REALIZATIONS,
     InstructionProfile,
     MetaAction,
     MetaProfile,
@@ -268,6 +269,39 @@ def test_bounded_block_equals_the_rule(n_labels):
         winners.add(sum(v > 0 for v in got))
     assert {0, 4, 8} <= winners
     assert pay[-2].tolist() == [12.5] * 8 + [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "group_size, prize", [(2, 100.0), (3, 100.0), (5, 100.0), (4, 7.3)]
+)
+def test_bounded_block_equals_the_rule_beyond_the_defaults(group_size, prize):
+    labels = tuple(str(a) for a in range(6))
+    game = BaseGame.from_rule(
+        (labels,) * 10, "bounded_group_prize", group_size=group_size, prize=prize
+    )
+    rule = _bounded_rule(group_size=group_size, prize=prize)
+    index = np.random.default_rng(group_size).integers(
+        0, 6, (BLOCK_REALIZATIONS, 10)
+    )
+    pay = game.payoff_block(index)
+    winners = set()
+    for row, got in zip(index.tolist(), pay.tolist()):
+        assert tuple(got) == rule(tuple(labels[a] for a in row))
+        winners.add(sum(v > 0 for v in got))
+    assert len(winners) > 1
+
+
+def test_bounded_block_counts_past_255_roles():
+    # Every role names the one label, so each group has m = 300 members: a
+    # count kept in 8 bits would wrap to 44 and pay nothing.
+    m = 300
+    game = BaseGame.from_rule(
+        (("x", "y"),) * m, "bounded_group_prize", n_roles=m, group_size=m
+    )
+    pay = game.payoff_block(np.zeros((3, m), dtype=int))
+    assert pay.shape == (3, m)
+    assert pay.tolist() == [[100.0 / m] * m] * 3
+    assert pay[0].tolist() == list(game.payoff(("x",) * m))
 
 
 def test_bounded_block_compares_labels_not_indices():

@@ -606,6 +606,30 @@ def test_deviation_gain_reuses_honest_logs(monkeypatch):
             estimate_deviation_gain(pd, pop, params, 1, "heavy", honest_logs)
 
 
+def test_runs_refuse_params_derived_for_another_population_or_game():
+    # README-PD params are derived at p = 0.9; a pure tuple's utilities come
+    # from their payoff tensor, so a run at p = 0.5, or on a game that lists
+    # the actions in another order, would silently use the wrong payoffs.
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    pop = scenario_population("pd", p=0.9)
+    params = derive_params(pd, pop, (-3.6, -0.4), 1.2, 0.5)
+    logs = _honest_logs(pd, pop, params, 1, 2, 0.9, 1e-6)
+    reordered = BaseGame.from_table(
+        [("D", "C")] * 2, {p: pd.payoff(p) for p in pd.profiles()}
+    )
+    honest = [HonestStrategy(), HonestStrategy()]
+    for game, other in ((pd, scenario_population("pd", p=0.5)), (reordered, pop)):
+        with pytest.raises(ValidationError, match="another game or population"):
+            run_repeated(game, other, params, honest, 0.9, seed=1)
+        with pytest.raises(ValidationError, match="another game or population"):
+            estimate_deviation_gain(game, other, params, 1, "heavy", logs)
+    # An equal population built anew is the same population.
+    again = run_repeated(
+        pd, scenario_population("pd", p=0.9), params, honest, 0.9, 1e-6, seed=(1, 0)
+    )
+    assert again.to_jsonl() == logs[0].to_jsonl()
+
+
 def test_finite_warns_when_an_advisor_is_within_the_band(pd_small_params):
     pd, pop, params = pd_small_params
     honest = [HonestStrategy(), HonestStrategy()]
