@@ -14,24 +14,27 @@ largest margin above the punishment bounds.  Only the separating direction
 of an infeasible target (a box-bounded direction and a free scalar) is a
 program of its own.  The two LPs go through :func:`_highs`, which imports scipy
 on the first LP, so the commands that solve none start without it.  It
-drives HiGHS through scipy's private binding ``scipy.optimize._highspy._core``
-rather than ``linprog``, because the LPs are tiny and many (a warm
-``plan-heist`` benchmark pass solves 115, most of them 8x8 punisher matrix
-games) and ``linprog``'s wrapper cost most of each one.  The model, the
-options and the post-solve check are ``linprog``'s, so every solution is bit
-for bit the one ``linprog`` returns.
+drives one HiGHS instance per process, cleared before each LP, through
+scipy's private binding ``scipy.optimize._highspy._core`` rather than
+``linprog``, because the LPs are tiny and many (a warm ``plan-heist``
+benchmark pass solves 115, most of them 8x8 punisher matrix games) and
+``linprog``'s wrapper cost most of each one.  The model, the options and the
+post-solve check are ``linprog``'s, so every solution is bit for bit the one
+``linprog`` returns.
 
 Punishment values: with two advisors the minmax is the value of the
 correlated-punishers LP, exact for a lone punisher.  With three or more,
 the minimum over independent punisher mixtures is nonconvex, so the
 certificate brackets it: a lower bound from that LP (a relaxation) and an
 upper bound from the best punisher profile found by alternating
-minimization, re-scored with an exact inner best response.  The punisher
-mixtures are kept as meta-actions.  After the first round they are LP
+minimization, re-scored with an exact inner best response.  The rounds keep
+each punisher's mixture as outcome weights, the (profile index,
+probability) pairs of its meta-action, and only the certificate's
+punishers become meta-actions.  After the first round the mixtures are LP
 vertex solutions, so the starts keep meeting the same punisher matrices;
-one call solves each distinct matrix game, and builds its meta-action,
-once.  The matrix is all the LP reads and single-threaded HiGHS is
-deterministic, so the result is the one fresh solves would give.
+one call solves each distinct matrix game once.  The matrix is all the LP
+reads and single-threaded HiGHS is deterministic, so the result is the one
+fresh solves would give.
 
 One payoff tensor ``U[a_1, ..., a_k, j]`` per (game, population), advisor j's
 utility when each advisor q instructs pure profile ``a_q``, backs the
@@ -194,19 +197,25 @@ def _solution_holds(x, fun, lower, upper, slack, residual) -> bool:
     )
 
 
+_SOLVER = None  # the process's one HiGHS instance, made by the first LP
+
+
 def _highs(what, c, A_ub, b_ub, lower, upper, A_eq=None, b_eq=None, options=None):
     """``x`` and the value of min c.x s.t. ``A_ub x <= b_ub``,
-    ``A_eq x = b_eq`` and ``lower <= x <= upper``, by one fresh HiGHS solve.
+    ``A_eq x = b_eq`` and ``lower <= x <= upper``.
 
     HiGHS gets the model and options scipy's ``linprog(method="highs")``
     gives it, and the result passes the same checks, but the call goes
     through scipy's bundled binding ``scipy.optimize._highspy._core``, a
-    private module (scipy >= 1.15).  On an 8x8 punisher matrix game (9
-    columns, 9 rows) linprog took about 2.4 ms on a 2-vCPU Xeon, under
-    0.5 ms of it in HiGHS's ``run`` and the rest in its wrapper (input
-    parsing, a sparse matrix, re-validating each option); this call takes
-    0.6-0.75 ms.  scipy is imported here, on the first LP, not with the
-    module.
+    private module (scipy >= 1.15), to one HiGHS instance per process.
+    ``clear()`` resets its options, model and solver state before each LP,
+    so every solve starts as a fresh instance's would; the package solves
+    its LPs on one thread, and two threads must not share this call.  On an
+    8x8 punisher matrix game (9 columns, 9 rows) on a 2-vCPU Xeon, linprog
+    took about 2.4 ms and a fresh instance per LP about 0.45 ms, 50-85 us
+    of it constructing the instance; this call takes about 0.3 ms, 0.2 ms
+    of it in HiGHS's ``run``.  scipy is imported, and the instance made, on
+    the first LP, not with the module.
 
     Raises :class:`SolverLimitError` when a matrix entry or a row bound is
     NaN or as large in size as HiGHS's ``large_matrix_value`` or
@@ -214,6 +223,7 @@ def _highs(what, c, A_ub, b_ub, lower, upper, A_eq=None, b_eq=None, options=None
     :class:`MetagameError` naming ``what`` unless HiGHS reports an optimum
     that passes :func:`_solution_holds`.
     """
+    global _SOLVER
     try:
         from scipy.optimize._highspy import _core
     except ImportError as exc:
@@ -236,7 +246,10 @@ def _highs(what, c, A_ub, b_ub, lower, upper, A_eq=None, b_eq=None, options=None
     start = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(nonzero.sum(axis=1), out=start[1:])
 
-    highs = _core._Highs()
+    if _SOLVER is None:
+        _SOLVER = _core._Highs()
+    highs = _SOLVER
+    highs.clear()
     for option, setting in {
         "presolve": "on",
         "highs_debug_level": int(_core.HighsDebugLevel.kHighsDebugLevelNone),
@@ -434,35 +447,54 @@ def _matrix_game_min_value(C: np.ndarray):
     return value, y
 
 
+def _outcome_weights(weights, order) -> list[tuple[int, float]]:
+    """The outcomes of :func:`_mixture_meta_action` with ``weights``, as
+    (profile index, probability) pairs listed in ``order``: entries of
+    weight 1e-12 or less dropped and the rest renormalized, by the same
+    floats."""
+    w = list(map(float, weights))
+    total = sum(x for x in w if x > 1e-12)
+    return [(i, w[i] / total) for i in order if w[i] > 1e-12]
+
+
 def _mixture_meta_action(profiles: list[tuple[str, ...]], weights) -> MetaAction:
-    """The mixture with ``weights`` over pure ``profiles``, entries of weight
-    1e-12 or less dropped and the rest renormalized; each outcome is the
-    shared :func:`_pure_instruction` object."""
-    outcomes = [
-        (_pure_instruction(p), float(w))
-        for p, w in zip(profiles, weights)
-        if w > 1e-12
-    ]
-    total = sum(w for _, w in outcomes)
-    return MetaAction(tuple((p, w / total) for p, w in outcomes))
+    """The mixture with ``weights`` over pure ``profiles`` (see
+    :func:`_outcome_weights`); each outcome is the shared
+    :func:`_pure_instruction` object."""
+    pairs = _outcome_weights(weights, range(len(profiles)))
+    return MetaAction(tuple((_pure_instruction(profiles[i]), w) for i, w in pairs))
 
 
-def _uj_matrix(U, j, row_llm, fixed_actions, index):
+def _reply_matrix(U, j, row_llm, mixtures):
     """C[b, a]: utility of advisor j playing pure profile a while ``row_llm``
-    plays pure profile b and every other advisor q follows the mixture over
-    pure profiles ``fixed_actions[q]`` (j's and ``row_llm``'s entries, if
-    any, are ignored); ``index`` maps a profile to its axis position in the
+    plays pure profile b and every other advisor q plays pure profile i with
+    probability w for each (i, w) in ``mixtures[q]`` (j's and ``row_llm``'s
+    entries, if any, are ignored); i is the profile's axis position in the
     payoff tensor ``U``.  With ``row_llm=None`` every advisor but j follows
-    its mixture and the result is j's reply vector C[a]."""
+    its mixture and the result is j's reply vector C[a].  The terms are
+    summed in product order of the mixtures' pairs, so pairs listed in a
+    meta-action's outcome order give :func:`_uj_matrix`'s floats."""
     k = U.ndim - 1
     front = [j] if row_llm is None else [row_llm, j]
-    others = [fixed_actions[q].outcomes for q in range(k) if q not in front]
+    others = [mixtures[q] for q in range(k) if q not in front]
     # Axes: row_llm (if any), j, then the remaining advisors in index order.
     Uj = np.moveaxis(U[..., j], front, range(len(front)))
     C = np.zeros(Uj.shape[: len(front)])
-    for w, profs in _weighted(others):
-        C += w * Uj[(Ellipsis, *(index[prof.pure_profile] for prof in profs))]
+    for w, axes in _weighted(others):
+        C += w * Uj[(Ellipsis, *axes)]
     return C
+
+
+def _uj_matrix(U, j, row_llm, fixed_actions, index):
+    """:func:`_reply_matrix` with each other advisor q following the
+    meta-action ``fixed_actions[q]``, a mixture over pure profiles;
+    ``index`` maps a profile to its axis position in ``U``."""
+    mixtures = [
+        None if q in (j, row_llm) else
+        [(index[p.pure_profile], w) for p, w in fixed_actions[q].outcomes]
+        for q in range(U.ndim - 1)
+    ]
+    return _reply_matrix(U, j, row_llm, mixtures)
 
 
 def _certificate(game, U, j, punishment, lower_bound=None) -> MinmaxCertificate:
@@ -547,11 +579,13 @@ def minmax(
     of ``starts`` alternating minimizations begins at flat-Dirichlet punisher
     mixtures drawn from ``seed`` and stops once the value moves by less than
     ``MINMAX_TOL``, or after ``MINMAX_ROUNDS`` rounds; the best start's
-    punishers are re-scored by the best reply.  Punisher mixtures are kept
-    as meta-actions.  Each distinct punisher matrix game is solved once per
-    call and its (value, meta-action) reused by later rounds and starts;
-    since the matrix is all the LP reads, the certificate is the one fresh
-    solves would give.
+    punishers are re-scored by the best reply.  The rounds work on each
+    punisher's outcome weights (:func:`_outcome_weights`), so the matrices
+    of :func:`_reply_matrix` are bit for bit those of meta-actions, which
+    are built only for the best start's punishers.  Each distinct punisher
+    matrix game is solved once per call and its value and mixture reused by
+    later rounds and starts; since the matrix is all the LP reads, the
+    certificate is the one fresh solves would give.
     Raises :class:`ValidationError` unless ``0 <= j < k`` and
     ``starts >= 1``.
     """
@@ -568,32 +602,32 @@ def minmax(
         punishment[1 - j] = _mixture_meta_action(profiles, y)
     elif k > 2:
         n = len(profiles)
-        index = {p: i for i, p in enumerate(profiles)}
+        # Profile indices in a meta-action's outcome order.
+        order = sorted(range(n), key=lambda i: _pure_instruction(profiles[i]).sort_key)
         punishers = [q for q in range(k) if q != j]
         rng = np.random.default_rng(seed)
-        # C.tobytes() -> (value, the row punisher's mixture as a meta-action)
-        solved: dict[bytes, tuple[float, MetaAction]] = {}
+        # C.tobytes() -> (value, the row punisher's mixture, its outcome weights)
+        solved: dict[bytes, tuple[float, np.ndarray, list]] = {}
         candidates: list[tuple[float, int, dict]] = []
         for s_idx in range(starts):
-            actions = {
-                q: _mixture_meta_action(profiles, rng.dirichlet(np.ones(n)))
-                for q in punishers
-            }
+            mixtures = {q: rng.dirichlet(np.ones(n)) for q in punishers}
+            weights = {q: _outcome_weights(mixtures[q], order) for q in punishers}
             value_prev = math.inf
             for _ in range(MINMAX_ROUNDS):
                 for q in punishers:
-                    C = _uj_matrix(U, j, q, actions, index)
+                    C = _reply_matrix(U, j, q, weights)
                     key = C.tobytes()
                     if key not in solved:
                         value, y = _matrix_game_min_value(C)
-                        solved[key] = value, _mixture_meta_action(profiles, y)
-                    value, actions[q] = solved[key]
+                        solved[key] = value, y, _outcome_weights(y, order)
+                    value, mixtures[q], weights[q] = solved[key]
                 if abs(value_prev - value) < MINMAX_TOL:
                     break
                 value_prev = value
-            candidates.append((value, s_idx, actions))
+            candidates.append((value, s_idx, mixtures))
         best = min(candidates, key=lambda t: t[:2])[2]
-        punishment = [best.get(q) for q in range(k)]
+        for q in punishers:
+            punishment[q] = _mixture_meta_action(profiles, best[q])
     return _certificate(game, U, j, punishment, lower)
 
 

@@ -297,7 +297,7 @@ class MetaAction:
 
     @classmethod
     def uniform_over_pure(cls, profiles: Iterable[Sequence[str]]) -> "MetaAction":
-        profs = [InstructionProfile.pure(p) for p in profiles]
+        profs = [_pure_instruction(tuple(p)) for p in profiles]
         w = 1.0 / len(profs)
         return cls(tuple((p, w) for p in profs))
 

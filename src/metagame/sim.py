@@ -1206,7 +1206,9 @@ def finite_population_run(
     deviation flags and block and punishment statistics (the protocol's
     guarantees hold in continuum mode only), and a warning names each
     advisor whose largest role share is within the band, since its
-    deviations cannot exceed the tolerance.
+    deviations cannot exceed the tolerance.  As in :func:`run_repeated`,
+    ``params`` must have been derived for ``pop`` and for ``game``'s action
+    sets, or :class:`ValidationError` is raised.
     """
     N = clients_per_role
     k = pop.llm_count
@@ -1221,6 +1223,10 @@ def finite_population_run(
         raise ValidationError("need at least one period")
     if len(strategies) != k:
         raise ValidationError("one strategy per advisor is required")
+    if params is not None and (
+        game.actions != params.action_sets or pop != params.population
+    ):
+        raise ValidationError("params were derived for another game or population")
     band = 3.0 * math.sqrt(math.log(max(N, 2)) / N)
     run_params = None if params is None else replace(params, discrepancy_tol=band)
 

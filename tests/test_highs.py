@@ -2,7 +2,10 @@
 
 ``_highs`` drives HiGHS through scipy's binding with the model and options
 ``linprog(method="highs")`` gives it, so every LP must come out bit for bit
-the same: ``x``, the objective, success, and the failure text.
+the same: ``x``, the objective, success, and the failure text.  It reuses
+one HiGHS instance per process, cleared before each LP, so a sequence of
+LPs, failed ones and ones with their own options included, must still match
+the oracle call by call, and a warm ``minmax`` must construct no instance.
 """
 
 import sys
@@ -10,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 from metagame import feasibility
 from metagame.errors import MetagameError, SolverLimitError
@@ -20,6 +24,7 @@ from metagame.feasibility import (
     _mixture_lp,
     _separating_direction,
     _solution_holds,
+    minmax,
     payoff_vertices,
 )
 from metagame.scenarios import make_scenario, scenario_population
@@ -112,6 +117,41 @@ def test_infeasible_mixture_lp_raises_as_linprog_failed(checked):
     with pytest.raises(MetagameError, match=r"^mixture LP failed: The problem is infeasible"):
         _mixture_lp(np.eye(3), np.zeros(3), maximize=True, t_lower=10.0)
     assert checked == [False]
+
+
+def test_the_reused_solver_carries_nothing_from_one_lp_to_the_next(
+    checked, vertex_matrices
+):
+    C = np.random.default_rng(3).normal(size=(8, 8))
+    first = _matrix_game_min_value(C)
+    solver = feasibility._SOLVER
+    with pytest.raises(MetagameError, match=r"^mixture LP failed: The problem is infeasible"):
+        _mixture_lp(np.eye(3), np.zeros(3), maximize=True, t_lower=10.0)
+    V = vertex_matrices["heist"]
+    _closest_mixture(V, V[:3].mean(axis=0), {"primal_feasibility_tolerance": 1e-10})
+    again = _matrix_game_min_value(C)
+    assert checked == [True, False, True, True]
+    assert again[0] == first[0] and again[1].tobytes() == first[1].tobytes()
+    assert feasibility._SOLVER is solver
+    # The last LP ran at the default tolerance, not the one set before it.
+    assert solver.getOptionValue("primal_feasibility_tolerance")[1] == 1e-7
+
+
+def test_minmax_constructs_one_solver_per_process(monkeypatch):
+    game, pop = make_scenario("heist"), scenario_population("heist")
+    made = []
+    original = _core._Highs
+
+    def counting():
+        made.append(original())
+        return made[-1]
+
+    monkeypatch.setattr(_core, "_Highs", counting)
+    monkeypatch.setattr(feasibility, "_SOLVER", None)  # as in a new process
+    minmax(game, pop, 0)
+    assert len(made) == 1 and feasibility._SOLVER is made[0]
+    minmax(game, pop, 1)  # warm: the first call's instance serves every LP
+    assert len(made) == 1
 
 
 def test_solution_holds_within_linprogs_tolerance():

@@ -18,12 +18,13 @@ from metagame.feasibility import (
     _correlated_lower_bound,
     _matrix_game_min_value,
     _mixture_meta_action,
+    _outcome_weights,
     _punishment_matrix,
     _uj_matrix,
     certificate_from_punishment,
     minmax,
 )
-from metagame.model import DEFAULT_TERM_BUDGET, _payoff_tensor
+from metagame.model import DEFAULT_TERM_BUDGET, _payoff_tensor, _pure_instruction
 from metagame.scenarios import make_scenario, scenario_population
 
 from oracles import random_game, random_population
@@ -131,3 +132,34 @@ def test_random_shared_role_games_match_memo_free_loop():
             minmax(game, pop, j, seed=seed),
             reference_minmax(game, pop, j, seed=seed),
         )
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_heist_builds_meta_actions_only_for_its_certificate(heist, monkeypatch, j):
+    game, pop = heist
+    built = []
+    original = feasibility._mixture_meta_action
+
+    def counting(profiles, weights):
+        built.append(original(profiles, weights))
+        return built[-1]
+
+    monkeypatch.setattr(feasibility, "_mixture_meta_action", counting)
+    cert = minmax(game, pop, j)
+    assert len(built) <= pop.llm_count - 1
+    punishers = [a for a in cert.punishment if a is not None]
+    assert len(punishers) == len(built)
+    assert all(a is b for a, b in zip(punishers, built))
+
+
+def test_outcome_weights_are_the_meta_actions_outcomes(heist):
+    game, _ = heist
+    profiles = list(game.profiles())
+    order = sorted(range(len(profiles)), key=lambda i: _pure_instruction(profiles[i]).sort_key)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        w = rng.dirichlet(np.full(len(profiles), 0.3))
+        w[rng.random(len(w)) < 0.3] = rng.choice([0.0, 1e-12, 2e-12, 1e-13])
+        pairs = _outcome_weights(w, order)
+        outcomes = _mixture_meta_action(profiles, w).outcomes
+        assert [(_pure_instruction(profiles[i]), p) for i, p in pairs] == list(outcomes)

@@ -13,6 +13,7 @@ from metagame.model import (
     MetaAction,
     MetaProfile,
     Population,
+    _pure_instruction,
     aggregate_mass,
     average_utility,
     llm_utility,
@@ -20,6 +21,7 @@ from metagame.model import (
 )
 from metagame.scenarios import (
     blame_cycle,
+    bounded10_equilibrium_profile,
     heist_punishment,
     make_scenario,
     pd_profile,
@@ -272,6 +274,15 @@ def test_meta_profile_serialization_round_trip(pd):
     doc = profile.to_dict()
     back = MetaProfile.from_dict(doc)
     assert back == profile
+
+
+def test_bounded10_profiles_share_their_pure_instructions():
+    game = make_scenario("bounded10", n_actions=6)
+    first, second = (bounded10_equilibrium_profile(game) for _ in range(2))
+    assert first == second
+    for a, b in zip(first.actions, second.actions):
+        for (prof, _), (again, _) in zip(a.outcomes, b.outcomes):
+            assert prof is again is _pure_instruction(prof.pure_profile)
 
 
 def test_instruction_profile_hash_and_equality():

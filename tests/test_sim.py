@@ -630,6 +630,29 @@ def test_runs_refuse_params_derived_for_another_population_or_game():
     assert again.to_jsonl() == logs[0].to_jsonl()
 
 
+def test_finite_runs_refuse_params_derived_for_another_population_or_game():
+    # With README-PD params derived at p = 0.9, an honest run at p = 0.5 would
+    # read the other population's mass ceilings and payoff tensor and punish
+    # advisor 0 five times in 400 periods.
+    pd = make_scenario("pd", X=-2, Y=-4, Z=-5)
+    pop = scenario_population("pd", p=0.9)
+    params = derive_params(
+        pd, pop, (-3.6, -0.4), 1.2, 0.5,
+        overrides={"probe_rate": 0.05, "block_length": 40},
+    )
+    reordered = BaseGame.from_table(
+        [("D", "C")] * 2, {p: pd.payoff(p) for p in pd.profiles()}
+    )
+    honest = [HonestStrategy(), HonestStrategy()]
+    for game, other in ((pd, scenario_population("pd", p=0.5)), (reordered, pop)):
+        with pytest.raises(ValidationError, match="another game or population"):
+            finite_population_run(10_000, game, other, honest, 400, seed=1, params=params)
+    log, _ = finite_population_run(
+        10_000, pd, scenario_population("pd", p=0.9), honest, 400, seed=1, params=params
+    )
+    assert log.punishment_stats == []
+
+
 def test_finite_warns_when_an_advisor_is_within_the_band(pd_small_params):
     pd, pop, params = pd_small_params
     honest = [HonestStrategy(), HonestStrategy()]
