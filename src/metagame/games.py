@@ -7,9 +7,10 @@ finite-support distributions over action labels; :func:`expected_payoff` is
 the multilinear extension of the pure payoff function.
 
 :meth:`BaseGame.payoff_block` evaluates a block of pure profiles, given as
-rows of action indices, in one numpy call: a table game reads a dense array
-built on first use, and a rule game calls the vectorized form registered
-with its rule.  A rule registered without one has no block form.
+rows of action indices, and every game has it: a table game reads a dense
+array built on first use, a rule game calls the vectorized form registered
+with its rule, and a rule registered without one evaluates the rows one by
+one through the rule.
 """
 
 from __future__ import annotations
@@ -43,8 +44,20 @@ def register_payoff_rule(
     ``block(actions, **params)``, when given, returns the rule's vectorized
     form: a function from a ``(B, m)`` array of action indices into
     ``actions`` to the ``(B, m)`` payoff vectors of those profiles, equal to
-    the rule's own, bit for bit."""
+    the rule's own, bit for bit.  Without it the game's
+    :meth:`BaseGame.payoff_block` calls the rule once per row."""
     _RULES[name] = (factory, block)
+
+
+def _rule_rows(rule: PayoffRule, actions: tuple[tuple[str, ...], ...]) -> BlockRule:
+    """The block form of a rule registered without one: each row through
+    the rule."""
+
+    def block(index: np.ndarray) -> np.ndarray:
+        pays = [rule(tuple(acts[a] for acts, a in zip(actions, row))) for row in index.tolist()]
+        return np.array(pays, dtype=float).reshape(len(index), len(actions))
+
+    return block
 
 
 def _weighted(supports: Iterable[Sequence[tuple[object, float]]], weight: float = 1.0):
@@ -109,6 +122,8 @@ class BaseGame:
             object.__setattr__(self, "_rule", factory(**params))
             if block_factory is not None:
                 block = block_factory(self.actions, **params)
+        if self.table is None and block is None:
+            block = _rule_rows(self._rule, self.actions)
         # The vectorized payoff; a table game builds its dense array on first use.
         object.__setattr__(self, "_block", block)
 
@@ -145,17 +160,11 @@ class BaseGame:
             return tuple(self.table[key])
         return tuple(self._rule(key))
 
-    @property
-    def has_payoff_block(self) -> bool:
-        """Whether :meth:`payoff_block` is available: a table game, or a rule
-        registered with a vectorized form."""
-        return self.table is not None or self._block is not None
-
     def payoff_block(self, index: np.ndarray) -> np.ndarray:
         """Payoff vectors of the pure profiles whose action indices are the
         rows of the ``(B, m)`` integer array ``index``: a ``(B, m)`` float
-        array whose row b equals :meth:`payoff` of row b's labels.  Needs
-        :attr:`has_payoff_block`; indices are not range-checked."""
+        array whose row b equals :meth:`payoff` of row b's labels.  Indices
+        are not range-checked."""
         if self._block is None:
             sizes = tuple(len(a) for a in self.actions)
             dense = np.array([self.table[p] for p in self.profiles()])

@@ -14,32 +14,32 @@ against the population-average action mass of every other role.
 ``tests/oracles.py`` re-derives the same numbers by brute-force enumeration
 of governance vectors.
 
-Every exact evaluation (a utility, a payoff tensor, a best reply, a
-finite-population run) creates one ``_Terms``: its payoff memo, the number of
-payoff terms summed so far and the budget that number may not pass.
+One numpy kernel, :func:`_utilities`, sums the advisors' utilities at a
+block of joint realizations (one instruction per advisor).  Each
+(advisor, role) contributes a weighted support (:class:`_Supports`): its
+action masses to the role's aggregate, its instructed strategies to its own
+value.  A realization in which every instruction is a pure profile and each
+role's governing advisors name one action plays one profile
+(:func:`_block_utilities`); any other values each governed (advisor, role,
+strategy) against the other roles' first-named aggregate slots
+(:func:`_mixed_utilities`).  Payoffs are read through
+:meth:`~metagame.games.BaseGame.payoff_block`.
 
-When every role has exactly one governing advisor, every outcome read is a
-pure profile and the game has :meth:`~metagame.games.BaseGame.payoff_block`,
-each joint realization plays one pure profile.  :func:`llm_utility` and
-:func:`metagame.oneshot.best_response` then evaluate realizations in numpy
-blocks of at most ``BLOCK_REALIZATIONS`` (:func:`_pure_supports`,
-:func:`_realization_block`, :func:`_block_utilities`), with the same float
-operations in the same order as the scalar path, so the results agree bit for
-bit.  Any other input takes the scalar path.
-
-The payoff tensor behind the vertices, the punishments and ``minmax``
-(:func:`_payoff_tensor`) covers shared roles as well: it reads the n pure
-payoff vectors once and evaluates the n^k pure realizations in numpy blocks,
-one-profile realizations as the fast path sums them and the others from
-per-role aggregate slots as :func:`_role_value` sums them, so it too equals
-the per-realization loop bit for bit and stops at the same term count.
+:func:`llm_utility` sums a meta-profile's realizations,
+:func:`metagame.oneshot.best_response` each pure deviation against the
+opponents' outcomes, and :func:`_payoff_tensor` every pure realization, in
+blocks of at most ``BLOCK_REALIZATIONS``.  Each counts a block's payoff
+terms against a budget before it reads any of them, and raises
+:class:`BudgetExceededError` at the first running count that passes it, so
+no product past the budget is built.  The float operations and their order are
+those of the per-realization loop kept in ``tests/scalar_reference.py``, so
+the results and the counts agree with it bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -54,8 +54,9 @@ from .games import BaseGame, MixedStrategy, PROB_TOL, _weighted
 
 DEFAULT_TERM_BUDGET = 10**7
 
-# Pure realizations per numpy block; bounds the block path's memory to a few
-# megabytes whatever the number of realizations.
+# Realizations per numpy block, and about the payoff terms per chunk of a
+# product; bounds the kernel's memory to a few megabytes whatever the number
+# of realizations or the size of a product.
 BLOCK_REALIZATIONS = 1 << 13
 
 AGGREGATE_TOL = 1e-9
@@ -454,325 +455,363 @@ def aggregate_mass(
 
 
 @dataclass(slots=True)
-class _Terms:
-    """The payoff memo, term count and term budget of one evaluation.
+class _Supports:
+    """The advisors' outcomes as the padded arrays the kernel gathers from.
 
-    ``memo`` maps a pure profile to its payoff vector; ``used`` counts the
-    payoff terms summed so far, and :meth:`spend` raises
-    :class:`BudgetExceededError` once it passes ``budget``."""
+    Advisor q has ``sizes[q]`` outcomes; its outcome o is entry
+    ``start[q] + o``, on the entry axis of every array, of probability
+    ``prob[start[q] + o]``, and ``pure`` marks the pure profiles.  Per role
+    r, for an entry whose advisor governs r (zero counts elsewhere):
 
-    game: BaseGame
-    budget: float = math.inf
-    memo: dict = field(default_factory=dict)
-    used: int = 0
+    * ``items``: its action masses times the advisor's role-r share, in
+      :meth:`InstructionProfile.action_mass` order, as ``(m, N, w)`` action
+      indices and masses and ``(m, N)`` counts (role first, so that a role's
+      items gather as rows);
+    * ``strategies``: its instructed strategies as ``(N, m, T, E)`` action
+      indices and weights, ``(N, m, T)`` support sizes (0 past its last
+      strategy) and ``(N, m, T)`` fractions times the share.
+    """
 
-    def spend(self, n: int) -> None:
-        self.used += n
-        if self.used > self.budget:
-            raise BudgetExceededError(self.used, self.budget)
-
-    def payoff(self, profile: tuple[str, ...]) -> tuple[float, ...]:
-        pay = self.memo.get(profile)
-        if pay is None:
-            pay = self.memo[profile] = self.game.payoff(profile)
-        return pay
-
-
-def _role_value(
-    terms: _Terms,
-    role: int,
-    strategy: MixedStrategy,
-    tots: Sequence[dict[str, float]],
-) -> float:
-    """Expected payoff of a role-``role`` client playing ``strategy`` while every
-    other role's action is drawn from the population aggregate."""
-    per_role = [
-        strategy.weights if r == role else tuple(tots[r].items())
-        for r in range(terms.game.role_count)
-    ]
-    terms.spend(math.prod(len(x) for x in per_role))
-    total = 0.0
-    for w, key in _weighted(per_role):
-        total += w * terms.payoff(key)[role]
-    return total
+    sizes: list[int]
+    start: np.ndarray
+    prob: np.ndarray
+    pure: np.ndarray
+    items: tuple[np.ndarray, np.ndarray, np.ndarray]
+    strategies: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    governing: list[list[int]]
 
 
-def _realization_utilities(
-    terms: _Terms,
+def _supports(
+    game: BaseGame,
     pop: Population,
-    realization: Sequence[InstructionProfile],
-) -> list[float]:
-    """Each advisor's utility at one joint realization, whose advisor and
-    role counts the caller has checked against ``pop``."""
-    m = terms.game.role_count
-    k = pop.llm_count
-    shares = pop.shares
+    supports: Sequence[Sequence[tuple[InstructionProfile, float]]],
+) -> _Supports:
+    """The :class:`_Supports` of ``supports[q]``, advisor q's outcomes.  A
+    label the game lacks on a governed role raises
+    :class:`InvalidProfileError`; other roles' labels are never read."""
+    items, strats, pure = [], [], []
+    for q, support in enumerate(supports):
+        roles = pop.governed_roles(q)
+        for prof, _ in support:
+            o = len(pure)
+            pure.append(prof.pure_profile is not None)
+            for r in roles:
+                p = pop.shares[r][q]
+                items += [
+                    (r, o, u, game.action_index(r, a), p * x)
+                    for u, (a, x) in enumerate(prof.action_mass(r).items())
+                ]
+                strats += [
+                    (o, r, t, e, game.action_index(r, a), w, p * frac)
+                    for t, (strat, frac) in enumerate(prof.assignments[r])
+                    for e, (a, w) in enumerate(strat.weights)
+                ]
+    it, st = np.array(items).T, np.array(strats).T
+    at, sat = tuple(it[:3].astype(np.intp)), tuple(st[:4].astype(np.intp))
+    N, m = len(pure), pop.role_count
+    act = np.zeros((m, N, at[2].max() + 1), dtype=np.intp)
+    mass = np.zeros(act.shape)
+    count = np.zeros((m, N), dtype=np.intp)
+    act[at], mass[at] = it[3], it[4]
+    np.add.at(count, at[:2], 1)
+    sact = np.zeros((N, m, sat[2].max() + 1, sat[3].max() + 1), dtype=np.intp)
+    sw = np.zeros(sact.shape)
+    size = np.zeros(sact.shape[:3], dtype=np.intp)
+    frac = np.zeros(size.shape)
+    sact[sat], sw[sat], frac[sat[:3]] = st[4], st[5], st[6]
+    np.add.at(size, sat[:3], 1)
+    return _Supports(
+        sizes=[len(s) for s in supports],
+        start=np.cumsum([0] + [len(s) for s in supports[:-1]]),
+        prob=np.array([prob for s in supports for _, prob in s]),
+        pure=np.array(pure),
+        items=(act, mass, count),
+        strategies=(sact, sw, size, frac),
+        governing=[[q for q, p in enumerate(row) if p > 0.0] for row in pop.shares],
+    )
 
-    # Fast path: every instruction is pure and, per role, all governing
-    # advisors prescribe the same action, so every instance plays one profile.
-    pures = [inst.pure_profile for inst in realization]
-    if None not in pures:
-        joint: list[str] = []
-        for i in range(m):
-            row = shares[i]
-            ai = None
-            for q in range(k):
-                if row[q] > 0.0:
-                    cand = pures[q][i]
-                    if ai is None:
-                        ai = cand
-                    elif cand != ai:
-                        ai = None
-                        break
-            if ai is None:
-                break
-            joint.append(ai)
-        else:
-            pay = terms.payoff(tuple(joint))
-            terms.spend(1)
-            return [
-                sum(shares[i][j] * pay[i] for i in range(m) if shares[i][j] > 0.0)
-                for j in range(k)
-            ]
 
-    tots = _role_masses(pop, realization)
-    out = [0.0] * k
-    for j in range(k):
-        uj = 0.0
-        for i in range(m):
-            pij = shares[i][j]
-            if pij <= 0.0:
+def _ordered_sum(x: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """``start`` plus the rows of ``x`` added one at a time, first to last,
+    as a Python loop adds them (``np.sum`` may add pairwise)."""
+    return np.add.accumulate(np.concatenate([start[None], x]))[-1]
+
+
+def _grid(sizes: Sequence[int], start: int, stop: int) -> np.ndarray:
+    """Entries ``start .. stop - 1`` of ``itertools.product(*map(range,
+    sizes))`` as a ``(stop - start, len(sizes))`` index array, each column
+    contiguous."""
+    flat = np.arange(start, stop)
+    out = np.empty((len(sizes), stop - start), dtype=np.intp)
+    for col in range(len(sizes) - 1, -1, -1):
+        flat, out[col] = np.divmod(flat, sizes[col])
+    return out.T
+
+
+def _realization_block(
+    sup: _Supports, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint realizations ``start .. stop - 1`` of the product of the
+    advisors' outcomes, in :func:`games._weighted` order: the ``(B, k)``
+    entries each picks and the ``(B,)`` weights, each a product taken left to
+    right from 1.0 as ``_weighted`` takes it."""
+    gid = _grid(sup.sizes, start, stop) + sup.start
+    weights = sup.prob[gid[:, 0]]
+    for q in range(1, gid.shape[1]):
+        weights = weights * sup.prob[gid[:, q]]
+    return gid, weights
+
+
+def _utilities(
+    pop: Population,
+    sup: _Supports,
+    read,
+    gid: np.ndarray,
+    fills: Mapping[int, np.ndarray],
+    used: int,
+    budget: float,
+) -> tuple[np.ndarray, int]:
+    """Every advisor's utility at B joint realizations, the one place they
+    are summed, and the payoff term count after them.
+
+    ``gid[b, q]`` is advisor q's entry in realization b, and ``fills[q]``,
+    when given, the ``(m, B)`` action indices that replace those of q's
+    pure entry; ``read`` maps ``(n, m)`` action indices to payoff vectors.
+    A realization in which every instruction is a pure profile and, on
+    every role, every governing advisor names the same action plays one
+    profile: one payoff term, summed by :func:`_block_utilities`.  Any other
+    is summed by :func:`_mixed_utilities`, in the groups
+    :func:`_mixed_groups` forms.  The counts are charged to ``used``
+    (:func:`_charge`) before any payoff is read.  Returns the ``(k, B)``
+    utilities and the new count."""
+    B, k = gid.shape
+    act = sup.items[0]
+    # Each role's first-named action; a realization plays one profile when
+    # every instruction is pure and every governing advisor names it.
+    lead = np.empty((len(act), B), dtype=np.intp)
+    one = np.ones(B, dtype=bool)
+    for q in range(k):
+        one &= sup.pure[gid[:, q]]
+    for r, governing in enumerate(sup.governing):
+        for q in governing:
+            named = fills[q][r] if q in fills else act[r, :, 0][gid[:, q]]
+            if q == governing[0]:
+                lead[r] = named
+            else:
+                one &= named == lead[r]
+    rest = np.flatnonzero(~one)
+    groups, steps = (
+        _mixed_groups(sup, gid[rest], {q: f[:, rest] for q, f in fills.items()})
+        if len(rest)
+        else ((), np.empty((0, 0)))
+    )
+    used = _charge(used, budget, one, steps)
+    # Every row plays its first-named profile here; the others are replaced.
+    vals = _block_utilities(pop, read(lead.T))
+    for at, args in groups:
+        vals[:, rest[at]] = _mixed_utilities(read, *args)
+    return vals, used
+
+
+def _mixed_groups(
+    sup: _Supports, gid: np.ndarray, fills: Mapping[int, np.ndarray]
+) -> tuple[list, np.ndarray]:
+    """For S realizations that do not play one profile (arguments as
+    :func:`_utilities` takes them): each role's aggregate (:func:`_aggregate`)
+    and each advisor's instructed strategies, in groups of the realizations
+    with the same slot counts, as ``(rows, args)`` pairs with ``args`` the
+    arguments of :func:`_mixed_utilities`; and the ``(S, P)`` term counts,
+    per realization in (advisor, role, strategy) order: a governed one
+    counts its support size times the other roles' slot counts."""
+    slot_act, slot_mass, slots = _aggregate(sup, gid, fills)
+    sact, sw, size, frac = (x[gid] for x in sup.strategies)
+    for q, f in fills.items():
+        sact[:, q, :, 0, 0] = f.T
+    S, k, m, T = size.shape
+    others = np.prod(slots, axis=0, dtype=float) / slots  # exact below 2**53
+    steps = (size * others.T[:, None, :, None]).reshape(S, k * m * T)
+    order = np.lexsort(slots)  # the same slot counts together
+    kinds = slots[:, order]
+    first = np.ones(S, dtype=bool)  # the first realization of each slot count
+    first[1:] = (kinds[:, 1:] != kinds[:, :-1]).any(axis=0)
+    bounds = [*np.flatnonzero(first), S]
+    groups = []
+    for a, b in zip(bounds, bounds[1:]):
+        at = order[a:b]
+        groups.append((at, (
+            kinds[:, a].tolist(),
+            (slot_act[..., at], slot_mass[..., at]),
+            (sact[at], sw[at], size[at], frac[at]),
+        )))
+    return groups, steps
+
+
+def _aggregate(
+    sup: _Supports, gid: np.ndarray, fills: Mapping[int, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each role's aggregate at the B realizations ``gid`` (with
+    ``fills``, as :func:`_utilities` takes them): one slot per action its
+    governing advisors' items name, in the order first named, advisors in
+    index order, holding the masses naming it summed in that order from
+    0.0, as :func:`_role_masses` fills its dicts.  Returns the ``(m, L,
+    B)`` slot actions and masses and the ``(m, B)`` slot counts."""
+    act, mass, count = sup.items
+    B, (m, N, w) = len(gid), act.shape
+    L = w * max(map(len, sup.governing))
+    slot_act = np.zeros((m, L + 1, B), dtype=np.intp)  # slot L takes the padding
+    slot_mass = np.zeros(slot_act.shape)
+    slots = np.empty((m, B), dtype=np.intp)
+    cols, before = np.arange(B), np.arange(L)[:, None]
+    for r, governing in enumerate(sup.governing):
+        for q in governing:
+            e = gid[:, q]
+            acts, masses, n_items = act[r][e].T, mass[r][e].T, count[r][e]
+            if q in fills:
+                acts[0] = fills[q][r]
+            if q == governing[0]:  # distinct actions: the first slots
+                slot_act[r, :w], slot_mass[r, :w], n = acts, masses, n_items
                 continue
-            for strat, frac in realization[j].assignments[i]:
-                uj += pij * frac * _role_value(terms, i, strat, tots)
-        out[j] = uj
+            for u in range(w):
+                named = (slot_act[r, :L] == acts[u]) & (before < n)
+                at = np.where(named.any(axis=0), named.argmax(axis=0), n)
+                at = np.where(u < n_items, at, L)
+                slot_act[r, at, cols] = acts[u]
+                slot_mass[r, at, cols] += masses[u]
+                n = n + (at == n)
+        slots[r] = n
+    return slot_act[:, :L], slot_mass[:, :L], slots
+
+
+def _mixed_utilities(
+    read,
+    counts: Sequence[int],
+    slots: tuple[np.ndarray, np.ndarray],
+    strategies: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """The ``(k, S)`` advisor utilities at S realizations whose role r has
+    ``counts[r]`` aggregate slots, given as ``(m, L, S)`` actions and masses
+    (:func:`_aggregate`), and whose instructed strategies are
+    ``(S, k, m, T, E)`` actions and weights and ``(S, k, m, T)`` support
+    sizes and share-weighted fractions (:class:`_Supports`; a size is 0
+    where the advisor does not govern the role).
+
+    The value of advisor j's strategy t on role i sums ``w * pay[i]`` over
+    the product of the other roles' slots and, at position i, the
+    strategy's support, in product order from 0.0, ``w`` the slot masses
+    and the strategy weight multiplied left to right from 1.0.  Advisor j's
+    utility sums ``share * fraction * value`` over its roles and strategies
+    in order from 0.0.  Each product is walked in chunks of its entries,
+    about ``BLOCK_REALIZATIONS`` terms over all strategies at a time."""
+    slot_act, slot_mass = slots
+    sact, sw, size, frac = strategies
+    m = len(counts)
+    vals = np.zeros(size.shape[:2])
+    for i in range(m):
+        own = size[:, :, i]  # (S, k, T)
+        E = int(own.max())
+        own_act, own_w = (x[:, :, i, :, :E].transpose(3, 0, 1, 2) for x in (sact, sw))
+        sizes = [E if r == i else counts[r] for r in range(m)]
+        entries = math.prod(sizes)
+        step = max(1, BLOCK_REALIZATIONS // own.size)
+        value = np.zeros(own.shape)
+        for c0 in range(0, entries, step):
+            pos = _grid(sizes, c0, min(c0 + step, entries))  # (C, m)
+            index = np.empty((len(pos),) + own.shape + (m,), dtype=np.intp)
+            w = 1.0
+            for r, p in enumerate(pos.T):
+                if r == i:
+                    index[..., r], f = own_act[p], own_w[p]
+                else:
+                    index[..., r], f = slot_act[r, p, :, None, None], slot_mass[r, p, :, None, None]
+                w = w * f
+            pay = read(index.reshape(-1, m))[:, i].reshape(w.shape)
+            live = pos[:, i, None, None, None] < own
+            value = _ordered_sum(np.where(live, w * pay, 0.0), value)
+        for t in range(own.shape[2]):  # a fraction is 0.0 where a value is 0.0
+            vals = vals + frac[:, :, i, t] * value[..., t]
+    return vals.T
+
+
+def _block_utilities(pop: Population, pay: np.ndarray) -> np.ndarray:
+    """``(k, B)`` advisor utilities at B pure profiles whose ``(B, m)``
+    payoff vectors are ``pay``: advisor j's is ``shares[i][j] * pay[:, i]``
+    summed over the roles it governs, in role order from 0.0."""
+    out = np.zeros((pop.llm_count, len(pay)))
+    for i, row in enumerate(pop.shares):
+        for j, p in enumerate(row):
+            if p > 0.0:
+                out[j] += p * pay[:, i]
     return out
+
+
+def _charge(used: int, budget: float, one: np.ndarray, steps: np.ndarray) -> int:
+    """The term count after a block of realizations on top of ``used``: one
+    term for each realization that plays one profile (``one``), and for
+    each other the ``(S, P)`` counts ``steps``, in order.  Raises
+    :class:`BudgetExceededError` with the first running count, step by
+    step, that passes ``budget``."""
+    total = used + len(one) - len(steps) + steps.sum()
+    if total <= budget:
+        return int(total)
+    terms = np.ones(len(one))
+    terms[~one] = steps.sum(axis=1)
+    running = used + np.cumsum(terms)
+    b = int(np.argmax(running > budget))
+    used = int(running[b] - terms[b])
+    for c in [1] if one[b] else steps[int(np.sum(~one[:b]))].tolist():
+        used += int(c)
+        if used > budget:
+            raise BudgetExceededError(used, budget)
 
 
 def _payoff_tensor(game: BaseGame, pop: Population, budget: float) -> np.ndarray:
     """``U[a_0, ..., a_{k-1}, j]``: advisor j's utility when each advisor q
     instructs the pure profile with index ``a_q`` in ``game.profiles()`` order.
 
-    Equal, bit for bit, to :func:`_realization_utilities` of each pure
-    realization, and built in numpy blocks of at most
-    ``BLOCK_REALIZATIONS`` realizations in product order from the n payoff
-    vectors, read once.  A realization in which every governing advisor
-    names the same action on every role plays one profile: advisor j's
-    utility is ``shares[i][j] * pay[i]`` summed over its roles in role order
-    from 0.0, as on the scalar fast path.  In any other realization each
-    role's aggregate has one slot per distinct named action, in the order
-    the advisors first name it, holding the shares of its advisors summed in
-    index order (:func:`_role_masses`).  For each role i that advisor j
-    governs, the value of j's role-i action against the other roles' slots
-    sums ``w * pay[..., i]`` over slot combinations in product order from
-    0.0, with ``w`` the slot masses multiplied left to right
-    (:func:`_role_value`); padded slots are masked out and add no term.
-    Advisor j's utility sums ``shares[i][j] * value`` over its roles in role
-    order from 0.0.
-
-    Raises :class:`BudgetExceededError` before building anything when the
-    n^k realizations exceed ``budget``.  Otherwise the terms are counted as
-    the scalar path counts them, 1 for a one-profile realization and, for
-    each (j, i), the product of the other roles' slot counts: the error is
-    raised with the first running count, in product order, that passes
-    ``budget``.
+    Reads the n pure payoff vectors with one
+    :meth:`~metagame.games.BaseGame.payoff_block` call and evaluates the
+    n^k realizations in product order through :func:`_utilities`, in blocks
+    of at most ``BLOCK_REALIZATIONS``.  Raises :class:`BudgetExceededError`
+    before building anything when the n^k realizations exceed ``budget``,
+    and otherwise at the first running term count that passes it.
     """
     n = game.num_profiles
     k = pop.llm_count
     if n**k > budget:
         raise BudgetExceededError(n**k, budget)
     sizes = tuple(len(a) for a in game.actions)
-    m = len(sizes)
-    pay = np.array([game.payoff(p) for p in game.profiles()], dtype=float)
-    pay = pay.reshape(sizes + (m,))
     named_by = _grid(sizes, 0, n)  # profile index -> action index per role
-    shares = pop.shares
-    governing = [[q for q, p in enumerate(row) if p > 0.0] for row in shares]
+    pay = game.payoff_block(named_by)
+    placeholder = _pure_instruction(tuple(a[0] for a in game.actions))
+    sup = _supports(game, pop, [((placeholder, 1.0),)] * k)
     U = np.empty((n,) * k + (k,))
     flat = U.reshape(-1, k)
     used = 0
     for start in range(0, n**k, BLOCK_REALIZATIONS):
         stop = min(start + BLOCK_REALIZATIONS, n**k)
-        named = named_by[_grid((n,) * k, start, stop)]  # (B, k, m)
-        lead = named[:, [g[0] for g in governing], range(m)]  # (B, m)
-        one = np.ones(stop - start, dtype=bool)
-        for i, g in enumerate(governing):
-            for q in g[1:]:
-                one &= named[:, q, i] == lead[:, i]
-        vals = np.empty((stop - start, k))
-        vals[one] = _block_utilities(pop, pay[tuple(lead[one].T)])
-        vals[~one], counts = _mixed_utilities(pop, pay, governing, named[~one])
-        terms = np.ones(stop - start, dtype=np.int64)
-        terms[~one] = counts.sum(axis=1)
-        running = used + np.cumsum(terms)
-        if running[-1] > budget:
-            # The scalar path checks after each (advisor, role) increment:
-            # replay the increments of the first row that passes the budget.
-            b = int(np.argmax(running > budget))
-            used = int(running[b] - terms[b])
-            row = [1] if one[b] else counts[int(np.sum(~one[:b]))].tolist()
-            for c in row:
-                used += c
-                if used > budget:
-                    raise BudgetExceededError(used, budget)
-        used = int(running[-1])
-        flat[start:stop] = vals
+        named = named_by.T[:, _grid((n,) * k, start, stop).T]  # (m, k, B)
+        gid = np.broadcast_to(sup.start, (stop - start, k))
+        vals, used = _utilities(
+            pop, sup, lambda index: pay[np.ravel_multi_index(index.T, sizes)], gid,
+            dict(enumerate(named.swapaxes(0, 1))), used, budget,
+        )
+        flat[start:stop] = vals.T
     return U
 
 
-def _mixed_utilities(
-    pop: Population,
-    pay: np.ndarray,
-    governing: Sequence[Sequence[int]],
-    named: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """For the ``(S, k, m)`` action indices ``named`` of S pure realizations
-    that play more than one profile: the ``(S, k)`` advisor utilities, summed
-    as :func:`_payoff_tensor` describes, and the ``(S, P)`` term counts of
-    the P governed (advisor, role) pairs in (advisor, role) order."""
-    S, k, m = named.shape
-    rows = np.arange(S)
-    slots, counts = [], []  # per role: (actions, masses, valid) and slot counts
-    for r, g in enumerate(governing):
-        width = min(len(g), pay.shape[r])
-        act = np.zeros((S, width), dtype=np.intp)
-        mass = np.zeros((S, width))
-        count = np.zeros(S, dtype=np.intp)
-        for q in g:
-            a = named[:, q, r]
-            s = count.copy()  # a new slot, unless an earlier advisor named a
-            for u in range(width):
-                s = np.where((u < count) & (act[:, u] == a), u, s)
-            act[rows, s] = a
-            mass[rows, s] += pop.shares[r][q]
-            count += s == count
-        slots.append((act, mass, np.arange(width) < count[:, None]))
-        counts.append(count)
-    out = np.zeros((S, k))
-    pair_counts = []
-    for j in range(k):
-        for i in range(m):
-            p = pop.shares[i][j]
-            if p <= 0.0:
-                continue
-            terms = np.ones(S, dtype=np.int64)
-            for r in range(m):
-                if r != i:
-                    terms *= counts[r]
-            pair_counts.append(terms)
-            value = np.zeros(S)
-            widths = [1 if r == i else slots[r][0].shape[1] for r in range(m)]
-            for combo in itertools.product(*map(range, widths)):
-                w = np.ones(S)
-                live = np.ones(S, dtype=bool)
-                index = []
-                for r, s in enumerate(combo):
-                    if r == i:
-                        index.append(named[:, j, i])
-                        continue
-                    act, mass, valid = slots[r]
-                    w = w * mass[:, s]
-                    live &= valid[:, s]
-                    index.append(act[:, s])
-                term = w * pay[(*index, i)]
-                value = np.where(live, value + term, value)
-            out[:, j] += p * value
-    return out, np.stack(pair_counts, axis=1)
-
-
-def _pure_supports(
-    game: BaseGame,
-    pop: Population,
-    supports: Sequence[Sequence[tuple[InstructionProfile | None, float]]],
-) -> tuple[list[int], list[np.ndarray], list[np.ndarray]] | None:
-    """The inputs of :func:`_realization_block`, or ``None`` when the block
-    path does not apply.
-
-    It applies when every role has one governing advisor, every outcome in
-    ``supports`` is a pure profile and the game has a block payoff.  A
-    ``None`` outcome is a placeholder whose roles the caller fills in.
-    Returns each role's owner and, per advisor, its outcomes' action indices
-    on the roles it owns (one row per outcome) and their probabilities.  An
-    owned label the game lacks raises :class:`InvalidProfileError`."""
-    owners = []
-    for row in pop.shares:
-        governing = [q for q, p in enumerate(row) if p > 0.0]
-        if len(governing) != 1:
-            return None
-        owners.append(governing[0])
-    if not game.has_payoff_block or any(
-        prof is not None and prof.pure_profile is None
-        for support in supports
-        for prof, _ in support
-    ):
-        return None
-    rows, probs = [], []
-    for q, support in enumerate(supports):
-        index = np.zeros((len(support), len(owners)), dtype=np.intp)
-        for o, (prof, _) in enumerate(support):
-            if prof is not None:
-                for i, owner in enumerate(owners):
-                    if owner == q:
-                        index[o, i] = game.action_index(i, prof.pure_profile[i])
-        rows.append(index)
-        probs.append(np.array([prob for _, prob in support]))
-    return owners, rows, probs
-
-
-def _grid(sizes: Sequence[int], start: int, stop: int) -> np.ndarray:
-    """Entries ``start .. stop - 1`` of ``itertools.product(*map(range,
-    sizes))`` as a ``(stop - start, len(sizes))`` index array."""
-    flat = np.arange(start, stop)
-    out = np.empty((stop - start, len(sizes)), dtype=np.intp)
-    for col in range(len(sizes) - 1, -1, -1):
-        flat, out[:, col] = np.divmod(flat, sizes[col])
-    return out
-
-
-def _realization_block(
-    owners: Sequence[int],
-    rows: Sequence[np.ndarray],
-    probs: Sequence[np.ndarray],
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint realizations ``start .. stop - 1`` of the product of the
-    advisors' outcomes, in :func:`games._weighted` order: the ``(B, m)``
-    action indices each plays and the ``(B,)`` weights, each a product taken
-    left to right from 1.0 as ``_weighted`` takes it."""
-    pick = _grid([len(p) for p in probs], start, stop)
-    weights = np.ones(stop - start)
-    for q, p in enumerate(probs):
-        weights *= p[pick[:, q]]
-    index = np.empty((stop - start, len(owners)), dtype=np.intp)
-    for i, q in enumerate(owners):
-        index[:, i] = rows[q][pick[:, q], i]
-    return index, weights
-
-
-def _block_utilities(pop: Population, pay: np.ndarray) -> np.ndarray:
-    """``(B, k)`` advisor utilities at B pure profiles whose ``(B, m)``
-    payoff vectors are ``pay``: advisor j's is ``shares[i][j] * pay[:, i]``
-    summed over the roles it governs, in role order from 0.0, as the scalar
-    fast path of :func:`_realization_utilities` sums it."""
-    out = np.zeros((len(pay), pop.llm_count))
-    for i, row in enumerate(pop.shares):
-        for j, p in enumerate(row):
-            if p > 0.0:
-                out[:, j] += p * pay[:, i]
-    return out
-
-
-def _neumaier(s: float, c: float, xs: np.ndarray) -> tuple[float, float]:
-    """The Neumaier sum ``s`` and compensation ``c`` after adding the terms
-    ``xs`` in order.  ``np.add.accumulate`` adds left to right, so the
-    running sums, the compensation terms and their sum are the floats of the
-    textbook loop ``t = s + x; c += (s - t) + x if |s| >= |x| else (x - t)
-    + s; s = t``."""
-    run = np.add.accumulate(np.concatenate(([s], xs)))
-    prev, t = run[:-1], run[1:]
+def _neumaier(s, c, xs: np.ndarray):
+    """The Neumaier sums ``s`` and compensations ``c`` after adding the terms
+    ``xs`` in order along its last axis (one row per sum).
+    ``np.add.accumulate`` adds in order, so the running sums, the
+    compensation terms and their sum are the floats of the textbook loop
+    ``t = s + x; c += (s - t) + x if |s| >= |x| else (x - t) + s; s = t``."""
+    head = xs.shape[:-1] + (1,)
+    run = np.add.accumulate(np.concatenate([np.reshape(s, head), xs], axis=-1), axis=-1)
+    prev, t = run[..., :-1], run[..., 1:]
     comp = np.where(np.abs(prev) >= np.abs(xs), (prev - t) + xs, (xs - t) + prev)
-    return float(run[-1]), float(np.add.accumulate(np.concatenate(([c], comp)))[-1])
+    comp = np.concatenate([np.reshape(c, head), comp], axis=-1)
+    # Copies, so the running sums are freed before the next block.
+    return run[..., -1].copy(), np.add.accumulate(comp, axis=-1)[..., -1].copy()
 
 
 def llm_utility(
@@ -785,12 +824,10 @@ def llm_utility(
 
     Accepts a (possibly mixed) :class:`MetaProfile` or a single joint
     realization.  Exact at desk scale; raises :class:`BudgetExceededError`
-    when the enumeration would exceed ``budget`` payoff terms.  Each
-    advisor's total is a Neumaier-compensated sum over the joint
-    realizations in product order.  When each role has one governing
-    advisor and every outcome is a pure profile, the realizations are
-    evaluated in numpy blocks (see the module docstring), with the same
-    result to the last bit.
+    when the enumeration would exceed ``budget`` payoff terms.  The joint
+    realizations are evaluated in product order by :func:`_utilities`, in
+    blocks of at most ``BLOCK_REALIZATIONS``, and each advisor's total is
+    their Neumaier-compensated sum.
     """
     mixed = isinstance(profile, MetaProfile)
     advisors = profile.actions if mixed else tuple(profile)
@@ -800,34 +837,14 @@ def llm_utility(
     combos = math.prod(map(len, supports))
     if combos > budget:
         raise BudgetExceededError(combos, budget)
-    k = pop.llm_count
-    s = [0.0] * k
-    c = [0.0] * k
-    pure = _pure_supports(game, pop, supports)
-    if pure is not None:
-        for start in range(0, combos, BLOCK_REALIZATIONS):
-            stop = min(start + BLOCK_REALIZATIONS, combos)
-            index, weights = _realization_block(*pure, start, stop)
-            vals = _block_utilities(pop, game.payoff_block(index))
-            for j in range(k):
-                s[j], c[j] = _neumaier(s[j], c[j], weights * vals[:, j])
-        return tuple(s[j] + c[j] for j in range(k))
-    terms = _Terms(game, budget)
-    # Inline Neumaier-compensated accumulation: joint supports can run to
-    # millions of realizations and the golden comparisons sit at 1e-9.
-    # Kept apart from _neumaier: through its numpy calls, llm_utility of one
-    # heist realization took about 1.6 times as long.
-    for weight, realization in _weighted(supports):
-        vals = _realization_utilities(terms, pop, realization)
-        for j in range(k):
-            x = weight * vals[j]
-            t = s[j] + x
-            if abs(s[j]) >= abs(x):
-                c[j] += (s[j] - t) + x
-            else:
-                c[j] += (x - t) + s[j]
-            s[j] = t
-    return tuple(s[j] + c[j] for j in range(k))
+    s = c = np.zeros(pop.llm_count)
+    sup = _supports(game, pop, supports)
+    used = 0
+    for start in range(0, combos, BLOCK_REALIZATIONS):
+        gid, weights = _realization_block(sup, start, min(start + BLOCK_REALIZATIONS, combos))
+        vals, used = _utilities(pop, sup, game.payoff_block, gid, {}, used, budget)
+        s, c = _neumaier(s, c, weights * vals)
+    return tuple((s + c).tolist())
 
 
 def average_utility(

@@ -27,7 +27,7 @@ from .errors import (
     NotSingleRoleError,
     ValidationError,
 )
-from .games import BaseGame, MixedStrategy, StrategyProfile, _weighted
+from .games import BaseGame, MixedStrategy, StrategyProfile
 from .model import (
     BLOCK_REALIZATIONS,
     DEFAULT_TERM_BUDGET,
@@ -35,15 +35,15 @@ from .model import (
     MetaAction,
     MetaProfile,
     Population,
-    _block_utilities,
     _check_advisor,
     _check_advisors,
     _grid,
+    _ordered_sum,
     _payoff_tensor,
-    _pure_supports,
+    _pure_instruction,
     _realization_block,
-    _realization_utilities,
-    _Terms,
+    _supports,
+    _utilities,
     llm_utility,
 )
 
@@ -145,36 +145,29 @@ def verify_rotation_symmetry(
 ) -> None:
     """Check that the game and every opponent of j are rotation-invariant.
 
-    Tabular games are checked exhaustively; rule-backed games on
+    Tabular games are checked on every profile, rule-backed games on
     ``ROTATION_SAMPLES`` profiles of role 0's labels drawn from a fixed
-    seed.  A rule with a block form scores the samples and their rotations
-    in one :meth:`~metagame.games.BaseGame.payoff_block` call each, every
+    seed, each against its rotation in one
+    :meth:`~metagame.games.BaseGame.payoff_block` call per side, every
     label at its index in each role's own list.  Raises ``ValidationError``
     on any violation.
     """
     mapping = rotation_mapping(game)
     labels = game.actions[0]
-    drawn = np.random.default_rng(0).integers(
-        len(labels), size=(ROTATION_SAMPLES, game.role_count)
+    m = game.role_count
+    drawn = (
+        _grid((len(labels),) * m, 0, game.num_profiles)
+        if game.table is not None
+        else np.random.default_rng(0).integers(len(labels), size=(ROTATION_SAMPLES, m))
     )
-    if game.table is None and game.has_payoff_block:
-        # at[a, i]: role i's index of role 0's a-th label, whose rotation is
-        # role 0's (a + 1)-th.
-        at = np.array([[acts.index(x) for acts in game.actions] for x in labels])
-        roles = np.arange(game.role_count)
-        invariant = np.array_equal(
-            game.payoff_block(at[(drawn + 1) % len(labels), roles]),
-            game.payoff_block(at[drawn, roles]),
-        )
-    else:
-        profiles = game.profiles() if game.table is not None else (
-            tuple(labels[a] for a in row) for row in drawn.tolist()
-        )
-        invariant = all(
-            game.payoff(tuple(mapping[a] for a in prof)) == game.payoff(prof)
-            for prof in profiles
-        )
-    if not invariant:
+    # at[a, i]: role i's index of role 0's a-th label, whose rotation is
+    # role 0's (a + 1)-th.
+    at = np.array([[acts.index(x) for acts in game.actions] for x in labels])
+    roles = np.arange(m)
+    if not np.array_equal(
+        game.payoff_block(at[(drawn + 1) % len(labels), roles]),
+        game.payoff_block(at[drawn, roles]),
+    ):
         raise ValidationError("game payoffs are not rotation-invariant")
     actions = profile.actions if isinstance(profile, MetaProfile) else profile
     for q, action in enumerate(actions):
@@ -185,29 +178,6 @@ def verify_rotation_symmetry(
                 f"advisor {q} meta-action is not rotation-invariant; "
                 "orbit reduction would be unsound"
             )
-
-
-def _deviation_candidates(
-    game: BaseGame, pop: Population, j: int, reduce_rotations: bool
-):
-    """Pure deviation profiles in lexicographic order.
-
-    Ungoverned roles are pinned to the first action (payoff-irrelevant for j,
-    and the lexicographically smallest completion).  With rotation reduction
-    the first governed role is pinned too, yielding one orbit representative.
-    """
-    governed = pop.governed_roles(j)
-    if not governed:
-        yield tuple(acts[0] for acts in game.actions)
-        return
-    free = list(governed)
-    if reduce_rotations:
-        free.pop(0)
-    for combo in itertools.product(*(game.actions[i] for i in free)):
-        full = [acts[0] for acts in game.actions]
-        for role, a in zip(free, combo):
-            full[role] = a
-        yield tuple(full)
 
 
 def best_response(
@@ -225,10 +195,13 @@ def best_response(
     roles, else :class:`ValidationError`.  ``symmetry='rotation'`` scores one
     representative per label-rotation orbit after verifying that the game and
     all opponents are rotation-invariant; the reported profile is then a
-    maximizer up to relabeling.  When each role has one governing advisor
-    and every opponent outcome is a pure profile, candidates and opponent
-    outcomes are scored in numpy blocks (see :mod:`metagame.model`), with
-    the same value and profile to the last bit.
+    maximizer up to relabeling.  The candidates are the pure profiles of the
+    roles j governs (with rotation, all but the first), in lexicographic
+    order; every other role plays its first action, which leaves j's value
+    unchanged and makes the profile lexicographically smallest.  Candidates
+    times opponent outcomes are scored by :func:`metagame.model._utilities`
+    in blocks of at most ``BLOCK_REALIZATIONS``; each candidate's value sums
+    its outcomes in order from 0.0, and the first maximum wins.
     """
     _check_advisor(pop, j)
     if symmetry not in (None, "rotation"):
@@ -238,70 +211,38 @@ def best_response(
     if symmetry == "rotation":
         verify_rotation_symmetry(game, actions, j)
 
-    free = pop.governed_roles(j)[1 if symmetry else 0 :]
-    candidates = math.prod(len(game.actions[i]) for i in free)
-    # Slot j becomes the single outcome None of weight 1, so each weight is
-    # the product over the opponents alone, to the last bit.
-    supports = [((None, 1.0),) if q == j else a.outcomes for q, a in enumerate(actions)]
-    outcome_combos = math.prod(len(s) for s in supports)
-    if candidates * outcome_combos > budget:
-        raise BudgetExceededError(candidates * outcome_combos, budget)
-
-    pure = _pure_supports(game, pop, supports)
-    if pure is not None:
-        return _best_block_response(game, pop, j, free, pure)
-    outcomes = list(_weighted(supports))
-    terms = _Terms(game, budget)
-    best_val = None
-    best_profile = None
-    for candidate in _deviation_candidates(game, pop, j, symmetry == "rotation"):
-        cand_instr = InstructionProfile.pure(candidate)
-        total = 0.0
-        for w, others in outcomes:
-            realization = others[:j] + (cand_instr,) + others[j + 1 :]
-            total += w * _realization_utilities(terms, pop, realization)[j]
-        if best_val is None or total > best_val:
-            best_val = total
-            best_profile = candidate
-    return BestResponse(llm=j, value=best_val, profile=best_profile)
-
-
-def _best_block_response(game, pop, j, free, pure) -> BestResponse:
-    """:func:`best_response` on the block path: candidates (action indices on
-    the ``free`` roles, the rest at index 0) times opponent outcomes, in
-    numpy blocks of at most ``BLOCK_REALIZATIONS``.  Each candidate's total
-    is summed over the outcomes in order from 0.0 (``np.add.accumulate``
-    adds left to right), and the first maximum wins, as in the scalar loop."""
-    owners, rows, probs = pure
+    free = list(pop.governed_roles(j)[1 if symmetry else 0 :])
     sizes = [len(game.actions[i]) for i in free]
     n_cand = math.prod(sizes)
-    n_out = math.prod(len(p) for p in probs)
+    # Slot j holds one pure outcome of weight 1, whose actions each candidate
+    # fills in, so each weight is the product over the opponents alone.
+    first = _pure_instruction(tuple(acts[0] for acts in game.actions))
+    supports = [((first, 1.0),) if q == j else a.outcomes for q, a in enumerate(actions)]
+    n_out = math.prod(len(s) for s in supports)
+    if n_cand * n_out > budget:
+        raise BudgetExceededError(n_cand * n_out, budget)
+    sup = _supports(game, pop, supports)
     cand_step = max(1, BLOCK_REALIZATIONS // n_out)
     out_step = min(n_out, BLOCK_REALIZATIONS)
-    best_val, best = None, None
+    used, best_val, best = 0, None, None
     for c0 in range(0, n_cand, cand_step):
-        cands = _grid(sizes, c0, min(c0 + cand_step, n_cand))
+        cands = np.zeros((min(cand_step, n_cand - c0), game.role_count), dtype=np.intp)
+        cands[:, free] = _grid(sizes, c0, c0 + len(cands))
         totals = np.zeros(len(cands))
         for o0 in range(0, n_out, out_step):
-            index, weights = _realization_block(
-                owners, rows, probs, o0, min(o0 + out_step, n_out)
+            gid, weights = _realization_block(sup, o0, min(o0 + out_step, n_out))
+            fill = np.zeros((game.role_count, len(cands), len(gid)), dtype=np.intp)
+            fill[free] = cands.T[free, :, None]
+            vals, used = _utilities(
+                pop, sup, game.payoff_block, np.tile(gid, (len(cands), 1)),
+                {j: fill.reshape(game.role_count, -1)}, used, budget,
             )
-            index = np.repeat(index[None], len(cands), axis=0)
-            index[:, :, list(free)] = cands[:, None, :]
-            vals = _block_utilities(
-                pop, game.payoff_block(index.reshape(-1, len(owners)))
-            )[:, j]
-            weighted = weights * vals.reshape(len(cands), -1)
-            totals = np.add.accumulate(
-                np.concatenate([totals[:, None], weighted], axis=1), axis=1
-            )[:, -1]
+            totals = _ordered_sum(weights[:, None] * vals[j].reshape(len(cands), -1).T, totals)
         top = int(np.argmax(totals))
         if best_val is None or totals[top] > best_val:
             best_val, best = float(totals[top]), cands[top]
-    profile = [acts[0] for acts in game.actions]
-    for i, a in zip(free, best):
-        profile[i] = game.actions[i][a]
-    return BestResponse(llm=j, value=best_val, profile=tuple(profile))
+    profile = tuple(acts[a] for acts, a in zip(game.actions, best))
+    return BestResponse(llm=j, value=best_val, profile=profile)
 
 
 def check_equilibrium(

@@ -55,7 +55,6 @@ from .model import (
     llm_utility,
     _check_advisor,
     _pure_instruction,
-    _Terms,
 )
 from .protocol import (
     EXCESS,
@@ -819,7 +818,8 @@ def run_repeated(
     computed once per distinct realized tuple and reused, and each distinct
     aggregate gets a table id for the stepper's review-check memo.  A pure
     tuple's utilities are read off ``params.payoff_tensor``, any other's
-    from :func:`llm_utility`, both bit for bit the scalar path's.  Raises
+    from :func:`llm_utility`; both come from the one realization kernel of
+    :mod:`metagame.model`, so they are the same floats.  Raises
     :class:`ValidationError` unless ``params`` were derived for ``pop`` and
     for ``game``'s action sets.
     """
@@ -1063,19 +1063,14 @@ def _sample_run(plan, world: np.random.Generator, n: int):
     return _joint_cells(supports), sizes
 
 
-def _cell_maps(game: BaseGame, terms: _Terms, cells, k: int):
+def _cell_maps(game: BaseGame, cells, k: int):
     """For joint cells (an index array per role): the 0/1 matrix from each
     cell to its action in every role (one column per (role, action), role by
     role), and each advisor's payoff per client of the cell, summed over the
     roles it owns, so that counts times them give action counts and
     utilities."""
     ns = [len(labels) for labels in game.actions]
-    pays = np.array(
-        [
-            terms.payoff(tuple(labels[c % n] for labels, c, n in zip(game.actions, cell, ns)))
-            for cell in zip(*(c.tolist() for c in cells))
-        ]
-    )
+    pays = game.payoff_block(np.stack([c % n for c, n in zip(cells, ns)], axis=1))
     rows = np.arange(len(pays))
     actions = np.zeros((len(rows), sum(ns)))
     payoffs = np.zeros((len(rows), k))
@@ -1102,7 +1097,6 @@ class _Realizer:
         self.game, self.pop, self.counts, self.world = game, pop, counts, world
         self.N, self.k = sum(counts[0]), pop.llm_count
         self.ns = [len(labels) for labels in game.actions]
-        self.terms = _Terms(game)
         self.gaps: list[float] = []
         self._tables: dict[tuple, tuple[AggregateTable, int]] = {}
         ends = np.cumsum(self.ns).tolist()
@@ -1117,7 +1111,7 @@ class _Realizer:
         if math.prod(len(s) for s in supports) > RUN_CELLS:
             return continuum, plan, None
         cells = _joint_cells(supports)
-        actions, payoffs = _cell_maps(self.game, self.terms, cells, self.k)
+        actions, payoffs = _cell_maps(self.game, cells, self.k)
         flat = np.concatenate(continuum.masses)
         return continuum, plan, (actions, payoffs, flat)
 
@@ -1152,12 +1146,7 @@ class _Realizer:
         table = AggregateTable(
             tuple(np.bincount(a, weights=size, minlength=n) / N for a, n in zip(actions, ns))
         )
-        pays = size[:, None] * np.array(
-            [
-                self.terms.payoff(tuple(labels[a] for labels, a in zip(game.actions, profile)))
-                for profile in zip(*(a.tolist() for a in actions))
-            ]
-        )
+        pays = size[:, None] * game.payoff_block(np.stack(actions, axis=1))
         utilities = sum(
             np.bincount(c // n, weights=pays[:, i], minlength=k)
             for i, (c, n) in enumerate(zip(cells, ns))
@@ -1187,8 +1176,8 @@ def finite_population_run(
     partners of each occupied cell of roles 0..i-1 are a uniform subset of
     what is left of role i, a multivariate hypergeometric draw.  The
     aggregate is each role's marginal over N; an advisor's utility is the
-    count-weighted payoff of the roles it owns, over N, with one
-    ``game.payoff`` call per distinct action profile (exact for integer
+    count-weighted payoff of the roles it owns, over N, with the occupied
+    cells' payoffs read in one ``game.payoff_block`` call (exact for integer
     payoffs, else within 2.2e-16 of a per-client sum in the pinned heist
     runs).
 

@@ -89,6 +89,28 @@ def test_equilibrium_rejects_all_defect(tmp_path):
     assert _results(out)["is_epsilon_equilibrium"] is False
 
 
+def test_eval_stops_a_wide_mixed_bounded10_instruction_at_the_budget(tmp_path):
+    """Ten roles, each instructed over six actions: one role's product has
+    6 * 6^9 terms, past the default budget, so ``eval`` stops with the
+    budget error before it builds any product."""
+    wide = [[{"weights": {str(a): 1 / 6 for a in range(1, 7)}, "fraction": 1.0}]] * 10
+    doc = {
+        "schema": 1,
+        "game": {"name": "bounded10", "params": {"n_actions": 40}},
+        "population": {"scenario": "bounded10", "params": {}},
+        "meta_profiles": {
+            "main": {"llms": [[{"probability": 1.0, "instruction": wide}]] * 3}
+        },
+    }
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_command(["eval", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert "budget" in err.getvalue()
+
+
 def test_eval_reports_totals_and_averages(tmp_path):
     cfg = _pd_config(tmp_path)
     out = tmp_path / "out"
@@ -980,21 +1002,21 @@ MUTATED_BASES = {
 def test_warm_readme_pd_folk_run_makes_no_scalar_call(tmp_path, monkeypatch):
     """Runs read pure realizations and myopic replies off the payoff tensor:
     once warm, a README-PD ``folk run`` with its heavy adversary makes no
-    scalar realization call and no ``best_response`` call."""
+    ``llm_utility`` call from the simulator and no ``best_response`` call."""
     path = tmp_path / "readme-pd.json"
     path.write_text(json.dumps({**MUTATED_BASES["readme-pd"], "trials": 10, "seed": 7}))
     argv = ["folk", "run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
     assert run_command(argv) == EXIT_OK
     calls = collections.Counter()
-    for module in [m for name, m in sys.modules.items() if name.startswith("metagame")]:
-        for name in ("_realization_utilities", "best_response"):
-            original = getattr(module, name, None)
-            if original is not None:
-                def counting(*args, _name=name, _original=original, **kwargs):
-                    calls[_name] += 1
-                    return _original(*args, **kwargs)
+    targets = [(m, "best_response") for n, m in sys.modules.items() if n.startswith("metagame")]
+    for module, name in [(sys.modules["metagame.sim"], "llm_utility"), *targets]:
+        original = getattr(module, name, None)
+        if original is not None:
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-                monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(module, name, counting)
     assert run_command(argv) == EXIT_OK
     assert calls == {}
 

@@ -5,6 +5,7 @@ import pytest
 
 from metagame.errors import BudgetExceededError, NotSingleRoleError, ValidationError
 from metagame.games import (
+    _RULES,
     BaseGame,
     MixedStrategy,
     StrategyProfile,
@@ -321,7 +322,7 @@ register_payoff_rule("test_label_one_block", _label_one_prize, _label_one_block)
 def test_rotation_check_rejects_a_rule_game_that_is_not_invariant(rule):
     labels = tuple(str(a + 1) for a in range(6))
     game = BaseGame.from_rule((labels,) * 10, rule, n_roles=10)
-    assert game.has_payoff_block == (rule == "test_label_one_block")
+    assert (_RULES[rule][1] is not None) == (rule == "test_label_one_block")
     profile = bounded10_equilibrium_profile(make_scenario("bounded10", n_actions=6))
     with pytest.raises(ValidationError, match="game payoffs"):
         verify_rotation_symmetry(game, profile, 1)

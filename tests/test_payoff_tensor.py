@@ -1,6 +1,7 @@
 """The payoff tensor ``U[a_1..a_k, j]`` against the brute-force oracle and
-against the per-realization loops it replaced, which are kept below as
-references.  The arithmetic is unchanged, so the comparisons are exact.
+against per-realization loops over the scalar reference
+(``scalar_reference``).  The arithmetic is unchanged, so the comparisons are
+exact.
 Every certificate's best reply, read off the tensor, is checked against the
 reply of ``oneshot.best_response``, which never builds it."""
 
@@ -13,8 +14,6 @@ import numpy as np
 import pytest
 
 import metagame.feasibility as feasibility
-import metagame.model as model
-import metagame.oneshot as oneshot
 from metagame.errors import BudgetExceededError
 from metagame.feasibility import (
     MinmaxCertificate,
@@ -28,14 +27,8 @@ from metagame.feasibility import (
     minmax,
     payoff_vertices,
 )
-from metagame.model import (
-    InstructionProfile,
-    MetaAction,
-    Population,
-    _payoff_tensor,
-    _realization_utilities,
-    _Terms,
-)
+from metagame.games import BaseGame
+from metagame.model import InstructionProfile, MetaAction, Population, _payoff_tensor
 from metagame.oneshot import best_response, meta_bimatrix
 from metagame.protocol import best_pure_punishment
 from metagame.scenarios import make_scenario, scenario_population
@@ -46,6 +39,7 @@ from oracles import (
     random_meta_action,
     random_population,
 )
+from scalar_reference import _realization_utilities, _Terms
 from test_tensor_blocks import _random_instances
 
 BUDGET = 10**7
@@ -215,25 +209,27 @@ def test_tensor_reads_equal_the_loops(game, pop):
 
 
 def test_heist_minmax_builds_the_tensor_once(monkeypatch):
+    """Each ``minmax`` builds the tensor once and reads no payoff but the
+    tensor's ``num_profiles`` rows."""
     game = make_scenario("heist")
     pop = scenario_population("heist")
-    builds, realizations = [0], [0]
-    build, realize = feasibility._payoff_tensor, model._realization_utilities
+    builds, rows = [0], [0]
+    build, block = feasibility._payoff_tensor, BaseGame.payoff_block
 
     def counting_build(*args):
         builds[0] += 1
         return build(*args)
 
-    def counting_realize(*args):
-        realizations[0] += 1
-        return realize(*args)
+    def counting_block(self, index):
+        rows[0] += len(index)
+        return block(self, index)
 
     monkeypatch.setattr(feasibility, "_payoff_tensor", counting_build)
-    monkeypatch.setattr(model, "_realization_utilities", counting_realize)
-    monkeypatch.setattr(oneshot, "_realization_utilities", counting_realize)
+    monkeypatch.setattr(BaseGame, "payoff_block", counting_block)
     for j in range(pop.llm_count):
         minmax(game, pop, j, starts=2)
-        assert (builds[0], realizations[0]) == (j + 1, 0)
+        assert builds[0] == j + 1
+        assert rows[0] <= builds[0] * game.num_profiles
 
 
 # ------------------------------------------------- best replies off the tensor

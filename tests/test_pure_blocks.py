@@ -1,7 +1,8 @@
-"""The numpy block path of ``llm_utility`` and ``best_response`` against the
-scalar per-realization loops it bypasses, which are kept below as
-references.  The block path does the same float operations in the same
-order, so the comparisons are exact: value and profile, to the last bit."""
+"""``llm_utility`` and ``best_response`` on one-owner pure profiles, where
+every joint realization plays one profile, against the scalar
+per-realization loops of ``scalar_reference``.  The kernel does the same
+float operations in the same order, so the comparisons are exact: value and
+profile, to the last bit.  Also the block payoffs of table and rule games."""
 
 import itertools
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from metagame.errors import InvalidProfileError
-from metagame.games import BaseGame, MixedStrategy, _weighted
+from metagame.games import BaseGame, MixedStrategy
 from metagame.model import (
     BLOCK_REALIZATIONS,
     InstructionProfile,
@@ -20,12 +21,9 @@ from metagame.model import (
     MetaProfile,
     Population,
     _neumaier,
-    _pure_supports,
-    _realization_utilities,
-    _Terms,
     llm_utility,
 )
-from metagame.oneshot import _deviation_candidates, best_response
+from metagame.oneshot import best_response
 from metagame.scenarios import (
     _bounded_rule,
     bounded10_equilibrium_profile,
@@ -34,50 +32,19 @@ from metagame.scenarios import (
 )
 
 from oracles import governance_utilities, random_game
+import scalar_reference as ref
 
 BUDGET = 10**8
 
 
-# ------------------------------------------------------------ loop references
-
-
 def loop_llm_utility(game, pop, profile):
-    """Neumaier sums of ``_realization_utilities`` over the joint
-    realizations, one Python step per realization."""
-    k = pop.llm_count
-    terms = _Terms(game, BUDGET)
-    s, c = [0.0] * k, [0.0] * k
-    for weight, realization in _weighted([a.outcomes for a in profile.actions]):
-        vals = _realization_utilities(terms, pop, realization)
-        for j in range(k):
-            x = weight * vals[j]
-            t = s[j] + x
-            if abs(s[j]) >= abs(x):
-                c[j] += (s[j] - t) + x
-            else:
-                c[j] += (x - t) + s[j]
-            s[j] = t
-    return tuple(s[j] + c[j] for j in range(k))
+    return ref.loop_llm_utility(game, pop, profile, ref._Terms(game, BUDGET))
 
 
 def loop_best_response(game, pop, profile, j, rotation=False):
-    """(value, profile) of the first best pure deviation, one
-    ``_realization_utilities`` call per candidate and opponent outcome."""
-    supports = [
-        ((None, 1.0),) if q == j else a.outcomes for q, a in enumerate(profile.actions)
-    ]
-    outcomes = list(_weighted(supports))
-    terms = _Terms(game, BUDGET)
-    best = None
-    for candidate in _deviation_candidates(game, pop, j, rotation):
-        instr = InstructionProfile.pure(candidate)
-        total = 0.0
-        for w, others in outcomes:
-            realization = others[:j] + (instr,) + others[j + 1 :]
-            total += w * _realization_utilities(terms, pop, realization)[j]
-        if best is None or total > best[0]:
-            best = (total, candidate)
-    return best
+    return ref.loop_best_response(
+        game, pop, profile.actions, j, ref._Terms(game, BUDGET), rotation
+    )
 
 
 # ------------------------------------------------------------------ instances
@@ -119,7 +86,10 @@ RANDOM = _random_instances()
 
 
 def _assert_block_equals_loops(game, pop, profile, rotation=False, skip=()):
-    assert _pure_supports(game, pop, [a.outcomes for a in profile.actions]) is not None
+    # One governing advisor per role and pure outcomes: one profile per
+    # realization.
+    assert all(sum(p > 0.0 for p in row) == 1 for row in pop.shares)
+    assert all(a.is_role_homogeneous() for a in profile.actions)
     assert llm_utility(game, pop, profile, BUDGET) == loop_llm_utility(game, pop, profile)
     for j in range(pop.llm_count):
         if j in skip:
@@ -178,7 +148,7 @@ def test_advisor_governing_no_role():
     assert (br.value, br.profile) == (0.0, tuple(acts[0] for acts in game.actions))
 
 
-def test_mixed_outcome_or_shared_role_takes_the_scalar_path():
+def test_mixed_outcome_or_shared_role_matches_the_loops():
     rng = random.Random(6)
     game = random_game(rng, roles=3, n_actions=2)
     pop = _one_owner_population((0, 1, 1), 2)
@@ -189,24 +159,23 @@ def test_mixed_outcome_or_shared_role_takes_the_scalar_path():
         )
     )
     profile = MetaProfile((pure, mixed))
-    assert _pure_supports(game, pop, [a.outcomes for a in profile.actions]) is None
     assert llm_utility(game, pop, profile) == loop_llm_utility(game, pop, profile)
     br = best_response(game, pop, profile, 0)
     assert (br.value, br.profile) == loop_best_response(game, pop, profile, 0)
 
     shared = Population(((1.0, 0.0), (0.5, 0.5), (0.0, 1.0)))
     profile = MetaProfile((pure, _pure_meta_action(rng, game, 2)))
-    assert _pure_supports(game, shared, [a.outcomes for a in profile.actions]) is None
     assert llm_utility(game, shared, profile) == loop_llm_utility(game, shared, profile)
 
 
-def test_rule_without_block_form_takes_the_scalar_path():
+def test_rule_without_block_form_reads_rows_through_the_rule():
     table = random_game(random.Random(7), roles=2, n_actions=2)
     game = BaseGame(actions=table.actions, _rule=table.payoff)
     pop = _one_owner_population((0, 1), 2)
     profile = MetaProfile.from_pure([("a0", "a1"), ("a1", "a0")])
-    assert not game.has_payoff_block
-    assert _pure_supports(game, pop, [a.outcomes for a in profile.actions]) is None
+    index = np.array(list(itertools.product(range(2), repeat=2)))
+    assert game.payoff_block(index).tolist() == table.payoff_block(index).tolist()
+    assert game.payoff_block(index[:0]).shape == (0, 2)
     assert llm_utility(game, pop, profile) == llm_utility(table, pop, profile)
 
 

@@ -11,7 +11,6 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-import metagame.model
 import metagame.sim
 from metagame.errors import MetagameError, ValidationError
 from metagame.games import BaseGame, MixedStrategy, register_payoff_rule
@@ -508,7 +507,7 @@ def test_run_repeated_realizes_each_distinct_tuple_once(
     heist, heist_pop, small_params, monkeypatch, kind
 ):
     aggregates = _count_calls(monkeypatch, "aggregate_mass")
-    scalar = _count_calls(monkeypatch, "_realization_utilities", metagame.model)
+    evaluated = _count_calls(monkeypatch, "llm_utility")
     strategies = [make_adversary(heist, heist_pop, small_params, kind),
                   HonestStrategy(), HonestStrategy()]
     log = run_repeated(
@@ -519,7 +518,7 @@ def test_run_repeated_realizes_each_distinct_tuple_once(
     assert len(log.records) > len(distinct)
     assert len(aggregates) == len(distinct) and set(aggregates) == distinct
     # Every tuple is pure, so its utilities are read off the payoff tensor.
-    assert scalar == []
+    assert evaluated == []
     for rec in log.records:
         assert rec.utilities == llm_utility(heist, heist_pop, rec.instructions)
 
@@ -546,14 +545,14 @@ def test_run_repeated_evaluates_mixed_and_split_tuples_exactly(
     pd_small_params, monkeypatch, instruction
 ):
     pd, pop, params = pd_small_params
-    scalar = _count_calls(monkeypatch, "_realization_utilities", metagame.model)
+    evaluated = _count_calls(monkeypatch, "llm_utility")
     strategies = [FixedProfileStrategy(MetaAction.deterministic(instruction)),
                   HonestStrategy()]
     log = run_repeated(pd, pop, params, strategies, delta=0.9, tail_tol=1e-3, seed=5)
     distinct = {rec.instructions for rec in log.records}
     assert any(ip.pure_profile is None for tup in distinct for ip in tup)
-    # One scalar evaluation per distinct tuple with a mixed or split instruction.
-    assert len(scalar) == len(distinct)
+    # One evaluation per distinct tuple with a mixed or split instruction.
+    assert len(evaluated) == len(distinct)
     for rec in log.records:
         want = llm_utility(pd, pop, rec.instructions)
         assert [v.hex() for v in rec.utilities] == [v.hex() for v in want]
@@ -562,7 +561,7 @@ def test_run_repeated_evaluates_mixed_and_split_tuples_exactly(
 def test_finite_run_realizes_each_distinct_tuple_once(pd_small_params, monkeypatch):
     pd, pop, params = pd_small_params
     aggregates = _count_calls(monkeypatch, "aggregate_mass")
-    utilities = _count_calls(monkeypatch, "_realization_utilities", metagame.model)
+    utilities = _count_calls(monkeypatch, "llm_utility")
     strategies = [HonestStrategy(), make_adversary(pd, pop, params, "heavy")]
     log, _ = finite_population_run(
         200, pd, pop, strategies, periods=2 * params.block_length, seed=3,

@@ -1,71 +1,26 @@
 """``model._payoff_tensor``, built in numpy blocks, against the
-per-realization loop it replaced, which is kept below as the reference.  Both
-do the same float operations in the same order, so the tensors are compared
-byte for byte, and a term budget stops both at the same running count."""
+per-realization loop of ``scalar_reference``.  Both do the same float
+operations in the same order, so the tensors are compared byte for byte, and
+a term budget stops both at the same running count."""
 
-import bisect
-import itertools
 import json
 import random
 import sys
 
-import numpy as np
 import pytest
 
 import metagame.model as model
 from metagame.cli import EXIT_CONFIG, EXIT_OK, run_command
 from metagame.errors import BudgetExceededError
-from metagame.games import BaseGame, register_payoff_rule
-from metagame.model import (
-    InstructionProfile,
-    Population,
-    _payoff_tensor,
-    _realization_utilities,
-    _Terms,
-)
+from metagame.games import _RULES, BaseGame, register_payoff_rule
+from metagame.model import Population, _payoff_tensor
 from metagame.scenarios import make_scenario, scenario_population
 
 from oracles import random_game
+from scalar_reference import RecordingTerms, _Terms, loop_needed, loop_payoff_tensor
 
 BUDGET = 10**7
 HEIST_TERMS = 14_048  # the loop's term count over all 512 heist realizations
-
-
-# ------------------------------------------------------------ loop reference
-
-
-class _RecordingTerms(_Terms):
-    """``_Terms`` that notes the running count at every budget check."""
-
-    def __init__(self, game):
-        super().__init__(game)
-        self.checks = []
-
-    def spend(self, n):
-        super().spend(n)
-        self.checks.append(self.used)
-
-
-def loop_payoff_tensor(game, pop, terms):
-    """The tensor one realization at a time through ``_realization_utilities``.
-    A one-profile realization counts its term inline, not through ``spend``,
-    so the count after each realization is noted as well."""
-    n = game.num_profiles
-    k = pop.llm_count
-    pure = [InstructionProfile.pure(p) for p in game.profiles()]
-    U = np.empty((n,) * k + (k,))
-    for idx in itertools.product(range(n), repeat=k):
-        U[idx] = _realization_utilities(terms, pop, tuple(pure[a] for a in idx))
-        if isinstance(terms, _RecordingTerms) and terms.checks[-1:] != [terms.used]:
-            terms.checks.append(terms.used)
-    return U
-
-
-def loop_needed(checks, budget):
-    """The loop's ``BudgetExceededError.needed`` at ``budget``, or ``None``
-    when the loop finishes."""
-    at = bisect.bisect_right(checks, budget)
-    return checks[at] if at < len(checks) else None
 
 
 # ------------------------------------------------------------------ instances
@@ -149,7 +104,7 @@ RANDOM = _random_instances()
 
 
 def _check_against_loop(game, pop):
-    terms = _RecordingTerms(game)
+    terms = RecordingTerms(game)
     ref = loop_payoff_tensor(game, pop, terms)
     U = _payoff_tensor(game, pop, BUDGET)
     assert U.shape == ref.shape
@@ -162,7 +117,7 @@ def _check_against_loop(game, pop):
 
 def test_named_instances_cover_the_cases():
     rule, _ = NAMED["rule-without-block"]
-    assert not rule.has_payoff_block
+    assert _RULES[rule.rule_name][1] is None  # no vectorized form
     assert NAMED["zero-share-advisor"][1].governed_roles(2) == ()
     assert len(set(NAMED["equal-shares"][1].shares[0])) == 1
     sizes = {(g.role_count, len(g.actions[0]), p.llm_count) for g, p in RANDOM}
@@ -190,29 +145,31 @@ def test_random_shared_role_tensors_are_the_loop_bit_for_bit():
 
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_tensor_reads_each_payoff_once_and_no_realization(monkeypatch, name):
+    """One ``payoff_block`` call over the pure profiles, and no profile read
+    one at a time."""
     game, pop = NAMED[name]
-    realizations, payoffs = [0], [0]
-    original_payoff = BaseGame.payoff
+    rows, payoffs = [], [0]
+    original_block, original_payoff = BaseGame.payoff_block, BaseGame.payoff
 
-    def count_realization(*args):
-        realizations[0] += 1
-        return _realization_utilities(*args)
+    def count_block(self, index):
+        rows.append(len(index))
+        return original_block(self, index)
 
     def count_payoff(self, profile):
         payoffs[0] += 1
         return original_payoff(self, profile)
 
-    monkeypatch.setattr(model, "_realization_utilities", count_realization)
+    monkeypatch.setattr(BaseGame, "payoff_block", count_block)
     monkeypatch.setattr(BaseGame, "payoff", count_payoff)
     _payoff_tensor(game, pop, BUDGET)
-    assert realizations[0] == 0
-    assert 0 < payoffs[0] <= game.num_profiles
+    assert payoffs[0] == 0
+    assert len(rows) == 1 and 0 < sum(rows) <= game.num_profiles
 
 
 @pytest.fixture(scope="module")
 def heist_checks():
     game, pop = NAMED["heist"]
-    terms = _RecordingTerms(game)
+    terms = RecordingTerms(game)
     loop_payoff_tensor(game, pop, terms)
     return terms.checks
 
