@@ -11,6 +11,8 @@ Games whose labels are interchangeable admit an exact reduction: if the game
 and every opponent meta-action are invariant under a label rotation, deviation
 values depend only on the rotation orbit, so it suffices to score one
 representative per orbit (first governed role pinned to the first action).
+The check compares each opponent's meta-action with its relabeled self as an
+order-free map from outcomes to probabilities, building no new meta-action.
 """
 
 from __future__ import annotations
@@ -92,38 +94,6 @@ class RegretReport:
         }
 
 
-def _permute_strategy(strategy: MixedStrategy, mapping: dict[str, str]) -> MixedStrategy:
-    return MixedStrategy(
-        strategy.role, tuple((mapping[a], w) for a, w in strategy.weights)
-    )
-
-
-def permute_instruction(
-    instr: InstructionProfile, mapping: dict[str, str]
-) -> InstructionProfile:
-    return InstructionProfile(
-        tuple(
-            tuple((_permute_strategy(s, mapping), f) for s, f in entries)
-            for entries in instr.assignments
-        )
-    )
-
-
-def permute_meta_action(action: MetaAction, mapping: dict[str, str]) -> MetaAction:
-    return MetaAction(
-        tuple((permute_instruction(p, mapping), w) for p, w in action.outcomes)
-    )
-
-
-def meta_actions_close(a: MetaAction, b: MetaAction) -> bool:
-    if len(a.outcomes) != len(b.outcomes):
-        return False
-    for (pa, wa), (pb, wb) in zip(a.outcomes, b.outcomes):
-        if pa != pb or abs(wa - wb) > 1e-12:
-            return False
-    return True
-
-
 def _common_labels(game: BaseGame) -> tuple[str, ...]:
     labels = game.actions[0]
     if any(set(acts) != set(labels) for acts in game.actions):
@@ -140,6 +110,15 @@ def rotation_mapping(game: BaseGame) -> dict[str, str]:
     return {labels[i]: labels[(i + 1) % len(labels)] for i in range(len(labels))}
 
 
+def _relabeled(prof: InstructionProfile, to: dict[str, str]) -> tuple:
+    """``prof`` with each label ``a`` read as ``to[a]``, keyed order-free: per
+    role, the set of (set of (label, weight), fraction) pairs."""
+    return tuple(
+        frozenset((frozenset((to[a], w) for a, w in s.weights), f) for s, f in entries)
+        for entries in prof.assignments
+    )
+
+
 def verify_rotation_symmetry(
     game: BaseGame, profile: MetaProfile | Sequence[MetaAction | None], j: int
 ) -> None:
@@ -149,8 +128,10 @@ def verify_rotation_symmetry(
     ``ROTATION_SAMPLES`` profiles of role 0's labels drawn from a fixed
     seed, each against its rotation in one
     :meth:`~metagame.games.BaseGame.payoff_block` call per side, every
-    label at its index in each role's own list.  Raises ``ValidationError``
-    on any violation.
+    label at its index in each role's own list.  An opponent passes when its
+    outcomes, keyed by :func:`_relabeled` before and after the rotation, map
+    to the same probabilities within 1e-12.  Raises ``ValidationError`` on
+    any violation, and on an opponent label the rotation does not permute.
     """
     mapping = rotation_mapping(game)
     labels = game.actions[0]
@@ -170,14 +151,23 @@ def verify_rotation_symmetry(
     ):
         raise ValidationError("game payoffs are not rotation-invariant")
     actions = profile.actions if isinstance(profile, MetaProfile) else profile
+    same = dict(zip(labels, labels))
     for q, action in enumerate(actions):
         if q == j:
             continue
-        if not meta_actions_close(permute_meta_action(action, mapping), action):
+        try:
+            rotated = {_relabeled(prof, mapping): p for prof, p in action.outcomes}
+        except KeyError as exc:
             raise ValidationError(
-                f"advisor {q} meta-action is not rotation-invariant; "
-                "orbit reduction would be unsound"
-            )
+                f"advisor {q} instructs label {exc.args[0]!r}, which the rotation "
+                "does not permute"
+            ) from None
+        for prof, p in action.outcomes:
+            if abs(rotated.get(_relabeled(prof, same), math.inf) - p) > 1e-12:
+                raise ValidationError(
+                    f"advisor {q} meta-action is not rotation-invariant; "
+                    "orbit reduction would be unsound"
+                )
 
 
 def best_response(
@@ -367,8 +357,8 @@ def base_nash_2p(game: BaseGame) -> list[StrategyProfile]:
     if game.role_count != 2:
         raise ValidationError("support enumeration covers two-role games")
     rows, cols = game.actions
-    A = np.array([[game.payoff((r, c))[0] for c in cols] for r in rows])
-    B = np.array([[game.payoff((r, c))[1] for c in cols] for r in rows])
+    pay = game.payoff_block(_grid((len(rows), len(cols)), 0, len(rows) * len(cols)))
+    A, B = pay.T.reshape(2, len(rows), len(cols)).copy()
     out = []
     for x, y in support_enumeration_bimatrix(A, B):
         out.append(
@@ -388,9 +378,14 @@ def best_response_iteration(
     start: Sequence[Sequence[str]],
 ) -> MetaProfile | None:
     """Iterate pure best responses for up to ``BR_ITERATION_ROUNDS`` rounds;
-    return the fixed point if one is reached."""
+    return the fixed point if one is reached, else ``None``.  A round maps its
+    start to the next round's deterministically, and a round that changes
+    nothing returns, so a start seen before lies on a cycle of two or more
+    rounds that never ends: the iteration stops there."""
     current = [tuple(p) for p in start]
-    for _ in range(BR_ITERATION_ROUNDS):
+    seen = set()
+    while len(seen) < BR_ITERATION_ROUNDS and tuple(current) not in seen:
+        seen.add(tuple(current))
         changed = False
         for j in range(pop.llm_count):
             profile = MetaProfile.from_pure(current)

@@ -111,6 +111,35 @@ def test_eval_stops_a_wide_mixed_bounded10_instruction_at_the_budget(tmp_path):
     assert "budget" in err.getvalue()
 
 
+def test_rotation_equilibrium_with_a_label_the_game_lacks_exits_2(tmp_path, capsys):
+    """Advisor 1 names label "7", which bounded10 at 6 actions lacks, in
+    role 0, which it does not govern.  ``eval`` never reads that slot and
+    plain ``equilibrium`` finds a regret; the rotation check rejects the
+    label, naming the advisor."""
+
+    def pure(labels):
+        roles = [[{"weights": {a: 1.0}, "fraction": 1.0}] for a in labels]
+        return [{"probability": 1.0, "instruction": roles}]
+
+    doc = {
+        "schema": 1,
+        "game": {"name": "bounded10", "params": {"n_actions": 6}},
+        "population": {"scenario": "bounded10", "params": {}},
+        "meta_profiles": {
+            "main": {"llms": [pure(["1"] * 10), pure(["7"] + ["1"] * 9), pure(["1"] * 10)]}
+        },
+    }
+    cfg = tmp_path / "stray.json"
+    cfg.write_text(json.dumps(doc))
+    args = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+    assert run_command(["eval", *args]) == EXIT_OK
+    assert run_command(["equilibrium", *args]) == EXIT_CERTIFICATE
+    capsys.readouterr()
+    assert run_command(["equilibrium", "--symmetry", "rotation", *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "advisor 1" in err and "'7'" in err
+
+
 def test_eval_reports_totals_and_averages(tmp_path):
     cfg = _pd_config(tmp_path)
     out = tmp_path / "out"

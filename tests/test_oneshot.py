@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import metagame.oneshot
 
 from metagame.errors import BudgetExceededError, NotSingleRoleError, ValidationError
 from metagame.games import (
@@ -36,10 +39,13 @@ from metagame.scenarios import (
     make_scenario,
     pd_profile,
     scenario_population,
+    split_instruction,
     uniform_coordination_action,
 )
 
-from oracles import random_game, random_meta_profile, random_population
+import oneshot_reference
+from oneshot_reference import meta_actions_close, permute_instruction, permute_meta_action
+from oracles import random_game, random_instruction, random_meta_profile, random_population
 
 
 @pytest.fixture(scope="module")
@@ -378,3 +384,203 @@ def test_budget_guard_without_symmetry():
     profile = bounded10_equilibrium_profile(game)
     with pytest.raises(BudgetExceededError):
         best_response(game, pop, profile, 0)
+
+
+def _single_role_population(roles):
+    """Advisor i governs role i alone."""
+    return Population(tuple(tuple(float(i == j) for j in range(roles)) for i in range(roles)))
+
+
+def test_best_response_iteration_matches_the_uncut_loop():
+    # Two- and three-role games; shared populations give every advisor a
+    # share of every role, single-role ones one advisor per role.
+    rng = random.Random(31)
+    cycles = converged = 0
+    for g in range(150):
+        roles = 2 + g % 2
+        game = random_game(rng, roles=roles, n_actions=2)
+        if g % 4 < 2:
+            pop = random_population(rng, roles=roles, llms=rng.randint(2, 3))
+        else:
+            pop = _single_role_population(roles)
+        start = [
+            tuple(rng.choice(acts) for acts in game.actions)
+            for _ in range(pop.llm_count)
+        ]
+        expected = oneshot_reference.best_response_iteration(game, pop, start)
+        assert best_response_iteration(game, pop, start) == expected
+        cycles += expected is None
+        converged += expected is not None
+    assert cycles >= 10 and converged >= 100
+
+
+def test_best_response_iteration_stops_at_the_first_repeated_round(monkeypatch):
+    # Matching pennies between two single-role advisors: pure best replies
+    # cycle through the four profiles forever.
+    game = BaseGame.from_table(
+        (("H", "T"), ("H", "T")),
+        {
+            ("H", "H"): (1.0, -1.0),
+            ("H", "T"): (-1.0, 1.0),
+            ("T", "H"): (-1.0, 1.0),
+            ("T", "T"): (1.0, -1.0),
+        },
+    )
+    pop = _single_role_population(2)
+    calls, starts = [], set()
+    original = metagame.oneshot.best_response
+
+    def counting(game, pop, profile, j, **kwargs):
+        calls.append(j)
+        if j == 0:
+            starts.add(tuple(a.outcomes[0][0].pure_profile for a in profile.actions))
+        return original(game, pop, profile, j, **kwargs)
+
+    monkeypatch.setattr(metagame.oneshot, "best_response", counting)
+    assert best_response_iteration(game, pop, [("H", "H"), ("H", "H")]) is None
+    # Four profiles exist; the uncut loop makes BR_ITERATION_ROUNDS * k calls.
+    assert len(starts) <= 4
+    assert len(calls) <= pop.llm_count * len(starts)
+
+
+# A rotation-invariant game on three labels: each role is paid by its
+# label's cyclic distance to the next role's.
+_CYCLIC = ("x", "y", "z")
+_CYCLIC_GAME = BaseGame.from_table(
+    (_CYCLIC,) * 2,
+    {
+        (a, b): (
+            (0.0, 1.0, -2.0)[(_CYCLIC.index(b) - _CYCLIC.index(a)) % 3],
+            (0.5, -1.0, 3.0)[(_CYCLIC.index(a) - _CYCLIC.index(b)) % 3],
+        )
+        for a in _CYCLIC
+        for b in _CYCLIC
+    },
+)
+_ROTATION_GAMES = {
+    "bounded10": make_scenario("bounded10", n_actions=6),
+    "cyclic3": _CYCLIC_GAME,
+}
+
+
+def _instruction(rng, game, kind):
+    if kind == "pure":
+        return InstructionProfile.pure(tuple(rng.choice(acts) for acts in game.actions))
+    if kind == "client mix":
+        return random_instruction(rng, game)
+    # A within-role split, over every label or over a random few.
+    splits = []
+    for acts in game.actions:
+        labels = acts if rng.random() < 0.8 else rng.sample(acts, rng.randint(1, len(acts)))
+        raw = [rng.choice((1.0, 2.0, rng.random() + 0.1)) for _ in labels]
+        splits.append({a: w / sum(raw) for a, w in zip(labels, raw)})
+    return split_instruction(game, splits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    game_name=st.sampled_from(sorted(_ROTATION_GAMES)),
+    kind=st.sampled_from(["pure", "client mix", "split"]),
+    copies=st.sampled_from(["one", "two drawn", "rotated"]),
+    nudge=st.sampled_from([0.0, 0.5e-12, 2e-12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotation_check_agrees_with_rebuilding_the_rotated_meta_action(
+    game_name, kind, copies, nudge, seed
+):
+    game = _ROTATION_GAMES[game_name]
+    rng = random.Random(seed)
+    mapping = metagame.oneshot.rotation_mapping(game)
+    first = _instruction(rng, game, kind)
+    if copies == "one":
+        outcomes = [first]
+    elif copies == "two drawn":
+        outcomes = [first, _instruction(rng, game, kind)]
+    else:
+        # The rotation orbit of one instruction, the first copy's weight
+        # raised so that neighbouring copies differ by about ``nudge``.
+        outcomes = [first]
+        for _ in range(len(mapping) - 1):
+            outcomes.append(permute_instruction(outcomes[-1], mapping))
+    raw = [1.0 + len(outcomes) * nudge] + [1.0] * (len(outcomes) - 1)
+    action = MetaAction(tuple((o, w / sum(raw)) for o, w in zip(outcomes, raw)))
+    invariant = meta_actions_close(permute_meta_action(action, mapping), action)
+    try:
+        verify_rotation_symmetry(game, [None, action], 0)
+        passed = True
+    except ValidationError:
+        passed = False
+    assert passed == invariant
+
+
+@pytest.mark.parametrize(
+    "nudge, invariant", [(0.0, True), (0.5e-12, True), (2e-12, False)]
+)
+@pytest.mark.parametrize("game_name", sorted(_ROTATION_GAMES))
+def test_rotation_check_tolerates_probabilities_within_1e_12(game_name, nudge, invariant):
+    game = _ROTATION_GAMES[game_name]
+    mapping = metagame.oneshot.rotation_mapping(game)
+    # Each role splits its clients unevenly over every label, so only the
+    # fractions tell a copy from its rotation.
+    labels = game.actions[0]
+    split = {a: (i + 1) / (len(labels) * (len(labels) + 1) / 2) for i, a in enumerate(labels)}
+    outcomes = [split_instruction(game, [split] * game.role_count)]
+    for _ in range(len(labels) - 1):
+        outcomes.append(permute_instruction(outcomes[-1], mapping))
+    raw = [1.0 + len(outcomes) * nudge] + [1.0] * (len(outcomes) - 1)
+    action = MetaAction(tuple((o, w / sum(raw)) for o, w in zip(outcomes, raw)))
+    assert meta_actions_close(permute_meta_action(action, mapping), action) == invariant
+    if invariant:
+        verify_rotation_symmetry(game, [None, action], 0)
+    else:
+        with pytest.raises(ValidationError, match="advisor 1 meta-action"):
+            verify_rotation_symmetry(game, [None, action], 0)
+    # Alone, an uneven split is not invariant.
+    with pytest.raises(ValidationError, match="advisor 1 meta-action"):
+        verify_rotation_symmetry(game, [None, MetaAction.deterministic(outcomes[0])], 0)
+
+
+def test_rotation_check_names_a_label_it_does_not_permute():
+    game = make_scenario("bounded10", n_actions=6)
+    stray = MetaAction.from_pure(("7",) + ("1",) * 9)
+    with pytest.raises(ValidationError, match="advisor 1 .*'7'"):
+        verify_rotation_symmetry(game, [None, stray], 0)
+
+
+def _rule_bimatrix():
+    def payoff(profile):
+        r, c = map(int, profile)
+        return (float((3 * r + 5 * c) % 7 - 3), float(2 * r * c % 5 - 2))
+
+    return payoff
+
+
+register_payoff_rule("test_rule_bimatrix", _rule_bimatrix)
+
+
+@pytest.mark.parametrize("backing", ["table", "rule without a block form"])
+def test_base_nash_reads_the_scalar_bimatrix_in_one_block(backing, monkeypatch):
+    if backing == "table":
+        game = random_game(random.Random(5), roles=2, n_actions=3)
+    else:
+        game = BaseGame.from_rule((("1", "2", "3"), ("1", "2", "3", "4")), "test_rule_bimatrix")
+    rows, cols = game.actions
+    A = np.array([[game.payoff((r, c))[0] for c in cols] for r in rows])
+    B = np.array([[game.payoff((r, c))[1] for c in cols] for r in rows])
+    expected = [
+        StrategyProfile(
+            (
+                MixedStrategy(0, tuple((a, float(w)) for a, w in zip(rows, x) if w > 0)),
+                MixedStrategy(1, tuple((a, float(w)) for a, w in zip(cols, y) if w > 0)),
+            )
+        )
+        for x, y in support_enumeration_bimatrix(A, B)
+    ]
+    assert expected
+    calls = []
+    payoff = BaseGame.payoff
+    monkeypatch.setattr(
+        BaseGame, "payoff", lambda self, p: calls.append(p) or payoff(self, p)
+    )
+    assert base_nash_2p(game) == expected
+    assert calls == []
